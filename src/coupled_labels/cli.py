@@ -163,11 +163,6 @@ def _write_plot_csvs(rundir: Path, report: dict) -> list[Path]:
     emit("probability_histograms.csv", ["label", "bin_low", "bin_high", "count"],
          [[labels[l], repr(b / bins), repr((b + 1) / bins), hist["counts"][l][b]]
           for l in range(len(labels)) for b in range(bins)])
-
-    if report.get("coupling_mean") is not None:
-        emit("coupling_mean.csv", ["source"] + labels,
-             [[labels[i]] + [repr(v) for v in row]
-              for i, row in enumerate(report["coupling_mean"])])
     return written
 
 

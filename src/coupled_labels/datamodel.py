@@ -1,5 +1,5 @@
-"""Core records shared by every stage: datasets, label/probability/logit
-matrices, and the experiment configuration.
+"""Core records shared by every stage: datasets, label matrices, and the
+experiment configuration.
 
 All numeric state is float64. Datasets live on disk as plain CSV with a
 one-line header: feature columns first (any names), then label columns
@@ -11,6 +11,8 @@ from __future__ import annotations
 import csv
 import dataclasses
 import hashlib
+import io
+import itertools
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -35,9 +37,8 @@ class ConfigError(CoupledLabelsError):
 # ---------------------------------------------------------------------------
 # array validators
 #
-# LabelMatrix / ProbMatrix / LogitMatrix are plain float64 ndarrays; the
-# checkers below are the single place their invariants are enforced, and are
-# called at module boundaries.
+# A LabelMatrix is a plain float64 ndarray; the checker below is the single
+# place its invariants are enforced, and is called at module boundaries.
 # ---------------------------------------------------------------------------
 
 
@@ -53,26 +54,6 @@ def check_label_matrix(values) -> np.ndarray:
         raise DataFormatError(
             f"label matrix entry at row {bad[0]}, column {bad[1]} is not 0 or 1"
         )
-    return arr
-
-
-def check_prob_matrix(values) -> np.ndarray:
-    """Validate an N x L matrix of probabilities in [0, 1]."""
-    arr = np.asarray(values, dtype=np.float64)
-    if arr.ndim != 2:
-        raise DataFormatError(f"probability matrix must be 2-D, got shape {arr.shape}")
-    if not np.isfinite(arr).all() or arr.min(initial=0.0) < 0.0 or arr.max(initial=1.0) > 1.0:
-        raise DataFormatError("probability matrix entries must lie in [0, 1]")
-    return arr
-
-
-def check_logit_matrix(values) -> np.ndarray:
-    """Validate an N x L matrix of finite logits."""
-    arr = np.asarray(values, dtype=np.float64)
-    if arr.ndim != 2:
-        raise DataFormatError(f"logit matrix must be 2-D, got shape {arr.shape}")
-    if not np.isfinite(arr).all():
-        raise DataFormatError("logit matrix contains NaN/Inf entries")
     return arr
 
 
@@ -164,51 +145,125 @@ def load_dataset(path, format: str = "csv") -> Dataset:
                     f"{path}: feature column {header[idx]!r} appears after label columns"
                 )
         label_names = [name[len(LABEL_PREFIX):] for name in header[label_start:]]
+        parsed = _read_plain_rows(fh, label_start, n_cols)
+    if parsed is None:
+        # not plain, or not valid: read it again cell by cell, which names
+        # the first bad row and column
+        with open(path, newline="") as fh:
+            reader = csv.reader(fh)
+            next(reader)
+            parsed = _read_csv_rows(reader, path, header, label_start)
+    features, labels = parsed
+    return Dataset(features=features, labels=labels, label_names=label_names)
 
-        feats: list[list[float]] = []
-        labs: list[list[float]] = []
-        for row_idx, row in enumerate(reader):
-            if len(row) != n_cols:
+
+def _read_csv_rows(reader, path: Path, header: list[str], label_start: int):
+    """Parse the data rows one by one, raising on the first bad cell."""
+    n_cols = len(header)
+    feats: list[list[float]] = []
+    labs: list[list[float]] = []
+    for row_idx, row in enumerate(reader):
+        if len(row) != n_cols:
+            raise DataFormatError(
+                f"{path}: row {row_idx} has {len(row)} columns, expected {n_cols}"
+            )
+        try:
+            feats.append([float(cell) for cell in row[:label_start]])
+        except ValueError as exc:
+            raise DataFormatError(f"{path}: row {row_idx}: bad feature value ({exc})") from None
+        lab_row = []
+        for col_off, cell in enumerate(row[label_start:]):
+            if cell == "0":
+                lab_row.append(0.0)
+            elif cell == "1":
+                lab_row.append(1.0)
+            else:
                 raise DataFormatError(
-                    f"{path}: row {row_idx} has {len(row)} columns, expected {n_cols}"
+                    f"{path}: row {row_idx}, column {header[label_start + col_off]!r}: "
+                    f"label value {cell!r} is not 0 or 1"
                 )
-            try:
-                feats.append([float(cell) for cell in row[:label_start]])
-            except ValueError as exc:
-                raise DataFormatError(f"{path}: row {row_idx}: bad feature value ({exc})") from None
-            lab_row = []
-            for col_off, cell in enumerate(row[label_start:]):
-                if cell == "0":
-                    lab_row.append(0.0)
-                elif cell == "1":
-                    lab_row.append(1.0)
-                else:
-                    raise DataFormatError(
-                        f"{path}: row {row_idx}, column {header[label_start + col_off]!r}: "
-                        f"label value {cell!r} is not 0 or 1"
-                    )
-            labs.append(lab_row)
+        labs.append(lab_row)
     if not feats:
         raise DataFormatError(f"{path}: no data rows")
-    return Dataset(
-        features=np.array(feats, dtype=np.float64),
-        labels=np.array(labs, dtype=np.float64),
-        label_names=label_names,
-    )
+    return np.array(feats, dtype=np.float64), np.array(labs, dtype=np.float64)
+
+
+# Lines parsed per np.loadtxt call: bounds the text held in memory whatever N is.
+_LOAD_BLOCK_ROWS = 2048
+# Every character a plain block may hold: decimal float syntax, commas and
+# line ends.
+_PLAIN_BYTES = b"0123456789.,+-eE\r\n"
+
+
+def _read_plain_rows(fh, label_start: int, n_cols: int):
+    """Parse the rest of ``fh`` in C, block by block, if every line is plain.
+
+    A line is plain when it holds only ``_PLAIN_BYTES``, has ``n_cols``
+    cells, at least one of them a feature, and spells every label cell as a
+    bare ``0`` or ``1``. For such lines ``np.loadtxt`` splits cells exactly
+    as ``csv`` does and parses each feature cell with the same correctly
+    rounded ``PyOS_string_to_double`` as ``float``, so the result is
+    bit-identical to ``_read_csv_rows``. Returns ``(features, labels)``, or
+    None if any line is not plain or there are no lines.
+    """
+    n_labels = n_cols - label_start
+    offsets = np.arange(2 * n_labels, 0, -1)
+    blocks = []
+    while lines := list(itertools.islice(fh, _LOAD_BLOCK_ROWS)):
+        text = "".join(lines)
+        if not text.isascii():
+            return None
+        raw = text.encode("ascii")
+        if raw.translate(None, _PLAIN_BYTES):
+            return None
+        lengths = np.array([len(line) for line in lines])
+        content = np.array([len(line.rstrip("\r\n")) for line in lines])
+        if content.min() <= 2 * n_labels:
+            return None  # blank, or too short for a feature and the labels
+        # the last 2L characters of each line must read ",d,d,...,d", d in {0, 1}
+        tails = np.frombuffer(raw, dtype=np.uint8)[
+            (np.cumsum(lengths) - lengths + content)[:, None] - offsets]
+        digits = tails[:, 1::2]
+        if not ((tails[:, 0::2] == ord(",")).all()
+                and ((digits == ord("0")) | (digits == ord("1"))).all()):
+            return None
+        try:
+            values = np.loadtxt(io.BytesIO(raw), delimiter=",", comments=None,
+                                ndmin=2, encoding="ascii")
+        except ValueError:
+            return None
+        if values.shape != (len(lines), n_cols):
+            return None
+        blocks.append(values)
+    if not blocks:
+        return None
+    return (np.concatenate([v[:, :label_start] for v in blocks]),
+            np.concatenate([v[:, label_start:] for v in blocks]))
+
+
+# Rows formatted per write: bounds the text held in memory whatever N is.
+_SAVE_BLOCK_ROWS = 256
 
 
 def save_dataset(ds: Dataset, path) -> None:
-    """Write a Dataset as CSV; floats use repr so a reload is bit-exact."""
+    """Write a Dataset as CSV; floats use repr so a reload is bit-exact.
+
+    The body bytes equal what ``csv.writer`` gives for the rows
+    ``[repr(x) for x in features] + [str(int(y)) for y in labels]``: no such
+    cell needs quoting, so each row is its cells joined by commas plus the
+    writer's ``\\r\\n``.
+    """
     path = Path(path)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         header = [f"f{i}" for i in range(ds.n_features)]
         header += [LABEL_PREFIX + name for name in ds.label_names]
         writer.writerow(header)
-        for i in range(ds.n_examples):
-            row = [repr(float(v)) for v in ds.features[i]]
-            row += [str(int(v)) for v in ds.labels[i]]
-            writer.writerow(row)
+        for lo in range(0, ds.n_examples, _SAVE_BLOCK_ROWS):
+            hi = lo + _SAVE_BLOCK_ROWS
+            rows = zip(ds.features[lo:hi].tolist(),
+                       ds.labels[lo:hi].astype(np.int64).tolist())
+            fh.write("".join([",".join(map(repr, f + y)) + "\r\n" for f, y in rows]))
 
 
 # ---------------------------------------------------------------------------

@@ -54,11 +54,10 @@ class FoldAssignment:
 
 
 def save_folds(assign: FoldAssignment, path) -> None:
+    """Write ``example_index,fold`` rows, byte for byte as ``csv.writer`` would."""
+    rows = [f"{i},{f}\r\n" for i, f in enumerate(assign.fold_of.tolist())]
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["example_index", "fold"])
-        for i, f in enumerate(assign.fold_of):
-            writer.writerow([i, int(f)])
+        fh.write("example_index,fold\r\n" + "".join(rows))
 
 
 def load_folds(path) -> FoldAssignment:
@@ -115,53 +114,60 @@ def mis_split(labels, K: int, seed: int, with_stats: bool = False):
     _check_split_args(y, K)
     rng = np.random.default_rng(seed)
 
-    fold_of = np.full(n, -1, dtype=np.int64)
-    example_quota = np.full(K, n / K, dtype=np.float64)
-    counts = y.sum(axis=0)
-    label_quota = np.tile(counts / K, (K, 1))  # (K, L)
-    remaining_pos = counts.copy()
-    positives = [np.flatnonzero(y[:, l] == 1.0) for l in range(n_labels)]
-    unassigned = np.ones(n, dtype=bool)
+    # The loop below runs once per example on K- and L-long state, where
+    # Python floats and lists are far cheaper than NumPy calls. The float64
+    # quota arithmetic and the rng draws are the same as on arrays.
+    counts = y.sum(axis=0).astype(np.int64).tolist()
+    example_quota = [n / K] * K
+    label_quota = [[c / K] * K for c in counts]  # [label][fold]
+    remaining_pos = list(counts)
+    # example i is positive for labels_of[row_start[i]:row_start[i + 1]]
+    flat = np.flatnonzero(y == 1.0)
+    row_start = np.searchsorted(flat, np.arange(n + 1) * n_labels).tolist()
+    labels_of = (flat % n_labels).tolist()
+    fold_of = [-1] * n
+    folds = range(K)
 
     label_order: list[int] = []
     pre_assigned: list[int] = []
 
-    def pick_fold(quota_row: np.ndarray) -> int:
-        best = quota_row.max()
-        tied = np.flatnonzero(quota_row == best)
-        if tied.size > 1:
-            sub = example_quota[tied]
-            tied = tied[np.flatnonzero(sub == sub.max())]
-        if tied.size > 1:
-            return int(tied[rng.integers(tied.size)])
-        return int(tied[0])
+    def pick(candidates: list[int]) -> int:
+        if len(candidates) > 1:
+            return candidates[rng.integers(len(candidates))]
+        return candidates[0]
 
     while True:
-        active = np.flatnonzero(remaining_pos > 0)
-        if active.size == 0:
+        active = [l for l in range(n_labels) if remaining_pos[l] > 0]
+        if not active:
             break
-        lab = int(active[np.argmin(remaining_pos[active])])
+        lab = min(active, key=remaining_pos.__getitem__)
         label_order.append(lab)
-        pre_assigned.append(int(counts[lab] - remaining_pos[lab]))
-        for i in positives[lab]:
-            if not unassigned[i]:
+        pre_assigned.append(counts[lab] - remaining_pos[lab])
+        quota = label_quota[lab]
+        for i in np.flatnonzero(y[:, lab] == 1.0).tolist():
+            if fold_of[i] >= 0:
                 continue
-            f = pick_fold(label_quota[:, lab])
+            best = max(quota)
+            tied = [f for f in folds if quota[f] == best]
+            if len(tied) > 1:
+                best = max([example_quota[f] for f in tied])
+                tied = [f for f in tied if example_quota[f] == best]
+            f = pick(tied)
             fold_of[i] = f
-            unassigned[i] = False
             example_quota[f] -= 1.0
-            row = y[i]
-            label_quota[f, row == 1.0] -= 1.0
-            remaining_pos[row == 1.0] -= 1.0
+            for l in labels_of[row_start[i]:row_start[i + 1]]:
+                label_quota[l][f] -= 1.0
+                remaining_pos[l] -= 1
 
-    for i in np.flatnonzero(unassigned):
-        best = example_quota.max()
-        tied = np.flatnonzero(example_quota == best)
-        f = int(tied[rng.integers(tied.size)]) if tied.size > 1 else int(tied[0])
+    for i in range(n):
+        if fold_of[i] >= 0:
+            continue
+        best = max(example_quota)
+        f = pick([f for f in folds if example_quota[f] == best])
         fold_of[i] = f
         example_quota[f] -= 1.0
 
-    assign = FoldAssignment(fold_of=fold_of, K=K)
+    assign = FoldAssignment(fold_of=np.array(fold_of, dtype=np.int64), K=K)
     if with_stats:
         return assign, MisStats(label_order=label_order, pre_assigned=pre_assigned)
     return assign

@@ -1,7 +1,7 @@
 """Shared oracles for the test suite: central finite differences, a
 relative-error reducer, the pair-count AUC reference, a training loop
-that never touches the coupling module, and the identifiable planted-edge
-construction."""
+that never touches the coupling module, the identifiable planted-edge
+construction, and row-loop references for the CSV data path and mis_split."""
 
 import math
 
@@ -139,3 +139,164 @@ def identifiable_spec():
                        PlantedEdge(4, 5, 2.0)),
         noise_scale=0.5, seed=13, base_weights=q * 2.0,
     )
+
+
+# ---------------------------------------------------------------------------
+# Row-loop reference implementations of the data path. The package's
+# save_dataset, load_dataset, mis_split and save_folds must give exactly
+# what these give: the same bytes, the same bits, the same folds and the
+# same DataFormatError text.
+# ---------------------------------------------------------------------------
+
+
+def reference_load_dataset(path):
+    """load_dataset as one csv.reader loop over every row."""
+    import csv
+    from pathlib import Path
+
+    from coupled_labels.datamodel import LABEL_PREFIX, DataFormatError, Dataset
+
+    path = Path(path)
+    if not path.exists():
+        raise DataFormatError(f"dataset file not found: {path}")
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise DataFormatError(f"{path}: empty file, expected a header row") from None
+        n_cols = len(header)
+        label_start = None
+        for idx, name in enumerate(header):
+            if name.startswith(LABEL_PREFIX):
+                label_start = idx
+                break
+        if label_start is None:
+            raise DataFormatError(f"{path}: header has no '{LABEL_PREFIX}' columns")
+        for idx in range(label_start, n_cols):
+            if not header[idx].startswith(LABEL_PREFIX):
+                raise DataFormatError(
+                    f"{path}: feature column {header[idx]!r} appears after label columns"
+                )
+        label_names = [name[len(LABEL_PREFIX):] for name in header[label_start:]]
+
+        feats, labs = [], []
+        for row_idx, row in enumerate(reader):
+            if len(row) != n_cols:
+                raise DataFormatError(
+                    f"{path}: row {row_idx} has {len(row)} columns, expected {n_cols}"
+                )
+            try:
+                feats.append([float(cell) for cell in row[:label_start]])
+            except ValueError as exc:
+                raise DataFormatError(f"{path}: row {row_idx}: bad feature value ({exc})") from None
+            lab_row = []
+            for col_off, cell in enumerate(row[label_start:]):
+                if cell == "0":
+                    lab_row.append(0.0)
+                elif cell == "1":
+                    lab_row.append(1.0)
+                else:
+                    raise DataFormatError(
+                        f"{path}: row {row_idx}, column {header[label_start + col_off]!r}: "
+                        f"label value {cell!r} is not 0 or 1"
+                    )
+            labs.append(lab_row)
+    if not feats:
+        raise DataFormatError(f"{path}: no data rows")
+    return Dataset(
+        features=np.array(feats, dtype=np.float64),
+        labels=np.array(labs, dtype=np.float64),
+        label_names=label_names,
+    )
+
+
+def reference_save_dataset(ds, path):
+    """save_dataset as one csv.writer call per row."""
+    import csv
+
+    from coupled_labels.datamodel import LABEL_PREFIX
+
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        header = [f"f{i}" for i in range(ds.n_features)]
+        header += [LABEL_PREFIX + name for name in ds.label_names]
+        writer.writerow(header)
+        for i in range(ds.n_examples):
+            row = [repr(float(v)) for v in ds.features[i]]
+            row += [str(int(v)) for v in ds.labels[i]]
+            writer.writerow(row)
+
+
+def reference_save_folds(assign, path):
+    """save_folds as one csv.writer call per row."""
+    import csv
+
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["example_index", "fold"])
+        for i, f in enumerate(assign.fold_of):
+            writer.writerow([i, int(f)])
+
+
+def reference_mis_split(labels, K, seed):
+    """mis_split with NumPy calls on K-long arrays inside the per-example
+    loop; returns (FoldAssignment, MisStats)."""
+    from coupled_labels.datamodel import check_label_matrix
+    from coupled_labels.stratify import FoldAssignment, MisStats, SplitError
+
+    y = check_label_matrix(labels)
+    n, n_labels = y.shape
+    if K < 2:
+        raise SplitError(f"K must be >= 2, got {K}")
+    if K > n:
+        raise SplitError(f"cannot split {n} examples into {K} folds")
+    rng = np.random.default_rng(seed)
+
+    fold_of = np.full(n, -1, dtype=np.int64)
+    example_quota = np.full(K, n / K, dtype=np.float64)
+    counts = y.sum(axis=0)
+    label_quota = np.tile(counts / K, (K, 1))  # (K, L)
+    remaining_pos = counts.copy()
+    positives = [np.flatnonzero(y[:, l] == 1.0) for l in range(n_labels)]
+    unassigned = np.ones(n, dtype=bool)
+
+    label_order, pre_assigned = [], []
+
+    def pick_fold(quota_row):
+        best = quota_row.max()
+        tied = np.flatnonzero(quota_row == best)
+        if tied.size > 1:
+            sub = example_quota[tied]
+            tied = tied[np.flatnonzero(sub == sub.max())]
+        if tied.size > 1:
+            return int(tied[rng.integers(tied.size)])
+        return int(tied[0])
+
+    while True:
+        active = np.flatnonzero(remaining_pos > 0)
+        if active.size == 0:
+            break
+        lab = int(active[np.argmin(remaining_pos[active])])
+        label_order.append(lab)
+        pre_assigned.append(int(counts[lab] - remaining_pos[lab]))
+        for i in positives[lab]:
+            if not unassigned[i]:
+                continue
+            f = pick_fold(label_quota[:, lab])
+            fold_of[i] = f
+            unassigned[i] = False
+            example_quota[f] -= 1.0
+            row = y[i]
+            label_quota[f, row == 1.0] -= 1.0
+            remaining_pos[row == 1.0] -= 1.0
+
+    for i in np.flatnonzero(unassigned):
+        best = example_quota.max()
+        tied = np.flatnonzero(example_quota == best)
+        f = int(tied[rng.integers(tied.size)]) if tied.size > 1 else int(tied[0])
+        fold_of[i] = f
+        example_quota[f] -= 1.0
+
+    return (FoldAssignment(fold_of=fold_of, K=K),
+            MisStats(label_order=label_order, pre_assigned=pre_assigned))

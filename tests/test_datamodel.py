@@ -6,6 +6,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from coupled_labels import datamodel
 from coupled_labels.datamodel import (
     ConfigError,
     DataFormatError,
@@ -18,6 +19,7 @@ from coupled_labels.datamodel import (
     save_dataset,
     validate_config,
 )
+from helpers import reference_load_dataset, reference_save_dataset
 
 
 def write(tmp_path, text, name="data.csv"):
@@ -103,6 +105,163 @@ class TestLoadDataset:
         np.testing.assert_array_equal(back.features, ds.features)
         np.testing.assert_array_equal(back.labels, ds.labels)
         assert back.label_names == ds.label_names
+
+
+def load_outcome(loader, path):
+    """What a loader makes of a file: its error text, or the dataset as bits."""
+    try:
+        ds = loader(path)
+    except DataFormatError as exc:
+        return ("error", str(exc))
+    return ("ok", ds.features.shape, ds.features.view(np.uint64).tolist(),
+            ds.labels.view(np.uint64).tolist(), ds.label_names)
+
+
+finite_floats = st.floats(allow_nan=False, allow_infinity=False, width=64)
+
+
+@st.composite
+def datasets(draw):
+    """Small datasets with all-zero label rows and repeated rows likely."""
+    d = draw(st.integers(1, 4))
+    n_labels = draw(st.integers(2, 4))
+    base = draw(st.lists(
+        st.tuples(st.lists(finite_floats, min_size=d, max_size=d),
+                  st.lists(st.sampled_from([0.0, 1.0]), min_size=n_labels,
+                           max_size=n_labels)),
+        min_size=1, max_size=5))
+    rows = draw(st.lists(st.sampled_from(base), min_size=1, max_size=10))
+    return Dataset(features=np.array([f for f, _ in rows], dtype=np.float64),
+                   labels=np.array([y for _, y in rows], dtype=np.float64),
+                   label_names=[f"l{i}" for i in range(n_labels)])
+
+
+# Cells that a plain writer never emits, next to the ones it does: the loader
+# must treat each exactly as the row loop does.
+odd_cells = st.sampled_from([
+    "", " 1", "1 ", '"1"', '"0.5"', "#1", "1.0", "0.0", "2", "01", "+1", "-0",
+    "1e0", "nan", "inf", "-inf", "1e999", "1_0", "0x1", ".", "e", "1,0",
+])
+line_ends = st.sampled_from(["\n", "\r\n", "\r"])
+
+
+@st.composite
+def near_plain_csv(draw):
+    """CSV text made mostly of valid rows, with odd cells, ragged rows,
+    blank lines and mixed line ends mixed in."""
+    d = draw(st.integers(1, 3))
+    n_labels = draw(st.integers(2, 3))
+    header = ",".join([f"f{i}" for i in range(d)] + [f"label:y{i}" for i in range(n_labels)])
+    lines = []
+    for _ in range(draw(st.integers(0, 5))):
+        if draw(st.integers(0, 9)) == 0:
+            lines.append("")
+            continue
+        cells = [repr(draw(finite_floats)) for _ in range(d)]
+        cells += [draw(st.sampled_from(["0", "1"])) for _ in range(n_labels)]
+        if draw(st.integers(0, 2)) == 0:
+            cells[draw(st.integers(0, len(cells) - 1))] = draw(odd_cells)
+        if draw(st.integers(0, 9)) == 0:
+            cells = cells[:-1] if draw(st.booleans()) else cells + ["0"]
+        lines.append(",".join(cells))
+    text = header + "\n"
+    for line in lines:
+        text += line + draw(line_ends)
+    if lines and draw(st.booleans()):
+        text = text[:-1] if text.endswith("\n") or text.endswith("\r") else text
+    return text
+
+
+class TestMatchesRowLoopReference:
+    """save_dataset/load_dataset against the row loops in tests/helpers.py."""
+
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(datasets())
+    def test_save_byte_identical_and_load_bit_identical(self, tmp_path, ds):
+        ref_path, path = tmp_path / "ref.csv", tmp_path / "new.csv"
+        reference_save_dataset(ds, ref_path)
+        save_dataset(ds, path)
+        assert path.read_bytes() == ref_path.read_bytes()
+        assert load_outcome(load_dataset, path) == load_outcome(reference_load_dataset, path)
+        back = load_dataset(path)
+        assert back.features.flags.c_contiguous and back.labels.flags.c_contiguous
+        np.testing.assert_array_equal(back.features.view(np.uint64),
+                                      ds.features.view(np.uint64))
+
+    @settings(max_examples=200, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(near_plain_csv())
+    def test_same_outcome_on_near_plain_text(self, tmp_path, text):
+        path = tmp_path / "fuzz.csv"
+        path.write_bytes(text.encode())
+        assert load_outcome(load_dataset, path) == load_outcome(reference_load_dataset, path)
+
+    def test_several_blocks(self, tmp_path):
+        rng = np.random.default_rng(4)
+        n = 2 * max(datamodel._SAVE_BLOCK_ROWS, datamodel._LOAD_BLOCK_ROWS) + 3
+        ds = Dataset(features=rng.normal(size=(n, 3)) * 10.0 ** rng.integers(-300, 300, (n, 3)),
+                     labels=(rng.random((n, 2)) < 0.5).astype(np.float64),
+                     label_names=["a", "b"])
+        ref_path, path = tmp_path / "ref.csv", tmp_path / "new.csv"
+        reference_save_dataset(ds, ref_path)
+        save_dataset(ds, path)
+        assert path.read_bytes() == ref_path.read_bytes()
+        assert load_outcome(load_dataset, path) == load_outcome(reference_load_dataset, path)
+        # a bad cell in the last block is named by its row, as by the row loop
+        lines = path.read_bytes().split(b"\r\n")
+        lines[n - 1] = lines[n - 1][:-1] + b"2"
+        path.write_bytes(b"\r\n".join(lines))
+        outcome = load_outcome(load_dataset, path)
+        assert outcome == load_outcome(reference_load_dataset, path)
+        assert f"row {n - 2}" in outcome[1]
+
+    @pytest.mark.parametrize("body", [
+        pytest.param("1.5,0,1\n2,1\n", id="ragged-row"),
+        pytest.param("1.5,0,1\n2,1,0,1\n", id="extra-cell"),
+        pytest.param("1.5,2.5,0,1\n", id="extra-cell-every-row"),
+        pytest.param("1.5,0,1\n\n2,1,0\n", id="blank-line"),
+        pytest.param("1.5,0,1\n2,1,0\n\n", id="trailing-blank-line"),
+        pytest.param("\n1.5,0,1\n", id="leading-blank-line"),
+        pytest.param('"1.5",0,1\n', id="quoted-numeric-cell"),
+        pytest.param('1.5,"1",0\n', id="quoted-label-cell"),
+        pytest.param("#1.5,0,1\n", id="hash-prefixed-cell"),
+        pytest.param("1.5,0,#1\n", id="hash-prefixed-label"),
+        pytest.param(" 1.5 ,0,1\n", id="whitespace-padded-feature"),
+        pytest.param("1.5, 0,1\n", id="whitespace-padded-label"),
+        pytest.param("1.5,1.0,0\n", id="label-1.0"),
+        pytest.param("1.5,0,2\n", id="label-2"),
+        pytest.param("1.5,,0\n", id="label-empty"),
+        pytest.param('1.5,"",0\n', id="label-quoted-empty"),
+        pytest.param("1.5,01,0\n", id="label-01"),
+        pytest.param("1.5,+1,0\n", id="label-plus-1"),
+        pytest.param(",0,1\n", id="feature-empty"),
+        pytest.param("1.5,0,1,\n", id="trailing-comma"),
+        pytest.param("inf,0,1\n", id="non-finite-feature-inf"),
+        pytest.param("nan,0,1\n", id="non-finite-feature-nan"),
+        pytest.param("1e999,0,1\n", id="overflowing-feature"),
+        pytest.param("1_000,0,1\n", id="underscore-feature"),
+        pytest.param("١,0,1\n", id="non-ascii-digit-feature"),
+        pytest.param("1.5,0,1\r2,1,0\r", id="lone-cr-line-ends"),
+        pytest.param("1.5,0,1\r\n2,1,0", id="crlf-no-final-newline"),
+        pytest.param("1.5,0,1\n2,1,0\r", id="final-lone-cr"),
+        pytest.param("", id="header-only"),
+        pytest.param("oops,0,1\n", id="bad-feature"),
+    ])
+    def test_malformed_input_matches_reference(self, tmp_path, body):
+        path = tmp_path / "bad.csv"
+        path.write_bytes(("a,label:x,label:y\n" + body).encode())
+        assert load_outcome(load_dataset, path) == load_outcome(reference_load_dataset, path)
+
+    @pytest.mark.parametrize("header,body", [
+        pytest.param("label:x,label:y", "0,1\n", id="no-feature-columns"),
+        pytest.param("a,label:x", "1.5,0\n", id="single-label"),
+        pytest.param("a,label:x,label:y", "1.5,0,1\n" * 3, id="plain"),
+    ])
+    def test_dataset_errors_match_reference(self, tmp_path, header, body):
+        path = tmp_path / "shape.csv"
+        path.write_bytes((header + "\n" + body).encode())
+        assert load_outcome(load_dataset, path) == load_outcome(reference_load_dataset, path)
 
 
 class TestDatasetInvariants:

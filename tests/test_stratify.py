@@ -2,7 +2,7 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from coupled_labels.stratify import (
@@ -15,6 +15,7 @@ from coupled_labels.stratify import (
     save_folds,
     split_quality,
 )
+from helpers import reference_mis_split, reference_save_folds
 
 label_matrices = st.integers(2, 12).flatmap(
     lambda n: st.integers(1, 4).flatmap(
@@ -84,6 +85,46 @@ class TestMisSplit:
             for f in range(K):
                 got = labels[assign.fold_of == f, lab].sum()
                 assert abs(got - quota) <= 1.0
+
+
+
+@st.composite
+def tie_heavy_splits(draw):
+    """(labels, K) with K in 2..6 and labels built from a few distinct rows,
+    one of them all-zero, each repeated, so quota ties and seeded draws are
+    common."""
+    K = draw(st.integers(2, 6))
+    n_labels = draw(st.integers(1, 5))
+    row = st.lists(st.sampled_from([0.0, 1.0]), min_size=n_labels, max_size=n_labels)
+    base = draw(st.lists(row, min_size=1, max_size=4)) + [[0.0] * n_labels]
+    counts = draw(st.lists(st.integers(0, 8), min_size=len(base), max_size=len(base)))
+    counts[draw(st.integers(0, len(base) - 1))] += K
+    rows = [r for r, c in zip(base, counts) for _ in range(c)]
+    order = draw(st.permutations(range(len(rows))))
+    return np.array([rows[i] for i in order], dtype=np.float64), K
+
+
+class TestMisSplitMatchesReference:
+    """mis_split against the NumPy-per-example loop in tests/helpers.py."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(tie_heavy_splits(), st.integers(0, 2**32 - 1))
+    def test_same_folds_and_stats(self, split, seed):
+        labels, K = split
+        assign, stats = mis_split(labels, K, seed, with_stats=True)
+        ref_assign, ref_stats = reference_mis_split(labels, K, seed)
+        np.testing.assert_array_equal(assign.fold_of, ref_assign.fold_of)
+        assert stats == ref_stats
+
+    @pytest.mark.parametrize("K,seed", [(2, 0), (3, 1), (4, 7), (5, 2), (6, 3)])
+    def test_same_folds_and_stats_at_scale(self, K, seed):
+        rng = np.random.default_rng(K)
+        base = (rng.random((40, 8)) < rng.uniform(0.02, 0.5, size=8)).astype(float)
+        labels = base[rng.integers(0, 40, size=3000)]
+        assign, stats = mis_split(labels, K, seed, with_stats=True)
+        ref_assign, ref_stats = reference_mis_split(labels, K, seed)
+        np.testing.assert_array_equal(assign.fold_of, ref_assign.fold_of)
+        assert stats == ref_stats
 
 
 class TestBucketedKfold:
@@ -168,6 +209,16 @@ class TestFoldsCsv:
         save_folds(assign, path)
         back = load_folds(path)
         np.testing.assert_array_equal(back.fold_of, assign.fold_of)
+
+    @settings(max_examples=25, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(tie_heavy_splits(), st.integers(0, 3))
+    def test_save_byte_identical_to_reference(self, tmp_path, split, seed):
+        labels, K = split
+        assign = mis_split(labels, K, seed)
+        save_folds(assign, tmp_path / "folds.csv")
+        reference_save_folds(assign, tmp_path / "ref.csv")
+        assert (tmp_path / "folds.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
     def test_empty_fold_rejected(self):
         with pytest.raises(SplitError):

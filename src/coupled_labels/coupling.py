@@ -9,6 +9,8 @@ A has a zero diagonal at all times and starts at zero, so the untrained
 model is exactly the independent per-label predictor. Entry A[i, j] routes
 evidence for label i into label j's logit: positive entries boost, negative
 entries suppress.
+
+Logits (M, B, L) with a stacked (M, L, L) matrix refine M models at once.
 """
 
 from __future__ import annotations
@@ -28,17 +30,17 @@ class CouplingShapeError(CoupledLabelsError):
 
 @dataclass
 class CouplingMatrix:
-    A: np.ndarray          # (L, L), zero diagonal
+    A: np.ndarray          # (L, L) or (M, L, L), zero diagonal
     alpha: float = 0.3
 
     def __post_init__(self):
         self.A = np.asarray(self.A, dtype=np.float64)
-        if self.A.ndim != 2 or self.A.shape[0] != self.A.shape[1]:
+        if self.A.ndim not in (2, 3) or self.A.shape[-1] != self.A.shape[-2]:
             raise CouplingShapeError(f"coupling matrix must be square, got {self.A.shape}")
 
     @property
     def n_labels(self) -> int:
-        return self.A.shape[0]
+        return self.A.shape[-1]
 
     def copy(self) -> "CouplingMatrix":
         return CouplingMatrix(A=self.A.copy(), alpha=self.alpha)
@@ -54,7 +56,7 @@ def new_coupling(n_labels: int, alpha: float = 0.3) -> CouplingMatrix:
 def refine_forward(z, cm: CouplingMatrix) -> tuple[np.ndarray, dict]:
     """z' = z + alpha * (sigmoid(z) @ A). Returns (z', cache for backward)."""
     z = np.asarray(z, dtype=np.float64)
-    if z.ndim != 2 or z.shape[1] != cm.n_labels:
+    if z.ndim not in (2, 3) or z.shape[-1] != cm.n_labels:
         raise CouplingShapeError(
             f"logits with {z.shape[-1] if z.ndim else 0} columns do not match "
             f"{cm.n_labels}-label coupling matrix"
@@ -76,15 +78,22 @@ def refine_backward(grad_zprime, cache: dict, cm: CouplingMatrix) -> tuple[np.nd
     if g.shape != p.shape:
         raise CouplingShapeError(f"upstream gradient {g.shape} does not match cache {p.shape}")
     sig_prime = p * (1.0 - p)
-    grad_z = g + cm.alpha * (g @ cm.A.T) * sig_prime
-    grad_A = cm.alpha * (p.T @ g)
-    np.fill_diagonal(grad_A, 0.0)
+    grad_z = g + cm.alpha * (g @ cm.A.swapaxes(-1, -2)) * sig_prime
+    grad_A = cm.alpha * (p.swapaxes(-1, -2) @ g)
+    zero_diag(grad_A)
     return grad_z, grad_A
+
+
+def zero_diag(A: np.ndarray) -> np.ndarray:
+    """Zero the diagonal of every trailing (L, L) matrix of A, in place."""
+    i = np.arange(A.shape[-1])
+    A[..., i, i] = 0.0
+    return A
 
 
 def enforce_zero_diag(cm: CouplingMatrix) -> CouplingMatrix:
     """Project the stored matrix back onto the zero-diagonal constraint."""
-    np.fill_diagonal(cm.A, 0.0)
+    zero_diag(cm.A)
     return cm
 
 

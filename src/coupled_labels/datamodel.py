@@ -66,8 +66,8 @@ def check_label_matrix(values) -> np.ndarray:
 class Dataset:
     """Immutable bundle of features (N x D), binary labels (N x L) and names.
 
-    Treated as read-only after construction; safe to share across fold
-    workers.
+    Treated as read-only after construction; the fold models all gather
+    their batches from it by row index.
     """
 
     features: np.ndarray

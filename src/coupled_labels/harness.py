@@ -2,6 +2,10 @@
 and best-checkpoint selection, view-averaged prediction, cross-fold
 ensembling, ablation, and report assembly.
 
+The K fold models train in lockstep: one `train_step` per batch position
+advances every model that has a full batch there, and each model computes
+bit for bit what it would compute trained alone.
+
 Reports are fully deterministic for a given (dataset, config, seed): no
 timestamps, fixed key order, repr-exact floats.
 """
@@ -11,8 +15,6 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -29,11 +31,16 @@ from .datamodel import (
     validate_config,
 )
 from .losses import compute_pos_weights
-from .optim import Schedule, StepLog, init_train_state, save_train_log, train_step
+from .optim import (
+    Schedule,
+    StepLog,
+    init_train_state,
+    save_train_log,
+    stack_states,
+    train_step,
+)
 from .predictor import PredictorParams, init_params, predict_forward, save_checkpoint
 from .stratify import FoldAssignment, mis_split, save_folds
-
-THREADS_ENV = "COUPLED_LABELS_THREADS"
 
 
 class HarnessError(CoupledLabelsError):
@@ -107,101 +114,126 @@ class FoldResult:
     train_log: list[StepLog]
 
 
-def _materialize_ema(shadow: dict[str, np.ndarray], template: PredictorParams,
-                     coupling: CouplingMatrix | None):
-    params = PredictorParams(
-        variant=template.variant,
-        W2=shadow["W2"].copy(),
-        b2=shadow["b2"].copy(),
-        W1=shadow["W1"].copy() if "W1" in shadow else None,
-        b1=shadow["b1"].copy() if "b1" in shadow else None,
-        dropout_p=template.dropout_p,
-    )
-    cm = None
-    if coupling is not None:
-        cm = CouplingMatrix(A=shadow["A"].copy(), alpha=coupling.alpha)
-    return params, cm
+@dataclass
+class _Run:
+    """One model's data rows, shuffle stream and early-stopping record."""
+
+    fold: int
+    train_idx: np.ndarray
+    val_idx: np.ndarray
+    rng_shuffle: np.random.Generator
+    best: FoldResult | None = None
+    epochs_without_improvement: int = 0
+
+
+def train_folds(features, labels, folds, cfg: ExperimentConfig, variant: str = "linear",
+                hidden: int = 32, views=("identity",)) -> list[FoldResult]:
+    """Train one model per fold, all in lockstep, and return their results
+    in the order of `folds`.
+
+    `folds` holds (fold index, seed, train row indices, validation row
+    indices) into the shared `features` and `labels`. Each model has its
+    own seed streams, schedule, Adam clock and early stopping: per-epoch
+    validation on EMA weights, keep the best checkpoint, stop after
+    `patience` epochs without improvement.
+    """
+    cfg = validate_config(cfg)
+    bs = cfg.batch_size
+    runs, states = [], []
+    for fold, seed, train_idx, val_idx in folds:
+        n_train = train_idx.shape[0]
+        if n_train < 1 or val_idx.shape[0] < 1:
+            raise HarnessError(f"fold {fold}: empty train or validation subset")
+        ss = np.random.SeedSequence(seed)
+        rng_init, rng_dropout, rng_shuffle = (np.random.default_rng(c) for c in ss.spawn(3))
+        predictor = init_params(variant, features.shape[1], labels.shape[1], rng_init,
+                                hidden=hidden)
+        coupling = new_coupling(labels.shape[1], alpha=cfg.alpha) if cfg.refinement_enabled else None
+        steps_per_epoch = math.ceil(n_train / bs)
+        total_steps = steps_per_epoch * cfg.epochs
+        if total_steps < 2:
+            raise HarnessError(f"fold {fold}: schedule needs at least 2 steps, got {total_steps}")
+        schedule = Schedule(
+            warmup_steps=min(steps_per_epoch, total_steps - 1),
+            total_steps=total_steps,
+        )
+        pos_weight = (compute_pos_weights(labels[train_idx])
+                      if cfg.loss_kind == "WeightedBCE" else None)
+        states.append(init_train_state(predictor, coupling, schedule, cfg, rng_dropout,
+                                       pos_weight=pos_weight))
+        runs.append(_Run(fold, train_idx, val_idx, rng_shuffle))
+
+    # Buffer rows go in falling order of full batches per epoch, so the
+    # models with a full batch at a position are always a leading slice.
+    order = sorted(range(len(runs)), key=lambda i: -(runs[i].train_idx.shape[0] // bs))
+    runs = [runs[i] for i in order]
+    state = stack_states([states[i] for i in order])
+    eval_batch = bs * cfg.eval_batch_multiplier
+    results = []
+
+    for epoch in range(1, cfg.epochs + 1):
+        sizes = [run.train_idx.shape[0] for run in runs]
+        full = [n // bs for n in sizes]
+        rows = np.zeros((len(runs), max(sizes)), dtype=np.intp)
+        for i, run in enumerate(runs):
+            rows[i, :sizes[i]] = run.train_idx[run.rng_shuffle.permutation(sizes[i])]
+        models = {(0, len(runs)): state}   # (first row, end row) -> those models
+        for j in range(math.ceil(max(sizes) / bs)):
+            lo, hi = j * bs, (j + 1) * bs
+            c = sum(f > j for f in full)
+            # (first row, end row, end column): the full batches, then ragged tails
+            groups = [(0, c, hi)] if c else []
+            groups += [(i, i + 1, n) for i, (f, n) in enumerate(zip(full, sizes))
+                       if f == j and n > lo]
+            for a, b, end in groups:
+                if (a, b) not in models:
+                    models[a, b] = state.select(slice(a, b))
+                batch = rows[a:b, lo:end]
+                train_step(features[batch], labels[batch], models[a, b], cfg)
+
+        stopped = []
+        for i in sorted(range(len(runs)), key=lambda i: runs[i].fold):
+            run = runs[i]
+            params, coupling = state.ema_snapshot(i)
+            val_probs = predict_with_views(params, coupling, features[run.val_idx],
+                                           views=views, batch_size=eval_batch)
+            try:
+                report = metrics.macro_auc(val_probs, labels[run.val_idx])
+            except metrics.UndefinedAucError as exc:
+                raise HarnessError(f"fold {run.fold}: {exc}") from None
+            if run.best is None or report.macro_auc > run.best.best_val_macro_auc:
+                run.best = FoldResult(
+                    fold=run.fold, best_epoch=epoch, best_val_macro_auc=report.macro_auc,
+                    epochs_run=0, skipped_steps=0, checkpoint_params=params,
+                    checkpoint_coupling=coupling, val_auc=report, train_log=state.logs[i],
+                )
+                run.epochs_without_improvement = 0
+            else:
+                run.epochs_without_improvement += 1
+                if run.epochs_without_improvement >= cfg.patience:
+                    stopped.append(i)
+        if epoch == cfg.epochs:
+            stopped = list(range(len(runs)))
+        results += [dataclasses.replace(runs[i].best, epochs_run=epoch,
+                                        skipped_steps=int(state.skips[i])) for i in stopped]
+        keep = [i for i in range(len(runs)) if i not in stopped]
+        if not keep:
+            break
+        if stopped:
+            runs = [runs[i] for i in keep]
+            state = stack_states([state.select(slice(i, i + 1)) for i in keep])
+    return sorted(results, key=lambda fr: fr.fold)
 
 
 def run_fold(train_x, train_y, val_x, val_y, cfg: ExperimentConfig, seed: int,
              fold_index: int = 0, variant: str = "linear", hidden: int = 32,
              views=("identity",)) -> FoldResult:
-    """Train one fold: per-epoch validation on EMA weights, keep the best
-    checkpoint, stop early after `patience` epochs without improvement."""
-    cfg = validate_config(cfg)
-    train_x = np.asarray(train_x, dtype=np.float64)
-    train_y = np.asarray(train_y, dtype=np.float64)
-    n_train = train_x.shape[0]
-    if n_train < 1 or np.asarray(val_x).shape[0] < 1:
-        raise HarnessError(f"fold {fold_index}: empty train or validation subset")
-
-    ss = np.random.SeedSequence(seed)
-    rng_init, rng_dropout, rng_shuffle = (np.random.default_rng(c) for c in ss.spawn(3))
-
-    predictor = init_params(variant, train_x.shape[1], train_y.shape[1], rng_init,
-                            hidden=hidden)
-    coupling = new_coupling(train_y.shape[1], alpha=cfg.alpha) if cfg.refinement_enabled else None
-
-    steps_per_epoch = math.ceil(n_train / cfg.batch_size)
-    total_steps = steps_per_epoch * cfg.epochs
-    if total_steps < 2:
-        raise HarnessError(
-            f"fold {fold_index}: schedule needs at least 2 steps, got {total_steps}"
-        )
-    schedule = Schedule(
-        warmup_steps=min(steps_per_epoch, total_steps - 1),
-        total_steps=total_steps,
-    )
-    pos_weight = compute_pos_weights(train_y) if cfg.loss_kind == "WeightedBCE" else None
-    state = init_train_state(predictor, coupling, schedule, cfg, rng_dropout,
-                             pos_weight=pos_weight)
-
-    eval_batch = cfg.batch_size * cfg.eval_batch_multiplier
-    best_auc = -math.inf
-    best_epoch = 0
-    best_ckpt = None
-    best_report = None
-    epochs_without_improvement = 0
-    epochs_run = 0
-
-    for epoch in range(1, cfg.epochs + 1):
-        order = rng_shuffle.permutation(n_train)
-        for lo in range(0, n_train, cfg.batch_size):
-            idx = order[lo:lo + cfg.batch_size]
-            train_step(train_x[idx], train_y[idx], state, cfg)
-        epochs_run = epoch
-
-        ema_params, ema_coupling = _materialize_ema(state.ema.shadow, predictor, coupling)
-        val_probs = predict_with_views(ema_params, ema_coupling, val_x, views=views,
-                                       batch_size=eval_batch)
-        try:
-            report = metrics.macro_auc(val_probs, val_y)
-        except metrics.UndefinedAucError as exc:
-            raise HarnessError(f"fold {fold_index}: {exc}") from None
-
-        if report.macro_auc > best_auc:
-            best_auc = report.macro_auc
-            best_epoch = epoch
-            best_ckpt = (ema_params, ema_coupling)
-            best_report = report
-            epochs_without_improvement = 0
-        else:
-            epochs_without_improvement += 1
-            if epochs_without_improvement >= cfg.patience:
-                break
-
-    ckpt_params, ckpt_coupling = best_ckpt
-    return FoldResult(
-        fold=fold_index,
-        best_epoch=best_epoch,
-        best_val_macro_auc=best_auc,
-        epochs_run=epochs_run,
-        skipped_steps=state.skips,
-        checkpoint_params=ckpt_params,
-        checkpoint_coupling=ckpt_coupling,
-        val_auc=best_report,
-        train_log=state.log,
-    )
+    """Train one fold: `train_folds` for a single model."""
+    n_train = len(train_x)
+    features, labels = np.concatenate([train_x, val_x]), np.concatenate([train_y, val_y])
+    rows = np.arange(len(features))
+    return train_folds(features, labels, [(fold_index, seed, rows[:n_train], rows[n_train:])],
+                       cfg, variant=variant, hidden=hidden, views=views)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -270,15 +302,6 @@ def _jsonify(obj):
     return obj
 
 
-def _fold_workers(k: int) -> int:
-    raw = os.environ.get(THREADS_ENV, "1")
-    try:
-        cap = int(raw)
-    except ValueError:
-        raise HarnessError(f"{THREADS_ENV} must be an integer, got {raw!r}") from None
-    return max(1, min(k, cap))
-
-
 def run_experiment(dataset: Dataset, cfg: ExperimentConfig,
                    test_dataset: Dataset | None = None, variant: str = "linear",
                    hidden: int = 32, views=("identity",),
@@ -296,23 +319,10 @@ def run_experiment(dataset: Dataset, cfg: ExperimentConfig,
         raise HarnessError("train and test datasets disagree on label count")
 
     assign = mis_split(dataset.labels, cfg.K, cfg.seed)
-
-    def one_fold(k: int) -> FoldResult:
-        val_idx = assign.indices(k)
-        train_idx = np.flatnonzero(assign.fold_of != k)
-        return run_fold(
-            dataset.features[train_idx], dataset.labels[train_idx],
-            dataset.features[val_idx], dataset.labels[val_idx],
-            cfg, seed=cfg.seed + k, fold_index=k, variant=variant, hidden=hidden,
-            views=views,
-        )
-
-    workers = _fold_workers(cfg.K)
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            fold_results = list(pool.map(one_fold, range(cfg.K)))
-    else:
-        fold_results = [one_fold(k) for k in range(cfg.K)]
+    folds = [(k, cfg.seed + k, np.flatnonzero(assign.fold_of != k), assign.indices(k))
+             for k in range(cfg.K)]
+    fold_results = train_folds(dataset.features, dataset.labels, folds, cfg,
+                               variant=variant, hidden=hidden, views=views)
 
     eval_batch = cfg.batch_size * cfg.eval_batch_multiplier
     if test_dataset is not None:

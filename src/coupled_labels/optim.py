@@ -2,15 +2,26 @@
 with a one-epoch linear warm-up, global-norm gradient clipping, an EMA shadow
 of every trainable (coupling matrix included), and non-finite-step skipping.
 
+The trainables of M models live in one float64 (M, P) buffer, a row per
+model, with named views `W2`, `b2`, `W1`, `b1`, `A`; the Adam moments and the
+EMA shadow are buffers of the same layout. Each update is then a few vector
+operations whatever M is, and `train_step` advances M models by one batch
+each with one pass through the layer functions. Every model computes exactly
+what it would compute alone: it keeps its own schedule, Adam clock, dropout
+stream and log.
+
 A skipped step still advances the schedule clock so total_steps keeps its
 meaning; parameters, moments and EMA are left untouched.
 """
 
 from __future__ import annotations
 
+import copy
 import csv
+import dataclasses
 import math
-from dataclasses import dataclass, field
+from collections.abc import Mapping
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -18,9 +29,6 @@ from . import losses
 from .coupling import CouplingMatrix, enforce_zero_diag, refine_backward, refine_forward
 from .datamodel import CoupledLabelsError, ExperimentConfig
 from .predictor import PredictorParams, predict_backward, predict_forward
-
-# weight matrices are decayed; biases are not
-DECAY_KEYS = frozenset({"W1", "W2", "A"})
 
 
 class ScheduleError(CoupledLabelsError):
@@ -49,30 +57,73 @@ def lr_at(sched: Schedule, t: int, base_lr: float) -> float:
     return base_lr * 0.5 * (1.0 + math.cos(math.pi * progress))
 
 
-def clip_global_norm(grads: dict[str, np.ndarray], max_norm: float) -> tuple[dict, float]:
-    """Scale all gradients so the joint L2 norm is at most max_norm.
+class ParamBuffer(Mapping):
+    """Named views into a float64 buffer whose last axis holds one model's
+    arrays back to back, in insertion order; leading axes index models."""
 
-    Returns the observed pre-clip norm; a non-finite norm leaves the
-    gradients untouched and signals the caller to skip the step.
+    def __init__(self, data: np.ndarray, shapes: dict[str, tuple[int, ...]]):
+        self.data = data
+        self.shapes = shapes
+        ends = np.cumsum([math.prod(shape) for shape in shapes.values()], dtype=int).tolist()
+        self.bounds = dict(zip(shapes, zip([0] + ends[:-1], ends)))
+        # weight matrices decay, biases do not
+        self.decayed = np.zeros(data.shape[-1], dtype=bool)
+        for name, (lo, hi) in self.bounds.items():
+            self.decayed[lo:hi] = len(shapes[name]) == 2
+
+    @classmethod
+    def of(cls, arrays: Mapping) -> "ParamBuffer":
+        """One model's named arrays copied into a buffer (a buffer as is)."""
+        if isinstance(arrays, ParamBuffer):
+            return arrays
+        parts = [np.asarray(a, dtype=np.float64).ravel() for a in arrays.values()]
+        return cls(np.concatenate(parts) if parts else np.zeros(0),
+                   {k: np.shape(a) for k, a in arrays.items()})
+
+    def like(self, data: np.ndarray) -> "ParamBuffer":
+        """Another buffer with this layout."""
+        other = copy.copy(self)
+        other.data = data
+        return other
+
+    def __getitem__(self, name: str) -> np.ndarray:
+        lo, hi = self.bounds[name]
+        return self.data[..., lo:hi].reshape(self.data.shape[:-1] + self.shapes[name])
+
+    def __iter__(self):
+        return iter(self.shapes)
+
+    def __len__(self) -> int:
+        return len(self.shapes)
+
+
+def clip_global_norm(grads: Mapping, max_norm: float) -> tuple[ParamBuffer, float | np.ndarray]:
+    """Scale each model's gradients so their joint L2 norm is at most max_norm.
+
+    Returns the gradients as a buffer and the observed pre-clip norm, one per
+    model for a stacked buffer; a non-finite norm leaves that model's
+    gradients untouched and signals the caller to skip its step.
     """
     if max_norm <= 0:
         raise ScheduleError(f"max_norm must be > 0, got {max_norm}")
-    sq = 0.0
-    for g in grads.values():
-        sq += float(np.sum(np.square(g)))
-    norm = math.sqrt(sq)
-    if math.isfinite(norm) and norm > max_norm:
-        scale = max_norm / norm
-        for g in grads.values():
-            g *= scale
-    return grads, norm
+    grads = ParamBuffer.of(grads)
+    sq = np.square(grads.data)
+    # Sum each array, then add the sums in order: one pairwise sum over the
+    # whole row would round differently from the per-array norms.
+    total = np.zeros(sq.shape[:-1])
+    for lo, hi in grads.bounds.values():
+        total += sq[..., lo:hi].sum(axis=-1)
+    norm = np.sqrt(total)
+    clip = np.isfinite(norm) & (norm > max_norm)
+    grads.data *= np.divide(max_norm, norm, out=np.ones_like(norm), where=clip)[..., None]
+    return grads, (float(norm) if norm.ndim == 0 else norm)
 
 
 @dataclass
 class OptimState:
-    t: int
-    m: dict[str, np.ndarray]
-    v: dict[str, np.ndarray]
+    t: np.ndarray              # Adam clock, one per model
+    m: ParamBuffer
+    v: ParamBuffer
     base_lr: float
     weight_decay: float
     beta1: float = 0.9
@@ -80,58 +131,60 @@ class OptimState:
     eps: float = 1e-8
 
 
-def init_optim(params: dict[str, np.ndarray], base_lr: float, weight_decay: float) -> OptimState:
+def init_optim(params: Mapping, base_lr: float, weight_decay: float) -> OptimState:
+    params = ParamBuffer.of(params)
     return OptimState(
-        t=0,
-        m={k: np.zeros_like(p) for k, p in params.items()},
-        v={k: np.zeros_like(p) for k, p in params.items()},
+        t=np.zeros(params.data.shape[:-1], dtype=np.int64),
+        m=params.like(np.zeros_like(params.data)),
+        v=params.like(np.zeros_like(params.data)),
         base_lr=base_lr,
         weight_decay=weight_decay,
     )
 
 
-def adamw_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
-               state: OptimState, lr: float,
-               decay_keys: frozenset[str] = DECAY_KEYS) -> None:
-    """Standard decoupled update, in place on the live parameter arrays."""
+def adamw_step(params: ParamBuffer, grads: Mapping, state: OptimState, lr) -> None:
+    """Standard decoupled update, in place on the live parameter buffer.
+
+    `lr` is one rate or one per model. Weight matrices decay, biases do not.
+    """
+    g = ParamBuffer.of(grads).data
+    p, m, v = params.data, state.m.data, state.v.data
+    column = p.shape[:-1] + (1,)   # one value per model, broadcast along its row
     state.t += 1
-    bc1 = 1.0 - state.beta1 ** state.t
-    bc2 = 1.0 - state.beta2 ** state.t
-    for k, p in params.items():
-        g = grads[k]
-        m = state.m[k]
-        v = state.v[k]
-        m *= state.beta1
-        m += (1.0 - state.beta1) * g
-        v *= state.beta2
-        v += (1.0 - state.beta2) * np.square(g)
-        update = (m / bc1) / (np.sqrt(v / bc2) + state.eps)
-        if k in decay_keys:
-            update = update + state.weight_decay * p
-        p -= lr * update
+    # Python float powers: np.power rounds beta ** t differently for some t.
+    clock = np.atleast_1d(state.t).tolist()
+    bc1 = np.reshape([1.0 - state.beta1 ** t for t in clock], column)
+    bc2 = np.reshape([1.0 - state.beta2 ** t for t in clock], column)
+    m *= state.beta1
+    m += (1.0 - state.beta1) * g
+    v *= state.beta2
+    v += (1.0 - state.beta2) * np.square(g)
+    update = (m / bc1) / (np.sqrt(v / bc2) + state.eps)
+    update += (state.weight_decay * params.decayed) * p
+    p -= (np.reshape(lr, column) if np.ndim(lr) else lr) * update
 
 
 @dataclass
 class EmaState:
-    shadow: dict[str, np.ndarray]
+    shadow: ParamBuffer
     decay: float
 
     def __post_init__(self):
         # decay 0 is the degenerate "shadow tracks params exactly" case
         if not 0.0 <= self.decay < 1.0:
             raise ScheduleError(f"ema decay must lie in [0, 1), got {self.decay}")
+        self.shadow = ParamBuffer.of(self.shadow)
 
 
-def init_ema(params: dict[str, np.ndarray], decay: float) -> EmaState:
-    return EmaState(shadow={k: p.copy() for k, p in params.items()}, decay=decay)
+def init_ema(params: Mapping, decay: float) -> EmaState:
+    params = ParamBuffer.of(params)
+    return EmaState(shadow=params.like(params.data.copy()), decay=decay)
 
 
-def ema_update(ema: EmaState, params: dict[str, np.ndarray]) -> EmaState:
-    d = ema.decay
-    for k, p in params.items():
-        s = ema.shadow[k]
-        s *= d
-        s += (1.0 - d) * p
+def ema_update(ema: EmaState, params: Mapping) -> EmaState:
+    s = ema.shadow.data
+    s *= ema.decay
+    s += (1.0 - ema.decay) * ParamBuffer.of(params).data
     return ema
 
 
@@ -151,42 +204,103 @@ class StepLog:
 
 @dataclass
 class TrainState:
-    """Everything one fold's training run mutates; owned by a single run."""
+    """Everything the training of M models mutates, one buffer row or list
+    entry per model: the live trainables (`predictor` and `coupling` are
+    views into `params`), Adam moments, EMA shadow, schedule and dropout
+    stream, the schedule clock `step`, the skip count and the step log."""
 
+    params: ParamBuffer
     predictor: PredictorParams
     coupling: CouplingMatrix | None
     opt: OptimState
     ema: EmaState
-    schedule: Schedule
-    rng_dropout: np.random.Generator
-    pos_weight: np.ndarray | None = None
-    step: int = 0
-    skips: int = 0
-    log: list[StepLog] = field(default_factory=list)
+    schedules: list[Schedule]
+    rngs_dropout: list[np.random.Generator]
+    pos_weight: np.ndarray | None       # (M, L)
+    step: np.ndarray                    # (M,)
+    skips: np.ndarray                   # (M,)
+    logs: list[list[StepLog]]
 
-    def trainables(self) -> dict[str, np.ndarray]:
-        params = self.predictor.trainable()
-        if self.coupling is not None:
-            params["A"] = self.coupling.A
-        return params
+    def trainables(self) -> ParamBuffer:
+        return self.params
+
+    def select(self, rows: slice) -> "TrainState":
+        """The models at `rows`, sharing this state's buffers, clocks and logs."""
+        return _assemble(self, *(None if f is None else f[rows] for f in _model_fields(self)))
+
+    def ema_snapshot(self, row: int) -> tuple[PredictorParams, CouplingMatrix | None]:
+        """A copy of model `row`'s EMA weights as a predictor and coupling."""
+        shadow = self.ema.shadow
+        return _bind(shadow.like(shadow.data[row].copy()), self.predictor, self.coupling)
+
+
+def _model_fields(s: TrainState) -> tuple:
+    """The per-model fields of a state, in `_assemble`'s argument order."""
+    return (s.params.data, s.opt.t, s.opt.m.data, s.opt.v.data, s.ema.shadow.data,
+            s.schedules, s.rngs_dropout, s.pos_weight, s.step, s.skips, s.logs)
+
+
+def _bind(params: ParamBuffer, predictor: PredictorParams,
+          coupling: CouplingMatrix | None) -> tuple[PredictorParams, CouplingMatrix | None]:
+    """A predictor and coupling like the given ones, viewing `params`."""
+    bound = PredictorParams(
+        variant=predictor.variant, W2=params["W2"], b2=params["b2"],
+        W1=params.get("W1"), b1=params.get("b1"), dropout_p=predictor.dropout_p,
+    )
+    if coupling is None:
+        return bound, None
+    return bound, CouplingMatrix(A=params["A"], alpha=coupling.alpha)
+
+
+def _assemble(proto: TrainState, params, t, m, v, shadow, schedules, rngs_dropout,
+              pos_weight, step, skips, logs) -> TrainState:
+    params = proto.params.like(params)
+    predictor, coupling = _bind(params, proto.predictor, proto.coupling)
+    return TrainState(
+        params=params, predictor=predictor, coupling=coupling,
+        opt=dataclasses.replace(proto.opt, t=t, m=params.like(m), v=params.like(v)),
+        ema=dataclasses.replace(proto.ema, shadow=params.like(shadow)),
+        schedules=schedules, rngs_dropout=rngs_dropout, pos_weight=pos_weight,
+        step=step, skips=skips, logs=logs,
+    )
+
+
+def stack_states(states: list[TrainState]) -> TrainState:
+    """One state holding the models of `states` in order. Buffers and clocks
+    are copied; schedules, dropout streams and logs are shared."""
+    def merged(parts):
+        if parts[0] is None:
+            return None
+        if isinstance(parts[0], np.ndarray):
+            return np.concatenate(parts)
+        return [x for part in parts for x in part]
+
+    return _assemble(states[0], *map(merged, zip(*map(_model_fields, states))))
 
 
 def init_train_state(predictor: PredictorParams, coupling: CouplingMatrix | None,
                      schedule: Schedule, cfg: ExperimentConfig,
                      rng_dropout: np.random.Generator,
                      pos_weight: np.ndarray | None = None) -> TrainState:
-    params = predictor.trainable()
+    """A one-model state starting from copies of `predictor` and `coupling`."""
+    arrays = dict(predictor.trainable())
     if coupling is not None:
-        params = dict(params)
-        params["A"] = coupling.A
+        arrays["A"] = coupling.A
+    row = ParamBuffer.of(arrays)
+    params = row.like(row.data[None])
+    predictor, coupling = _bind(params, predictor, coupling)
     return TrainState(
+        params=params,
         predictor=predictor,
         coupling=coupling,
         opt=init_optim(params, cfg.lr, cfg.weight_decay),
         ema=init_ema(params, cfg.ema_decay),
-        schedule=schedule,
-        rng_dropout=rng_dropout,
-        pos_weight=pos_weight,
+        schedules=[schedule],
+        rngs_dropout=[rng_dropout],
+        pos_weight=None if pos_weight is None else np.asarray(pos_weight)[None],
+        step=np.zeros(1, dtype=np.int64),
+        skips=np.zeros(1, dtype=np.int64),
+        logs=[[]],
     )
 
 
@@ -199,11 +313,18 @@ def _supervised_loss(z, y, cfg: ExperimentConfig, pos_weight) -> losses.LossOutp
     return losses.weighted_bce_loss(z, y, pos_weight)
 
 
-def train_step(x, y, state: TrainState, cfg: ExperimentConfig) -> StepLog:
-    """One optimization step over a batch; skips the update entirely if the
-    loss or any gradient is non-finite."""
-    lr = lr_at(state.schedule, state.step, cfg.lr)
-    z, pcache = predict_forward(x, state.predictor, mode="train", rng=state.rng_dropout)
+def train_step(x, y, state: TrainState, cfg: ExperimentConfig):
+    """One optimization step for each of the state's M models, each on its
+    own batch: x (M, B, D) and y (M, B, L), or x (B, D) and y (B, L) when
+    M = 1. A model whose loss or any gradient is non-finite skips its
+    update entirely. Returns one StepLog per model, or the StepLog itself
+    for 2-D input."""
+    single = np.ndim(x) == 2
+    if single:
+        x, y = np.asarray(x)[None], np.asarray(y)[None]
+    lr = np.array([lr_at(sched, t, cfg.lr)
+                   for sched, t in zip(state.schedules, state.step.tolist())])
+    z, pcache = predict_forward(x, state.predictor, mode="train", rng=state.rngs_dropout)
     if state.coupling is not None:
         z_ref, ccache = refine_forward(z, state.coupling)
         l1_value, l1_grad = losses.l1_penalty(state.coupling.A, cfg.lambda_l1)
@@ -214,35 +335,49 @@ def train_step(x, y, state: TrainState, cfg: ExperimentConfig) -> StepLog:
     sup = _supervised_loss(z_ref, y, cfg, state.pos_weight)
     total = sup.value + l1_value
 
-    skipped = False
-    grad_norm = math.nan
-    if not sup.is_finite or not math.isfinite(total):
-        skipped = True
-    else:
-        if state.coupling is not None:
-            grad_z, grad_A = refine_backward(sup.grad_logits, ccache, state.coupling)
-            grad_A = grad_A + l1_grad
-        else:
-            grad_z = sup.grad_logits
-        grads, _ = predict_backward(grad_z, pcache, state.predictor)
-        if state.coupling is not None:
-            grads["A"] = grad_A
-        grads, grad_norm = clip_global_norm(grads, cfg.grad_clip_norm)
-        if not math.isfinite(grad_norm):
-            skipped = True
-        else:
-            params = state.trainables()
-            adamw_step(params, grads, state.opt, lr)
+    ok = sup.is_finite & np.isfinite(total)
+    grad_norm = np.full(ok.shape, math.nan)
+    if ok.any():
+        # models already skipping may hold non-finite values from here on
+        with np.errstate(invalid="ignore", over="ignore"):
             if state.coupling is not None:
-                enforce_zero_diag(state.coupling)
-            ema_update(state.ema, params)
+                grad_z, grad_A = refine_backward(sup.grad_logits, ccache, state.coupling)
+                grad_A = grad_A + l1_grad
+            else:
+                grad_z = sup.grad_logits
+            grads, _ = predict_backward(grad_z, pcache, state.predictor)
+            if state.coupling is not None:
+                grads["A"] = grad_A
+            grads = state.params.like(np.concatenate(
+                [grads[k].reshape(ok.shape + (-1,)) for k in state.params], axis=-1))
+            grads, norm = clip_global_norm(grads, cfg.grad_clip_norm)
+        grad_norm = np.where(ok, norm, math.nan)
+        ok &= np.isfinite(norm)
+        if ok.all():
+            _update(state, grads, lr)
+        else:
+            # a mix of stepping and skipping models: step them one at a time
+            for r in np.flatnonzero(ok):
+                rows = slice(r, r + 1)
+                _update(state.select(rows), grads.like(grads.data[rows]), lr[rows])
 
-    entry = StepLog(step=state.step, lr=lr, loss=total, grad_norm=grad_norm, skipped=skipped)
+    entries = [
+        StepLog(step=t, lr=r, loss=v, grad_norm=g, skipped=not k)
+        for t, r, v, g, k in zip(state.step.tolist(), lr.tolist(), total.tolist(),
+                                 grad_norm.tolist(), ok.tolist())
+    ]
+    for log, entry in zip(state.logs, entries):
+        log.append(entry)
     state.step += 1
-    if skipped:
-        state.skips += 1
-    state.log.append(entry)
-    return entry
+    state.skips += ~ok
+    return entries[0] if single else entries
+
+
+def _update(state: TrainState, grads: ParamBuffer, lr: np.ndarray) -> None:
+    adamw_step(state.params, grads, state.opt, lr)
+    if state.coupling is not None:
+        enforce_zero_diag(state.coupling)
+    ema_update(state.ema, state.params)
 
 
 def save_train_log(log: list[StepLog], path) -> None:

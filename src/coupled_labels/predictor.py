@@ -6,6 +6,8 @@ Two variants map features to per-label logits:
     mlp1:   z = relu(x @ W1 + b1) @ W2 + b2, inverted dropout on the hidden
             layer in train mode (keep-prob scaling, so eval needs no rescale)
 
+Every array may carry a leading model axis: parameters (M, ...) with inputs
+(M, B, D) evaluate M models at once, each exactly as it would be alone.
 Backward passes are hand-derived and checked against finite differences in
 the test suite. Eval mode is deterministic.
 """
@@ -53,20 +55,20 @@ class PredictorParams:
             if not np.isfinite(arr).all():
                 raise PredictorShapeError(f"{name} contains non-finite entries")
             setattr(self, name, arr)
-        if self.variant == "mlp1" and self.W1.shape[1] != self.b1.shape[0]:
+        if self.variant == "mlp1" and self.W1.shape[-1] != self.b1.shape[-1]:
             raise PredictorShapeError("W1/b1 hidden widths disagree")
-        if self.W2.shape[1] != self.b2.shape[0]:
+        if self.W2.shape[-1] != self.b2.shape[-1]:
             raise PredictorShapeError("W2/b2 label widths disagree")
-        if self.variant == "mlp1" and self.W1.shape[1] != self.W2.shape[0]:
+        if self.variant == "mlp1" and self.W1.shape[-1] != self.W2.shape[-2]:
             raise PredictorShapeError("W1 output width does not match W2 input width")
 
     @property
     def n_labels(self) -> int:
-        return self.b2.shape[0]
+        return self.b2.shape[-1]
 
     @property
     def n_features(self) -> int:
-        return self.W1.shape[0] if self.variant == "mlp1" else self.W2.shape[0]
+        return self.W1.shape[-2] if self.variant == "mlp1" else self.W2.shape[-2]
 
     def copy(self) -> "PredictorParams":
         return PredictorParams(
@@ -79,13 +81,12 @@ class PredictorParams:
         )
 
     def trainable(self) -> dict[str, np.ndarray]:
-        """Named live parameter arrays, in a fixed order."""
-        out: dict[str, np.ndarray] = {}
+        """Named live parameter arrays, output layer first: the order in
+        which predict_backward produces their gradients."""
+        out = {"W2": self.W2, "b2": self.b2}
         if self.variant == "mlp1":
             out["W1"] = self.W1
             out["b1"] = self.b1
-        out["W2"] = self.W2
-        out["b2"] = self.b2
         return out
 
 
@@ -116,12 +117,13 @@ def init_params(variant: str, n_features: int, n_labels: int, rng,
 
 def predict_forward(x, params: PredictorParams, mode: str = "eval",
                     rng=None) -> tuple[np.ndarray, dict]:
-    """Features -> logits. Train mode applies inverted dropout (mlp1 only)
-    and therefore needs an rng; eval mode is deterministic."""
+    """Features (B, D) or (M, B, D) -> logits. Train mode applies inverted
+    dropout (mlp1 only) and therefore needs an rng, one per model for
+    stacked input; eval mode is deterministic."""
     if mode not in ("train", "eval"):
         raise PredictorShapeError(f"mode must be 'train' or 'eval', got {mode!r}")
     x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 2 or x.shape[1] != params.n_features:
+    if x.ndim not in (2, 3) or x.shape[-1] != params.n_features:
         raise PredictorShapeError(
             f"inputs of shape {x.shape} do not match {params.n_features}-feature predictor"
         )
@@ -130,21 +132,23 @@ def predict_forward(x, params: PredictorParams, mode: str = "eval",
     # training step skips the update
     with np.errstate(invalid="ignore", over="ignore"):
         if params.variant == "linear":
-            z = x @ params.W2 + params.b2
+            z = x @ params.W2 + params.b2[..., None, :]
             return z, cache
 
-        h_pre = x @ params.W1 + params.b1
+        h_pre = x @ params.W1 + params.b1[..., None, :]
         h = np.maximum(h_pre, 0.0)
         cache["h_pre"] = h_pre
         if mode == "train" and params.dropout_p > 0.0:
             if rng is None:
                 raise PredictorShapeError("train-mode dropout requires an rng")
             keep = 1.0 - params.dropout_p
-            mask = (rng.random(h.shape) < keep).astype(np.float64) / keep
+            draws = (rng.random(h.shape) if h.ndim == 2
+                     else np.stack([r.random(h.shape[1:]) for r in rng]))
+            mask = (draws < keep).astype(np.float64) / keep
             h = h * mask
             cache["mask"] = mask
         cache["h"] = h
-        z = h @ params.W2 + params.b2
+        z = h @ params.W2 + params.b2[..., None, :]
         return z, cache
 
 
@@ -152,23 +156,24 @@ def predict_backward(grad_z, cache: dict, params: PredictorParams) -> tuple[dict
     """Exact parameter gradients plus grad_x for the cached forward pass."""
     g = np.asarray(grad_z, dtype=np.float64)
     x = cache["x"]
-    if g.ndim != 2 or g.shape != (x.shape[0], params.n_labels):
+    if g.shape != x.shape[:-1] + (params.n_labels,):
         raise PredictorShapeError(
-            f"grad_z shape {g.shape} does not match ({x.shape[0]}, {params.n_labels})"
+            f"grad_z shape {g.shape} does not match {x.shape[:-1] + (params.n_labels,)}"
         )
+    x_t = x.swapaxes(-1, -2)
     if params.variant == "linear":
-        grads = {"W2": x.T @ g, "b2": g.sum(axis=0)}
-        return grads, g @ params.W2.T
+        grads = {"W2": x_t @ g, "b2": g.sum(axis=-2)}
+        return grads, g @ params.W2.swapaxes(-1, -2)
 
     h = cache["h"]
-    grads = {"W2": h.T @ g, "b2": g.sum(axis=0)}
-    grad_h = g @ params.W2.T
+    grads = {"W2": h.swapaxes(-1, -2) @ g, "b2": g.sum(axis=-2)}
+    grad_h = g @ params.W2.swapaxes(-1, -2)
     if "mask" in cache:
         grad_h = grad_h * cache["mask"]
     grad_h_pre = grad_h * (cache["h_pre"] > 0.0)
-    grads["W1"] = x.T @ grad_h_pre
-    grads["b1"] = grad_h_pre.sum(axis=0)
-    return grads, grad_h_pre @ params.W1.T
+    grads["W1"] = x_t @ grad_h_pre
+    grads["b1"] = grad_h_pre.sum(axis=-2)
+    return grads, grad_h_pre @ params.W1.swapaxes(-1, -2)
 
 
 # ---------------------------------------------------------------------------

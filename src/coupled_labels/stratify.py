@@ -186,21 +186,24 @@ def bucketed_kfold(labels, K: int, seed: int) -> FoldAssignment:
     _check_split_args(y, K)
     rng = np.random.default_rng(seed)
 
-    buckets: dict[str, list[int]] = {}
-    for i in range(n):
-        key = "".join("1" if v else "0" for v in y[i])
-        buckets.setdefault(key, []).append(i)
-
-    order = sorted(buckets)
+    # bit-packed rows sort bytewise in the order of their "0110..." strings
+    packed = np.packbits(y == 1.0, axis=1)
+    keys = packed.view(np.dtype((np.void, packed.shape[1]))).ravel()
+    _, bucket_of, sizes = np.unique(keys, return_inverse=True, return_counts=True)
+    order = np.arange(sizes.size)
     rng.shuffle(order)
-    fold_of = np.full(n, -1, dtype=np.int64)
-    counter = 0
-    for key in order:
-        members = np.array(buckets[key], dtype=np.int64)
-        rng.shuffle(members)
-        for i in members:
-            fold_of[i] = counter % K
-            counter += 1
+    members = np.argsort(bucket_of, kind="stable")  # bucket by bucket
+    starts = np.cumsum(sizes) - sizes
+    for b in order[sizes[order] > 1].tolist():  # a one-member shuffle draws nothing
+        rng.shuffle(members[starts[b]:starts[b] + sizes[b]])
+    # the fold counter runs over the buckets in shuffled order
+    rank = np.empty_like(order)
+    rank[order] = np.arange(order.size)
+    dealt_before = np.cumsum(sizes[order]) - sizes[order]
+    bucket = np.repeat(np.arange(sizes.size), sizes)
+    position = dealt_before[rank[bucket]] + np.arange(n) - starts[bucket]
+    fold_of = np.empty(n, dtype=np.int64)
+    fold_of[members] = position % K
     return FoldAssignment(fold_of=fold_of, K=K)
 
 

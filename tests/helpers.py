@@ -1,7 +1,9 @@
 """Shared oracles for the test suite: central finite differences, a
 relative-error reducer, the pair-count AUC reference, a training loop
 that never touches the coupling module, the identifiable planted-edge
-construction, and row-loop references for the CSV data path and mis_split."""
+construction, row-loop references for the CSV data path, mis_split and
+bucketed_kfold, and a one-fold-at-a-time training reference with a
+per-array optimizer."""
 
 import math
 
@@ -62,7 +64,7 @@ def couplings_free_fold(train_x, train_y, val_x, val_y, cfg, seed):
     from coupled_labels import metrics
     from coupled_labels.losses import asl_loss
     from coupled_labels.optim import (
-        Schedule, adamw_step, clip_global_norm, ema_update, init_ema,
+        ParamBuffer, Schedule, adamw_step, clip_global_norm, ema_update, init_ema,
         init_optim, lr_at,
     )
     from coupled_labels.predictor import (
@@ -76,7 +78,9 @@ def couplings_free_fold(train_x, train_y, val_x, val_y, cfg, seed):
     steps_per_epoch = math.ceil(n / cfg.batch_size)
     total = steps_per_epoch * cfg.epochs
     sched = Schedule(warmup_steps=min(steps_per_epoch, total - 1), total_steps=total)
-    params = pred.trainable()
+    params = ParamBuffer.of(pred.trainable())
+    pred = PredictorParams(variant="linear", W2=params["W2"], b2=params["b2"],
+                           dropout_p=pred.dropout_p)
     opt = init_optim(params, cfg.lr, cfg.weight_decay)
     ema = init_ema(params, cfg.ema_decay)
     step = 0
@@ -300,3 +304,220 @@ def reference_mis_split(labels, K, seed):
 
     return (FoldAssignment(fold_of=fold_of, K=K),
             MisStats(label_order=label_order, pre_assigned=pre_assigned))
+
+
+def reference_bucketed_kfold(labels, K, seed):
+    """bucketed_kfold with a string key per row and one fold assignment per
+    example."""
+    from coupled_labels.datamodel import check_label_matrix
+    from coupled_labels.stratify import FoldAssignment, SplitError
+
+    y = check_label_matrix(labels)
+    n = y.shape[0]
+    if K < 2:
+        raise SplitError(f"K must be >= 2, got {K}")
+    if K > n:
+        raise SplitError(f"cannot split {n} examples into {K} folds")
+    rng = np.random.default_rng(seed)
+
+    buckets = {}
+    for i in range(n):
+        key = "".join("1" if v else "0" for v in y[i])
+        buckets.setdefault(key, []).append(i)
+
+    order = sorted(buckets)
+    rng.shuffle(order)
+    fold_of = np.full(n, -1, dtype=np.int64)
+    counter = 0
+    for key in order:
+        members = np.array(buckets[key], dtype=np.int64)
+        rng.shuffle(members)
+        for i in members:
+            fold_of[i] = counter % K
+            counter += 1
+    return FoldAssignment(fold_of=fold_of, K=K)
+
+
+# ---------------------------------------------------------------------------
+# One-fold-at-a-time training reference: the fold loop, training step and
+# optimizer as they were before the fold models shared one parameter
+# buffer, with one dict entry per parameter array. Training the folds in
+# lockstep must give the same FoldResult bit for bit.
+# ---------------------------------------------------------------------------
+
+_REFERENCE_DECAY_KEYS = frozenset({"W1", "W2", "A"})
+
+
+def _reference_clip(grads, max_norm):
+    sq = 0.0
+    for g in grads.values():
+        sq += float(np.sum(np.square(g)))
+    norm = math.sqrt(sq)
+    if math.isfinite(norm) and norm > max_norm:
+        scale = max_norm / norm
+        for g in grads.values():
+            g *= scale
+    return norm
+
+
+def _reference_adamw(params, grads, opt, lr, weight_decay, beta1=0.9, beta2=0.999,
+                     eps=1e-8):
+    opt["t"] += 1
+    bc1 = 1.0 - beta1 ** opt["t"]
+    bc2 = 1.0 - beta2 ** opt["t"]
+    for k, p in params.items():
+        g = grads[k]
+        m = opt["m"][k]
+        v = opt["v"][k]
+        m *= beta1
+        m += (1.0 - beta1) * g
+        v *= beta2
+        v += (1.0 - beta2) * np.square(g)
+        update = (m / bc1) / (np.sqrt(v / bc2) + eps)
+        if k in _REFERENCE_DECAY_KEYS:
+            update = update + weight_decay * p
+        p -= lr * update
+
+
+def _reference_ema(shadow, params, decay):
+    for k, p in params.items():
+        s = shadow[k]
+        s *= decay
+        s += (1.0 - decay) * p
+
+
+def reference_run_fold(train_x, train_y, val_x, val_y, cfg, seed, fold_index=0,
+                       variant="linear", hidden=32):
+    """run_fold for one fold on its own, with a per-array optimizer loop."""
+    from coupled_labels import losses, metrics
+    from coupled_labels.coupling import (
+        CouplingMatrix, enforce_zero_diag, new_coupling, refine_backward, refine_forward,
+    )
+    from coupled_labels.harness import FoldResult, HarnessError, predict_with_views
+    from coupled_labels.optim import Schedule, StepLog, lr_at
+    from coupled_labels.predictor import (
+        PredictorParams, init_params, predict_backward, predict_forward,
+    )
+
+    train_x = np.asarray(train_x, dtype=np.float64)
+    train_y = np.asarray(train_y, dtype=np.float64)
+    n_train = train_x.shape[0]
+    ss = np.random.SeedSequence(seed)
+    rng_init, rng_dropout, rng_shuffle = (np.random.default_rng(c) for c in ss.spawn(3))
+    predictor = init_params(variant, train_x.shape[1], train_y.shape[1], rng_init,
+                            hidden=hidden)
+    coupling = new_coupling(train_y.shape[1], alpha=cfg.alpha) if cfg.refinement_enabled else None
+    steps_per_epoch = math.ceil(n_train / cfg.batch_size)
+    total_steps = steps_per_epoch * cfg.epochs
+    if total_steps < 2:
+        raise HarnessError(
+            f"fold {fold_index}: schedule needs at least 2 steps, got {total_steps}"
+        )
+    schedule = Schedule(warmup_steps=min(steps_per_epoch, total_steps - 1),
+                        total_steps=total_steps)
+    pos_weight = (losses.compute_pos_weights(train_y)
+                  if cfg.loss_kind == "WeightedBCE" else None)
+
+    params = predictor.trainable()
+    if coupling is not None:
+        params["A"] = coupling.A
+    opt = {"t": 0, "m": {k: np.zeros_like(p) for k, p in params.items()},
+           "v": {k: np.zeros_like(p) for k, p in params.items()}}
+    shadow = {k: p.copy() for k, p in params.items()}
+    log, skips, step = [], 0, 0
+
+    def train_step(x, y):
+        nonlocal skips, step
+        lr = lr_at(schedule, step, cfg.lr)
+        z, pcache = predict_forward(x, predictor, mode="train", rng=rng_dropout)
+        if coupling is not None:
+            z_ref, ccache = refine_forward(z, coupling)
+            l1_value, l1_grad = losses.l1_penalty(coupling.A, cfg.lambda_l1)
+        else:
+            z_ref, l1_value = z, 0.0
+        if cfg.loss_kind == "ASL":
+            sup = losses.asl_loss(z_ref, y, gamma_pos=cfg.asl.gamma_pos,
+                                  gamma_neg=cfg.asl.gamma_neg, clip=cfg.asl.clip)
+        else:
+            sup = losses.weighted_bce_loss(z_ref, y, pos_weight)
+        total = sup.value + l1_value
+        skipped = False
+        grad_norm = math.nan
+        if not sup.is_finite or not math.isfinite(total):
+            skipped = True
+        else:
+            if coupling is not None:
+                grad_z, grad_A = refine_backward(sup.grad_logits, ccache, coupling)
+                grad_A = grad_A + l1_grad
+            else:
+                grad_z = sup.grad_logits
+            grads, _ = predict_backward(grad_z, pcache, predictor)
+            if coupling is not None:
+                grads["A"] = grad_A
+            grad_norm = _reference_clip(grads, cfg.grad_clip_norm)
+            if not math.isfinite(grad_norm):
+                skipped = True
+            else:
+                _reference_adamw(params, grads, opt, lr, cfg.weight_decay)
+                if coupling is not None:
+                    enforce_zero_diag(coupling)
+                _reference_ema(shadow, params, cfg.ema_decay)
+        log.append(StepLog(step=step, lr=lr, loss=total, grad_norm=grad_norm,
+                           skipped=skipped))
+        step += 1
+        skips += skipped
+
+    eval_batch = cfg.batch_size * cfg.eval_batch_multiplier
+    best_auc, best_epoch, best = -math.inf, 0, None
+    bad = epochs_run = 0
+    for epoch in range(1, cfg.epochs + 1):
+        order = rng_shuffle.permutation(n_train)
+        for lo in range(0, n_train, cfg.batch_size):
+            idx = order[lo:lo + cfg.batch_size]
+            train_step(train_x[idx], train_y[idx])
+        epochs_run = epoch
+        ema_params = PredictorParams(
+            variant=predictor.variant, W2=shadow["W2"].copy(), b2=shadow["b2"].copy(),
+            W1=shadow["W1"].copy() if "W1" in shadow else None,
+            b1=shadow["b1"].copy() if "b1" in shadow else None,
+            dropout_p=predictor.dropout_p,
+        )
+        ema_coupling = (None if coupling is None
+                        else CouplingMatrix(A=shadow["A"].copy(), alpha=coupling.alpha))
+        val_probs = predict_with_views(ema_params, ema_coupling, val_x, batch_size=eval_batch)
+        try:
+            report = metrics.macro_auc(val_probs, val_y)
+        except metrics.UndefinedAucError as exc:
+            raise HarnessError(f"fold {fold_index}: {exc}") from None
+        if report.macro_auc > best_auc:
+            best_auc, best_epoch = report.macro_auc, epoch
+            best = (ema_params, ema_coupling, report)
+            bad = 0
+        else:
+            bad += 1
+            if bad >= cfg.patience:
+                break
+    return FoldResult(
+        fold=fold_index, best_epoch=best_epoch, best_val_macro_auc=best_auc,
+        epochs_run=epochs_run, skipped_steps=skips, checkpoint_params=best[0],
+        checkpoint_coupling=best[1], val_auc=best[2], train_log=log,
+    )
+
+
+def fold_result_bits(fr):
+    """Everything a FoldResult holds, with every float as its exact bits."""
+    arrays = dict(fr.checkpoint_params.trainable())
+    if fr.checkpoint_coupling is not None:
+        arrays["A"] = fr.checkpoint_coupling.A
+    return {
+        "fold": fr.fold,
+        "best_epoch": fr.best_epoch,
+        "best_val_macro_auc": repr(fr.best_val_macro_auc),
+        "epochs_run": fr.epochs_run,
+        "skipped_steps": fr.skipped_steps,
+        "val_auc": repr(fr.val_auc),
+        "arrays": {k: (a.shape, np.asarray(a, dtype=np.float64).view(np.uint64).tolist())
+                   for k, a in arrays.items()},
+        "train_log": [(e.step, repr(e.lr), repr(e.loss), repr(e.grad_norm), e.skipped)
+                      for e in fr.train_log],
+    }

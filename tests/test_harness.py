@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import expit
 
 from coupled_labels.datamodel import Dataset, config_from_dict
@@ -15,10 +17,18 @@ from coupled_labels.harness import (
     run_ablation,
     run_experiment,
     run_fold,
+    train_folds,
     write_run_report,
 )
 from coupled_labels.predictor import init_params, load_checkpoint
-from helpers import IDENTIFIABLE_TRAINING, couplings_free_fold, identifiable_spec
+from coupled_labels.stratify import mis_split
+from helpers import (
+    IDENTIFIABLE_TRAINING,
+    couplings_free_fold,
+    fold_result_bits,
+    identifiable_spec,
+    reference_run_fold,
+)
 
 
 def toy_dataset(n=60, d=5, l=3, seed=0):
@@ -172,22 +182,107 @@ class TestRunExperiment:
                 report.ensemble_probs[idx], report.fold_eval_probs[k][idx]
             )
 
-    def test_thread_cap_does_not_change_results(self, monkeypatch):
-        ds = toy_dataset()
-        cfg = fast_cfg(K=3, batch_size=8)
-        monkeypatch.delenv("COUPLED_LABELS_THREADS", raising=False)
-        serial = run_experiment(ds, cfg)
-        monkeypatch.setenv("COUPLED_LABELS_THREADS", "3")
-        threaded = run_experiment(ds, cfg)
-        assert json.dumps(serial.to_json_dict(), sort_keys=True) == json.dumps(
-            threaded.to_json_dict(), sort_keys=True
-        )
-
     def test_refinement_disabled_has_no_coupling(self):
         ds = toy_dataset()
         report = run_experiment(ds, fast_cfg(refinement_enabled=False))
         assert report.coupling_mean is None
         assert all(fr.checkpoint_coupling is None for fr in report.fold_results)
+
+
+def _outcome(train):
+    """The bits of every FoldResult, or the error a run stopped with."""
+    try:
+        return [fold_result_bits(fr) for fr in train()]
+    except HarnessError as exc:
+        return str(exc)
+
+
+def _reference(x, y, folds, cfg, variant, hidden):
+    return [reference_run_fold(x[tr], y[tr], x[va], y[va], cfg, seed, k, variant, hidden)
+            for k, seed, tr, va in folds]
+
+
+@st.composite
+def lockstep_problems(draw):
+    """Shared features and labels split into K = 2..5 folds of unequal sizes,
+    with a batch size that gives unequal steps per epoch and ragged tails,
+    patience that may stop folds at different epochs, either predictor,
+    either loss, refinement on or off, and maybe a NaN training row seen by
+    one fold only, whose skipped steps put its Adam clock behind the others'."""
+    K = draw(st.integers(2, 5))
+    sizes = draw(st.lists(st.integers(4, 13), min_size=K, max_size=K))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n, d, l = sum(sizes), draw(st.integers(1, 4)), draw(st.integers(2, 3))
+    fold_of = rng.permutation(np.repeat(np.arange(K), sizes))
+    x = rng.normal(size=(n + 1, d))
+    y = (rng.random((n + 1, l)) < 0.4).astype(float)
+    for k in range(K):
+        first, second = np.flatnonzero(fold_of == k)[:2]
+        y[first, 0], y[second, 0] = 1.0, 0.0   # validation AUC is defined
+    x[n, 0] = np.nan
+    nan_fold = draw(st.none() | st.integers(0, K - 1))
+    epochs = draw(st.integers(1, 4))
+    cfg = config_from_dict({
+        "K": K, "epochs": epochs, "patience": draw(st.integers(1, epochs)),
+        "batch_size": draw(st.integers(2, 9)), "lr": draw(st.sampled_from([2e-4, 0.05])),
+        "seed": draw(st.integers(0, 1000)),
+        "loss_kind": draw(st.sampled_from(["ASL", "WeightedBCE"])),
+        "refinement_enabled": draw(st.booleans()),
+    })
+    folds = []
+    for k in range(K):
+        train = np.flatnonzero(fold_of != k)
+        if k == nan_fold:
+            train = np.append(train, n)
+        folds.append((k, cfg.seed + k, train, np.flatnonzero(fold_of == k)))
+    variant = draw(st.sampled_from(["linear", "mlp1"]))
+    return x, y, folds, cfg, variant, draw(st.integers(2, 5))
+
+
+class TestLockstepMatchesReference:
+    """Folds trained in lockstep against each fold trained alone with the
+    per-array optimizer of tests/helpers.py: every FoldResult bit for bit."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(lockstep_problems())
+    def test_train_folds_bit_identical(self, problem):
+        x, y, folds, cfg, variant, hidden = problem
+        assert _outcome(lambda: train_folds(x, y, folds, cfg, variant, hidden)) == _outcome(
+            lambda: _reference(x, y, folds, cfg, variant, hidden))
+
+    @settings(max_examples=15, deadline=None)
+    @given(lockstep_problems())
+    def test_run_experiment_bit_identical(self, problem):
+        x, y, folds, cfg, variant, hidden = problem
+        ds = Dataset(features=x[:-1], labels=y[:-1],
+                     label_names=[f"y{i}" for i in range(y.shape[1])])
+        assign = mis_split(ds.labels, cfg.K, cfg.seed)
+        split = [(k, cfg.seed + k, np.flatnonzero(assign.fold_of != k), assign.indices(k))
+                 for k in range(cfg.K)]
+        got = _outcome(lambda: run_experiment(ds, cfg, variant=variant,
+                                              hidden=hidden).fold_results)
+        assert got == _outcome(lambda: _reference(ds.features, ds.labels, split, cfg,
+                                                  variant, hidden))
+
+    def test_nan_fold_and_early_stops_exercised(self):
+        # one fixed problem where the cases above really occur: a stacked
+        # step with one fold skipping, and folds stopping at different epochs
+        rng = np.random.default_rng(0)
+        n, K = 47, 4
+        x = rng.normal(size=(n + 1, 3))
+        y = (rng.random((n + 1, 2)) < 0.4).astype(float)
+        x[n, 1] = np.nan
+        fold_of = rng.permutation(np.arange(n) % K)
+        cfg = config_from_dict({"K": K, "epochs": 6, "patience": 1, "batch_size": 5,
+                                "lr": 0.05, "seed": 2})
+        train = [np.flatnonzero(fold_of != k) for k in range(K)]
+        train[1] = np.append(train[1], n)
+        folds = [(k, cfg.seed + k, train[k], np.flatnonzero(fold_of == k)) for k in range(K)]
+        results = train_folds(x, y, folds, cfg, variant="mlp1", hidden=4)
+        assert [fr.skipped_steps > 0 for fr in results] == [False, True, False, False]
+        assert len({fr.epochs_run for fr in results}) > 1
+        assert [fold_result_bits(fr) for fr in results] == [
+            fold_result_bits(fr) for fr in _reference(x, y, folds, cfg, "mlp1", 4)]
 
 
 class TestAblationExactness:

@@ -7,6 +7,7 @@ from coupled_labels.coupling import new_coupling
 from coupled_labels.datamodel import ExperimentConfig, config_from_dict
 from coupled_labels.optim import (
     EmaState,
+    ParamBuffer,
     Schedule,
     ScheduleError,
     adamw_step,
@@ -100,7 +101,7 @@ class TestClip:
 
 class TestAdamW:
     def test_zero_grad_zero_decay_is_identity(self):
-        params = {"w": np.array([1.0, -2.0])}
+        params = ParamBuffer.of({"w": np.array([1.0, -2.0])})
         state = init_optim(params, base_lr=1e-3, weight_decay=0.0)
         adamw_step(params, {"w": np.zeros(2)}, state, lr=1e-3)
         np.testing.assert_array_equal(params["w"], [1.0, -2.0])
@@ -109,28 +110,27 @@ class TestAdamW:
         # from zero state, m_hat = g and v_hat = g^2, so the update is
         # -lr * g/(|g| + eps) ~ -lr * sign(g)
         g = np.array([2.0, -3.0, 0.5])
-        params = {"w": np.zeros(3)}
+        params = ParamBuffer.of({"w": np.zeros(3)})
         state = init_optim(params, base_lr=0.01, weight_decay=0.0)
         adamw_step(params, {"w": g.copy()}, state, lr=0.01)
         np.testing.assert_allclose(params["w"], -0.01 * np.sign(g), rtol=1e-6)
 
     def test_decay_only_closed_form(self):
-        params = {"w": np.array([4.0, -8.0])}
+        # weight matrices (2-D arrays) are decayed
+        params = ParamBuffer.of({"w": np.array([[4.0, -8.0]])})
         initial = params["w"].copy()
         state = init_optim(params, base_lr=0.05, weight_decay=0.1)
         for _ in range(5):
-            adamw_step(params, {"w": np.zeros(2)}, state, lr=0.05,
-                       decay_keys=frozenset({"w"}))
+            adamw_step(params, {"w": np.zeros((1, 2))}, state, lr=0.05)
         np.testing.assert_allclose(
             params["w"], initial * (1.0 - 0.05 * 0.1) ** 5, rtol=1e-12
         )
 
     def test_biases_not_decayed(self):
-        params = {"w": np.array([1.0]), "b2": np.array([1.0])}
+        params = ParamBuffer.of({"w": np.array([[1.0]]), "b2": np.array([1.0])})
         state = init_optim(params, base_lr=0.1, weight_decay=0.5)
-        adamw_step(params, {"w": np.zeros(1), "b2": np.zeros(1)}, state, lr=0.1,
-                   decay_keys=frozenset({"w"}))
-        assert params["w"][0] == pytest.approx(1.0 - 0.1 * 0.5)
+        adamw_step(params, {"w": np.zeros((1, 1)), "b2": np.zeros(1)}, state, lr=0.1)
+        assert params["w"][0, 0] == pytest.approx(1.0 - 0.1 * 0.5)
         assert params["b2"][0] == 1.0
 
 
@@ -209,8 +209,8 @@ class TestTrainStep:
         assert entry.skipped is False
         assert math.isfinite(entry.loss) and math.isfinite(entry.grad_norm)
         assert not np.array_equal(state.trainables()["W2"], before)
-        assert np.all(np.diag(state.coupling.A) == 0.0)
-        assert len(state.log) == 1
+        assert np.all(np.diag(state.coupling.A[0]) == 0.0)
+        assert len(state.logs[0]) == 1
 
     def test_loss_halves_on_separable_batch(self):
         # 50 steps at a workable lr on a linearly separable batch

@@ -15,7 +15,7 @@ from coupled_labels.stratify import (
     save_folds,
     split_quality,
 )
-from helpers import reference_mis_split, reference_save_folds
+from helpers import reference_bucketed_kfold, reference_mis_split, reference_save_folds
 
 label_matrices = st.integers(2, 12).flatmap(
     lambda n: st.integers(1, 4).flatmap(
@@ -156,6 +156,28 @@ class TestBucketedKfold:
         labels = np.array(rows)
         assign = bucketed_kfold(labels, 2, seed)
         assert assign.fold_sizes().sum() == labels.shape[0]
+
+
+class TestBucketedMatchesReference:
+    """bucketed_kfold against the string-key row loop in tests/helpers.py."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(tie_heavy_splits(), st.integers(0, 2**32 - 1))
+    def test_same_folds(self, split, seed):
+        labels, K = split
+        np.testing.assert_array_equal(bucketed_kfold(labels, K, seed).fold_of,
+                                      reference_bucketed_kfold(labels, K, seed).fold_of)
+
+    @pytest.mark.parametrize("n_labels", [1, 8, 9, 17])
+    def test_same_folds_at_scale(self, n_labels):
+        # label counts on both sides of a byte of the bit-packed bucket keys,
+        # with repeated rows so most buckets hold several examples
+        rng = np.random.default_rng(n_labels)
+        base = (rng.random((60, n_labels)) < 0.3).astype(float)
+        labels = base[rng.integers(0, 60, size=2000)]
+        for K, seed in [(2, 0), (3, 5), (5, 9)]:
+            np.testing.assert_array_equal(bucketed_kfold(labels, K, seed).fold_of,
+                                          reference_bucketed_kfold(labels, K, seed).fold_of)
 
 
 class TestSplitQuality:

@@ -50,15 +50,13 @@ class HarnessError(CoupledLabelsError):
 # ---------------------------------------------------------------------------
 # prediction views (TTA hook)
 #
-# Views are named input transforms; an image-backed predictor registers its
-# "flip" here. The synthetic pipeline uses the identity view only.
+# A view is an input transform; an image-backed predictor passes its "flip"
+# after the identity. The synthetic pipeline uses the identity view only.
 # ---------------------------------------------------------------------------
 
-VIEW_REGISTRY: dict = {"identity": lambda x: x}
 
-
-def register_view(name: str, transform) -> None:
-    VIEW_REGISTRY[name] = transform
+def identity_view(x):
+    return x
 
 
 def predict_probs(params: PredictorParams, coupling: CouplingMatrix | None, x,
@@ -78,20 +76,19 @@ def predict_probs(params: PredictorParams, coupling: CouplingMatrix | None, x,
 
 
 def predict_with_views(params: PredictorParams, coupling: CouplingMatrix | None, x,
-                       views=("identity",), batch_size: int | None = None) -> np.ndarray:
-    """Average of predictions over the named input views."""
-    views = list(views)
+                       views=(identity_view,), batch_size: int | None = None) -> np.ndarray:
+    """Average of predictions over the input views, identity first."""
+    views = tuple(views)
     if not views:
         raise HarnessError("views must be non-empty")
-    if views[0] != "identity":
-        raise HarnessError("the first view must be 'identity'")
-    unknown = [v for v in views if v not in VIEW_REGISTRY]
-    if unknown:
-        raise HarnessError(f"unregistered view(s): {unknown}")
+    if views[0] is not identity_view:
+        raise HarnessError("the first view must be identity_view")
+    if not all(callable(v) for v in views):
+        raise HarnessError("every view must be a callable on the feature matrix")
     x = np.asarray(x, dtype=np.float64)
     acc = None
-    for name in views:
-        probs = predict_probs(params, coupling, VIEW_REGISTRY[name](x), batch_size=batch_size)
+    for view in views:
+        probs = predict_probs(params, coupling, view(x), batch_size=batch_size)
         acc = probs if acc is None else acc + probs
     return acc / len(views)
 
@@ -127,7 +124,7 @@ class _Run:
 
 
 def train_folds(features, labels, folds, cfg: ExperimentConfig, variant: str = "linear",
-                hidden: int = 32, views=("identity",)) -> list[FoldResult]:
+                hidden: int = 32, views=(identity_view,)) -> list[FoldResult]:
     """Train one model per fold, all in lockstep, and return their results
     in the order of `folds`.
 
@@ -227,7 +224,7 @@ def train_folds(features, labels, folds, cfg: ExperimentConfig, variant: str = "
 
 def run_fold(train_x, train_y, val_x, val_y, cfg: ExperimentConfig, seed: int,
              fold_index: int = 0, variant: str = "linear", hidden: int = 32,
-             views=("identity",)) -> FoldResult:
+             views=(identity_view,)) -> FoldResult:
     """Train one fold: `train_folds` for a single model."""
     n_train = len(train_x)
     features, labels = np.concatenate([train_x, val_x]), np.concatenate([train_y, val_y])
@@ -304,7 +301,7 @@ def _jsonify(obj):
 
 def run_experiment(dataset: Dataset, cfg: ExperimentConfig,
                    test_dataset: Dataset | None = None, variant: str = "linear",
-                   hidden: int = 32, views=("identity",),
+                   hidden: int = 32, views=(identity_view,),
                    histogram_bins: int = 20) -> RunReport:
     """Stratified K-fold training plus fold-ensemble evaluation.
 

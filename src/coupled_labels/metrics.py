@@ -5,10 +5,10 @@ skip rule, and the cross-fold diagnostic statistics.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import rankdata
 
 from .datamodel import CoupledLabelsError
 
@@ -21,6 +21,46 @@ class UndefinedAucError(MetricError):
     """AUC asked for a score set with only one class present."""
 
 
+def _column_aucs(scores, pos) -> list[float]:
+    """ROC-AUC of every row of (L, n) scores against (L, n) positive flags,
+    all rows ranked by one argsort.
+
+    A tie group at sorted positions first..last has midrank
+    (first + last + 2) / 2, so twice the positives' midrank sum is an exact
+    integer and R_pos = that / 2 is the float a float64 midrank sum gives.
+    A row whose scores contain NaN gets NaN, as NaN ranks propagate.
+    """
+    L, n = scores.shape
+    n_pos = pos.sum(axis=1)
+    if np.any((n_pos == 0) | (n_pos == n)):
+        raise UndefinedAucError("AUC undefined: only one class present")
+    # flat indices into the (L, n) buffers, so one gather serves every row
+    order = np.argsort(scores, axis=1)
+    order += np.arange(0, L * n, n)[:, None]
+    order = order.ravel()
+    s = scores.ravel()[order]
+    p = pos.ravel()[order]
+    starts = np.empty(L * n, dtype=bool)
+    starts[0] = True
+    np.not_equal(s[1:], s[:-1], out=starts[1:])
+    starts[::n] = True
+    has_nan = np.isnan(s[n - 1::n])  # NaN sorts last
+    # tie groups in flat positions: a group at first..last of row r has
+    # 2 * midrank = first + last + 2 - 2 * r * n = 2 * first + size + 1 - 2 * r * n
+    first = np.flatnonzero(starts)
+    size = np.diff(first, append=L * n)
+    first *= 2
+    first += size
+    twice_mid = np.repeat(first, size)
+    twice_mid *= p
+    twice_r_pos = twice_mid.reshape(L, n).sum(axis=1) - (2 * n * np.arange(L) - 1) * n_pos
+    aucs = []
+    for twice, k, nan in zip(twice_r_pos.tolist(), n_pos.tolist(), has_nan.tolist()):
+        r_pos = math.nan if nan else twice / 2.0
+        aucs.append((r_pos - k * (k + 1) / 2.0) / (k * (n - k)))
+    return aucs
+
+
 def roc_auc(scores, targets) -> float:
     """Probability a random positive outranks a random negative, ties
     counted half: AUC = (R_pos - n_pos(n_pos+1)/2) / (n_pos * n_neg) with
@@ -29,14 +69,7 @@ def roc_auc(scores, targets) -> float:
     y = np.asarray(targets, dtype=np.float64).ravel()
     if s.shape != y.shape:
         raise MetricError(f"scores {s.shape} and targets {y.shape} differ in length")
-    pos = y == 1.0
-    n_pos = int(pos.sum())
-    n_neg = s.size - n_pos
-    if n_pos == 0 or n_neg == 0:
-        raise UndefinedAucError("AUC undefined: only one class present")
-    ranks = rankdata(s, method="average")
-    r_pos = float(ranks[pos].sum())
-    return (r_pos - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
+    return _column_aucs(s[None, :], (y == 1.0)[None, :])[0]
 
 
 @dataclass(frozen=True)
@@ -60,16 +93,15 @@ def macro_auc(probs, labels) -> AucReport:
     y = np.asarray(labels, dtype=np.float64)
     if p.shape != y.shape or p.ndim != 2:
         raise MetricError(f"probs {p.shape} and labels {y.shape} must be equal 2-D shapes")
-    per_label: list[float | None] = []
-    skipped: list[int] = []
-    for l in range(y.shape[1]):
-        col = y[:, l]
-        if col.min() == col.max():
-            per_label.append(None)
-            skipped.append(l)
-        else:
-            per_label.append(roc_auc(p[:, l], col))
-    present = [v for v in per_label if v is not None]
+    yT = np.ascontiguousarray(y.T)
+    # a (0, 0) matrix has no column to reduce, and no label to keep
+    single = yT.min(axis=1) == yT.max(axis=1) if yT.shape[0] else np.ones(0, dtype=bool)
+    kept = np.flatnonzero(~single)
+    skipped = np.flatnonzero(single).tolist()
+    present = _column_aucs(p.T[kept], (yT == 1.0)[kept]) if kept.size else []
+    per_label: list[float | None] = [None] * len(single)
+    for l, auc in zip(kept.tolist(), present):
+        per_label[l] = auc
     if not present:
         raise UndefinedAucError("macro-AUC undefined: every label has a single class")
     return AucReport(
@@ -164,7 +196,8 @@ def probability_histograms(probs, bins: int = 20) -> np.ndarray:
     if p.ndim != 2:
         raise MetricError(f"expected 2-D probabilities, got shape {p.shape}")
     idx = np.minimum((p * bins).astype(np.int64), bins - 1)
-    counts = np.zeros((p.shape[1], bins), dtype=np.int64)
-    for l in range(p.shape[1]):
-        counts[l] = np.bincount(idx[:, l], minlength=bins)
-    return counts
+    L = p.shape[1]
+    # label l counts into bins l*bins .. l*bins + bins - 1; a negative index
+    # (p < 0 or NaN) stays negative so bincount rejects it
+    flat = np.where(idx >= 0, idx + np.arange(L) * bins, -1)
+    return np.bincount(flat.ravel(), minlength=L * bins).reshape(L, bins)

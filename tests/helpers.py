@@ -1,6 +1,7 @@
 """Shared oracles for the test suite: central finite differences, a
-relative-error reducer, the pair-count AUC reference, a training loop
-that never touches the coupling module, the identifiable planted-edge
+relative-error reducer, the pair-count AUC reference, per-column
+references for roc_auc, macro_auc and the label histograms, a training
+loop that never touches the coupling module, the identifiable planted-edge
 construction, row-loop references for the CSV data path, mis_split and
 bucketed_kfold, and a one-fold-at-a-time training reference with a
 per-array optimizer."""
@@ -51,6 +52,62 @@ def brute_force_auc(scores, targets):
     wins = (diff > 0).sum()
     ties = (diff == 0).sum()
     return (wins + 0.5 * ties) / (len(pos) * len(neg))
+
+
+# roc_auc, macro_auc and probability_histograms must give exactly what these
+# give: one scipy rankdata call and one bincount per label column.
+def reference_roc_auc(scores, targets):
+    """roc_auc from the midranks of one scipy rankdata call."""
+    from scipy.stats import rankdata
+
+    from coupled_labels.metrics import MetricError, UndefinedAucError
+
+    s = np.asarray(scores, dtype=np.float64).ravel()
+    y = np.asarray(targets, dtype=np.float64).ravel()
+    if s.shape != y.shape:
+        raise MetricError(f"scores {s.shape} and targets {y.shape} differ in length")
+    pos = y == 1.0
+    n_pos = int(pos.sum())
+    n_neg = s.size - n_pos
+    if n_pos == 0 or n_neg == 0:
+        raise UndefinedAucError("AUC undefined: only one class present")
+    ranks = rankdata(s, method="average")
+    r_pos = float(ranks[pos].sum())
+    return (r_pos - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
+
+
+def reference_macro_auc(probs, labels):
+    """macro_auc as one reference_roc_auc call per non-skipped label."""
+    from coupled_labels.metrics import AucReport, MetricError, UndefinedAucError
+
+    p = np.asarray(probs, dtype=np.float64)
+    y = np.asarray(labels, dtype=np.float64)
+    if p.shape != y.shape or p.ndim != 2:
+        raise MetricError(f"probs {p.shape} and labels {y.shape} must be equal 2-D shapes")
+    per_label = []
+    skipped = []
+    for l in range(y.shape[1]):
+        col = y[:, l]
+        if col.min() == col.max():
+            per_label.append(None)
+            skipped.append(l)
+        else:
+            per_label.append(reference_roc_auc(p[:, l], col))
+    present = [v for v in per_label if v is not None]
+    if not present:
+        raise UndefinedAucError("macro-AUC undefined: every label has a single class")
+    return AucReport(per_label_auc=per_label, macro_auc=float(np.mean(present)),
+                     skipped_labels=skipped)
+
+
+def reference_probability_histograms(probs, bins=20):
+    """probability_histograms with one bincount per label."""
+    p = np.asarray(probs, dtype=np.float64)
+    idx = np.minimum((p * bins).astype(np.int64), bins - 1)
+    counts = np.zeros((p.shape[1], bins), dtype=np.int64)
+    for l in range(p.shape[1]):
+        counts[l] = np.bincount(idx[:, l], minlength=bins)
+    return counts
 
 
 def couplings_free_fold(train_x, train_y, val_x, val_y, cfg, seed):

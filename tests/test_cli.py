@@ -1,9 +1,14 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.special import expit
 
+import coupled_labels
 from coupled_labels.cli import cli_main
 from coupled_labels.datamodel import Dataset, save_dataset
 from coupled_labels.stratify import load_folds
@@ -160,3 +165,17 @@ class TestAblate:
         assert cli_main(["report", "--run", str(rundir)]) == 0
         out = capsys.readouterr().out
         assert "delta" in out
+
+
+class TestImportWeight:
+    def test_cli_import_leaves_out_scipy_stats(self):
+        # scipy.stats alone roughly doubles the import time and peak RSS of
+        # every CLI stage; nothing on the CLI's import path may pull it in
+        src = str(Path(coupled_labels.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+        code = ("import sys, coupled_labels.cli; "
+                "print(sorted(m for m in sys.modules if m.startswith('scipy.stats')))")
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, check=True, timeout=120)
+        assert out.stdout.strip() == "[]"

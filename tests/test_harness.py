@@ -9,11 +9,10 @@ from scipy.special import expit
 from coupled_labels.datamodel import Dataset, config_from_dict
 from coupled_labels.harness import (
     HarnessError,
-    VIEW_REGISTRY,
+    identity_view,
     predict_probs,
     predict_with_views,
     read_report_json,
-    register_view,
     run_ablation,
     run_experiment,
     run_fold,
@@ -62,22 +61,18 @@ class TestPredictWithViews:
         params = init_params("linear", 4, 3, rng)
         x = rng.normal(size=(5, 4))
         plain = predict_probs(params, None, x)
-        averaged = predict_with_views(params, None, x, views=("identity", "identity"))
+        averaged = predict_with_views(params, None, x, views=(identity_view, identity_view))
         np.testing.assert_allclose(averaged, plain, atol=1e-16)
 
     def test_two_views_elementwise_mean(self):
-        register_view("halved", lambda x: 0.5 * x)
-        try:
-            rng = np.random.default_rng(3)
-            params = init_params("linear", 4, 2, rng)
-            x = rng.normal(size=(6, 4))
-            combined = predict_with_views(params, None, x, views=("identity", "halved"))
-            oracle = 0.5 * (
-                predict_probs(params, None, x) + predict_probs(params, None, 0.5 * x)
-            )
-            np.testing.assert_allclose(combined, oracle, atol=1e-16)
-        finally:
-            VIEW_REGISTRY.pop("halved", None)
+        rng = np.random.default_rng(3)
+        params = init_params("linear", 4, 2, rng)
+        x = rng.normal(size=(6, 4))
+        combined = predict_with_views(params, None, x, views=(identity_view, lambda x: 0.5 * x))
+        oracle = 0.5 * (
+            predict_probs(params, None, x) + predict_probs(params, None, 0.5 * x)
+        )
+        np.testing.assert_allclose(combined, oracle, atol=1e-16)
 
     def test_view_validation(self):
         rng = np.random.default_rng(4)
@@ -86,9 +81,9 @@ class TestPredictWithViews:
         with pytest.raises(HarnessError):
             predict_with_views(params, None, x, views=())
         with pytest.raises(HarnessError):
-            predict_with_views(params, None, x, views=("flip",))
+            predict_with_views(params, None, x, views=(np.fliplr,))
         with pytest.raises(HarnessError):
-            predict_with_views(params, None, x, views=("identity", "no_such_view"))
+            predict_with_views(params, None, x, views=(identity_view, "no_such_view"))
 
     def test_chunked_prediction_matches_unchunked(self):
         rng = np.random.default_rng(5)

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from coupled_labels.metrics import (
     MetricError,
@@ -11,7 +13,99 @@ from coupled_labels.metrics import (
     probability_histograms,
     roc_auc,
 )
-from helpers import brute_force_auc
+from helpers import (
+    brute_force_auc,
+    reference_macro_auc,
+    reference_probability_histograms,
+    reference_roc_auc,
+)
+
+
+def _outcome(fn, *args):
+    """What fn returns, with every float as float.hex, or the error it raises."""
+    try:
+        result = fn(*args)
+    except Exception as exc:  # the error itself is the outcome compared
+        return ("raised", type(exc), str(exc))
+    if isinstance(result, float):
+        return ("auc", result.hex())
+    return ("report", [None if v is None else v.hex() for v in result.per_label_auc],
+            result.macro_auc.hex(), result.skipped_labels)
+
+
+@st.composite
+def auc_cases(draw):
+    """A (probs, labels) pair drawn to hit the rank kernel's edge cases: heavy
+    ties, all-tied columns, +-inf, -0.0 next to 0.0, a NaN score, single-class
+    columns and targets outside {0, 1}."""
+    n = draw(st.integers(2, 3000))
+    L = draw(st.integers(1, 20))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["grid", "special", "uniform"]))
+    if kind == "grid":
+        probs = rng.integers(0, draw(st.integers(1, 8)), size=(n, L)) / 2.0
+    elif kind == "special":
+        probs = rng.choice([-np.inf, -1.0, -0.0, 0.0, 0.25, 1.0, np.inf], size=(n, L))
+    else:
+        probs = rng.random((n, L))
+    labels = (rng.random((n, L)) < draw(st.floats(0.0, 1.0))).astype(np.float64)
+    if draw(st.booleans()):
+        probs[:, draw(st.integers(0, L - 1))] = 0.5  # all tied
+    if draw(st.booleans()):
+        probs[draw(st.integers(0, n - 1)), draw(st.integers(0, L - 1))] = np.nan
+    if draw(st.booleans()):
+        labels[:, draw(st.integers(0, L - 1))] = draw(st.sampled_from([0.0, 1.0]))
+    if draw(st.booleans()):
+        labels[rng.random((n, L)) < 0.1] = draw(st.sampled_from([2.0, -1.0, 0.5]))
+    return probs, labels
+
+
+class TestMatchesRankdataReference:
+    """roc_auc and macro_auc give the bits the per-column rankdata code gave."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(auc_cases())
+    def test_macro_auc_bit_identical(self, case):
+        probs, labels = case
+        assert _outcome(macro_auc, probs, labels) == _outcome(reference_macro_auc, probs, labels)
+
+    @settings(max_examples=150, deadline=None)
+    @given(auc_cases())
+    def test_roc_auc_bit_identical(self, case):
+        probs, labels = case
+        for l in range(probs.shape[1]):
+            assert (_outcome(roc_auc, probs[:, l], labels[:, l])
+                    == _outcome(reference_roc_auc, probs[:, l], labels[:, l]))
+
+    def test_nan_score_gives_nan_for_its_label_only(self):
+        rng = np.random.default_rng(14)
+        probs = rng.random((50, 3))
+        labels = (rng.random((50, 3)) < 0.5).astype(float)
+        probs[7, 1] = np.nan
+        report = macro_auc(probs, labels)
+        assert np.isnan(report.per_label_auc[1]) and np.isnan(report.macro_auc)
+        assert not np.isnan(report.per_label_auc[0]) and not np.isnan(report.per_label_auc[2])
+        assert _outcome(macro_auc, probs, labels) == _outcome(reference_macro_auc, probs, labels)
+
+    def test_signed_zero_and_infinities_tie(self):
+        probs = np.array([[-0.0], [0.0], [np.inf], [np.inf], [-np.inf], [0.0]])
+        labels = np.array([[1.0], [0.0], [1.0], [0.0], [0.0], [1.0]])
+        assert _outcome(macro_auc, probs, labels) == _outcome(reference_macro_auc, probs, labels)
+        # midranks 3 (the zeros) and 5.5 (the infinities): (11.5 - 6) / 9
+        assert macro_auc(probs, labels).macro_auc == 5.5 / 9
+
+    @pytest.mark.parametrize("shape", [(0, 3), (3, 0), (0, 0), (1, 2)])
+    def test_degenerate_shapes(self, shape):
+        probs = np.zeros(shape)
+        labels = np.ones(shape)
+        assert _outcome(macro_auc, probs, labels) == _outcome(reference_macro_auc, probs, labels)
+
+    def test_validation_sized_matrix(self):
+        rng = np.random.default_rng(15)
+        probs = np.round(rng.random((60000, 14)), 3)  # ties between rows
+        labels = (rng.random((60000, 14)) < rng.random(14)).astype(float)
+        labels[:, 13] = 0.0
+        assert _outcome(macro_auc, probs, labels) == _outcome(reference_macro_auc, probs, labels)
 
 
 class TestRocAuc:
@@ -214,3 +308,31 @@ class TestHistograms:
     def test_probability_one_in_last_bin(self):
         counts = probability_histograms(np.array([[1.0]]), bins=10)
         assert counts[0, -1] == 1
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 300), st.integers(0, 20), st.integers(1, 30),
+           st.integers(0, 2**32 - 1))
+    def test_matches_per_label_loop(self, n, L, bins, seed):
+        rng = np.random.default_rng(seed)
+        probs = rng.random((n, L))
+        probs[rng.random((n, L)) < 0.1] = 1.0
+        probs[rng.random((n, L)) < 0.1] = 0.0
+        probs[rng.random((n, L)) < 0.1] = 0.5
+        np.testing.assert_array_equal(probability_histograms(probs, bins=bins),
+                                      reference_probability_histograms(probs, bins=bins))
+
+    def test_one_and_half_match_per_label_loop(self):
+        probs = np.array([[1.0, 0.5], [0.5, 1.0], [0.0, 0.5]])
+        for bins in (1, 2, 3):
+            np.testing.assert_array_equal(probability_histograms(probs, bins=bins),
+                                          reference_probability_histograms(probs, bins=bins))
+        np.testing.assert_array_equal(probability_histograms(probs, bins=2), [[1, 2], [0, 3]])
+
+    @pytest.mark.parametrize("bad", [-0.5, np.nan])
+    def test_out_of_range_probability_rejected_as_by_the_loop(self, bad):
+        probs = np.array([[0.2, 0.7], [0.1, bad]])  # not in label 0's bins
+        with np.errstate(invalid="ignore"):
+            with pytest.raises(ValueError):
+                reference_probability_histograms(probs, bins=4)
+            with pytest.raises(ValueError):
+                probability_histograms(probs, bins=4)

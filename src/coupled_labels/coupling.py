@@ -91,12 +91,6 @@ def zero_diag(A: np.ndarray) -> np.ndarray:
     return A
 
 
-def enforce_zero_diag(cm: CouplingMatrix) -> CouplingMatrix:
-    """Project the stored matrix back onto the zero-diagonal constraint."""
-    zero_diag(cm.A)
-    return cm
-
-
 def save_coupling_csv(cm_or_matrix, label_names: list[str], path) -> None:
     """L x L CSV with a label-name header row/column; diagonal written as 0."""
     A = cm_or_matrix.A if isinstance(cm_or_matrix, CouplingMatrix) else np.asarray(cm_or_matrix)

@@ -2,9 +2,11 @@
 and best-checkpoint selection, view-averaged prediction, cross-fold
 ensembling, ablation, and report assembly.
 
-The K fold models train in lockstep: one `train_step` per batch position
-advances every model that has a full batch there, and each model computes
-bit for bit what it would compute trained alone.
+All training goes through `train_folds`: a list of runs (fold, seed, rows,
+refinement on or off) split into one shard per CPU, each shard in lockstep
+in a forked worker. One `train_step` per batch position advances every
+model of a shard that has a full batch there, and each model computes bit
+for bit what it would compute trained alone.
 
 Reports are fully deterministic for a given (dataset, config, seed): no
 timestamps, fixed key order, repr-exact floats.
@@ -15,6 +17,9 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import multiprocessing
+import os
+import threading
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -34,6 +39,7 @@ from .losses import compute_pos_weights
 from .optim import (
     Schedule,
     StepLog,
+    TrainState,
     init_train_state,
     save_train_log,
     stack_states,
@@ -113,58 +119,164 @@ class FoldResult:
 
 @dataclass
 class _Run:
-    """One model's data rows, shuffle stream and early-stopping record."""
+    """One model: its place in the caller's list, data rows, shuffle
+    stream, one-model starting state and early-stopping record."""
 
+    index: int
     fold: int
     train_idx: np.ndarray
     val_idx: np.ndarray
     rng_shuffle: np.random.Generator
+    state: TrainState
     best: FoldResult | None = None
     epochs_without_improvement: int = 0
 
 
-def train_folds(features, labels, folds, cfg: ExperimentConfig, variant: str = "linear",
-                hidden: int = 32, views=(identity_view,)) -> list[FoldResult]:
-    """Train one model per fold, all in lockstep, and return their results
-    in the order of `folds`.
+def _usable_cpus() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
-    `folds` holds (fold index, seed, train row indices, validation row
-    indices) into the shared `features` and `labels`. Each model has its
-    own seed streams, schedule, Adam clock and early stopping: per-epoch
-    validation on EMA weights, keep the best checkpoint, stop after
-    `patience` epochs without improvement.
+
+def _worker_count(n_runs: int) -> int:
+    """One worker per usable CPU, at most one per run. None beyond this
+    process where `fork` is missing, or unsafe: a child forked while another
+    thread runs can inherit a lock that thread holds, and wait on it forever."""
+    if "fork" not in multiprocessing.get_all_start_methods() or threading.active_count() > 1:
+        return 1
+    return min(_usable_cpus(), n_runs)
+
+
+def fold_runs(assign: FoldAssignment, seed: int, refine: bool) -> list[tuple]:
+    """The K runs of one experiment for `train_folds`: fold k validates on
+    its own rows, trains on the rest, and has seed `seed + k`."""
+    return [(k, seed + k, np.flatnonzero(assign.fold_of != k), assign.indices(k), refine)
+            for k in range(assign.K)]
+
+
+def train_folds(features, labels, runs, cfg: ExperimentConfig, variant: str = "linear",
+                hidden: int = 32, views=(identity_view,)) -> list[FoldResult]:
+    """Train one model per run and return their results in the order of
+    `runs`.
+
+    `runs` holds (fold index, seed, train row indices, validation row
+    indices, refine) into the shared `features` and `labels`; `refine` says
+    whether the model has the coupling layer, whatever
+    `cfg.refinement_enabled` says. Each model has its own seed streams,
+    schedule, Adam clock and early stopping: per-epoch validation on EMA
+    weights, keep the best checkpoint, stop after `patience` epochs without
+    improvement.
+
+    The runs are cut into contiguous shards, one per usable CPU and at most
+    one per run. Each shard trains in lockstep in a forked worker process
+    that sends its results back through a pipe; with one shard, or where
+    `fork` is not available or other threads run, the shard trains in this
+    process. Every model computes the same bits either way.
     """
     cfg = validate_config(cfg)
-    bs = cfg.batch_size
-    runs, states = [], []
-    for fold, seed, train_idx, val_idx in folds:
-        n_train = train_idx.shape[0]
-        if n_train < 1 or val_idx.shape[0] < 1:
-            raise HarnessError(f"fold {fold}: empty train or validation subset")
-        ss = np.random.SeedSequence(seed)
-        rng_init, rng_dropout, rng_shuffle = (np.random.default_rng(c) for c in ss.spawn(3))
-        predictor = init_params(variant, features.shape[1], labels.shape[1], rng_init,
-                                hidden=hidden)
-        coupling = new_coupling(labels.shape[1], alpha=cfg.alpha) if cfg.refinement_enabled else None
-        steps_per_epoch = math.ceil(n_train / bs)
-        total_steps = steps_per_epoch * cfg.epochs
-        if total_steps < 2:
-            raise HarnessError(f"fold {fold}: schedule needs at least 2 steps, got {total_steps}")
-        schedule = Schedule(
-            warmup_steps=min(steps_per_epoch, total_steps - 1),
-            total_steps=total_steps,
-        )
-        pos_weight = (compute_pos_weights(labels[train_idx])
-                      if cfg.loss_kind == "WeightedBCE" else None)
-        states.append(init_train_state(predictor, coupling, schedule, cfg, rng_dropout,
-                                       pos_weight=pos_weight))
-        runs.append(_Run(fold, train_idx, val_idx, rng_shuffle))
+    if not runs:
+        raise HarnessError("no runs to train")
+    n = len(runs)
+    n_shards = _worker_count(n)
+    shards = []
+    for s in range(n_shards):
+        first, end = s * n // n_shards, (s + 1) * n // n_shards
+        # a shard holds an A for every model if any of its models refines
+        with_coupling = any(refine for *_, refine in runs[first:end])
+        shards.append([_new_run(features, labels, i, runs[i], cfg, variant, hidden,
+                                with_coupling) for i in range(first, end)])
+    if n_shards == 1:
+        return _train_lockstep(features, labels, shards[0], cfg, views)
+    return _train_forked(features, labels, shards, cfg, views)
 
+
+def _new_run(features, labels, index: int, run: tuple, cfg: ExperimentConfig, variant: str,
+             hidden: int, with_coupling: bool) -> _Run:
+    fold, seed, train_idx, val_idx, refine = run
+    n_train = train_idx.shape[0]
+    if n_train < 1 or val_idx.shape[0] < 1:
+        raise HarnessError(f"fold {fold}: empty train or validation subset")
+    ss = np.random.SeedSequence(seed)
+    rng_init, rng_dropout, rng_shuffle = (np.random.default_rng(c) for c in ss.spawn(3))
+    predictor = init_params(variant, features.shape[1], labels.shape[1], rng_init, hidden=hidden)
+    coupling = new_coupling(labels.shape[1], alpha=cfg.alpha) if with_coupling else None
+    steps_per_epoch = math.ceil(n_train / cfg.batch_size)
+    total_steps = steps_per_epoch * cfg.epochs
+    if total_steps < 2:
+        raise HarnessError(f"fold {fold}: schedule needs at least 2 steps, got {total_steps}")
+    schedule = Schedule(
+        warmup_steps=min(steps_per_epoch, total_steps - 1),
+        total_steps=total_steps,
+    )
+    pos_weight = (compute_pos_weights(labels[train_idx])
+                  if cfg.loss_kind == "WeightedBCE" else None)
+    state = init_train_state(predictor, coupling, schedule, cfg, rng_dropout,
+                             pos_weight=pos_weight, refine=refine)
+    return _Run(index, fold, train_idx, val_idx, rng_shuffle, state)
+
+
+def _train_forked(features, labels, shards: list[list[_Run]], cfg: ExperimentConfig,
+                  views) -> list[FoldResult]:
+    """Train each shard in its own forked worker. The workers share the
+    parent's arrays copy-on-write; the first failure in run order is raised."""
+    ctx = multiprocessing.get_context("fork")
+    workers, outcomes = [], []
+    try:
+        for shard in shards:
+            receiver, sender = ctx.Pipe(duplex=False)
+            proc = ctx.Process(target=_shard_worker,
+                               args=(sender, features, labels, shard, cfg, views))
+            proc.start()
+            sender.close()
+            workers.append((proc, receiver))
+        for (proc, receiver), shard in zip(workers, shards):
+            received = []
+            try:
+                while len(received) < len(shard):
+                    received.append(receiver.recv())
+                    if isinstance(received[-1], Exception):
+                        break
+            except EOFError:
+                proc.join()
+                received.append(HarnessError(
+                    f"training worker exited with code {proc.exitcode} without its results"))
+            outcomes.append(received)
+    finally:
+        for proc, receiver in workers:
+            receiver.close()
+            if len(outcomes) < len(workers):   # interrupted: no one reads its results
+                proc.terminate()
+            proc.join()
+    results = []
+    for received in outcomes:
+        if isinstance(received[-1], Exception):
+            raise received[-1]
+        results += received
+    return results
+
+
+def _shard_worker(sender, features, labels, shard: list[_Run], cfg: ExperimentConfig,
+                  views) -> None:
+    try:
+        outcomes = _train_lockstep(features, labels, shard, cfg, views)
+    except Exception as exc:
+        outcomes = [exc]
+    # one message per model: the parent never holds a whole shard's bytes
+    for outcome in outcomes:
+        sender.send(outcome)
+    sender.close()
+
+
+def _train_lockstep(features, labels, runs: list[_Run], cfg: ExperimentConfig,
+                    views) -> list[FoldResult]:
+    """Train the runs' models together and return their results in run
+    order. One `train_step` per batch position advances every model that
+    has a full batch there; ragged tails step alone."""
+    bs = cfg.batch_size
     # Buffer rows go in falling order of full batches per epoch, so the
     # models with a full batch at a position are always a leading slice.
-    order = sorted(range(len(runs)), key=lambda i: -(runs[i].train_idx.shape[0] // bs))
-    runs = [runs[i] for i in order]
-    state = stack_states([states[i] for i in order])
+    runs = sorted(runs, key=lambda run: -(run.train_idx.shape[0] // bs))
+    state = stack_states([run.state for run in runs])
     eval_batch = bs * cfg.eval_batch_multiplier
     results = []
 
@@ -189,7 +301,7 @@ def train_folds(features, labels, folds, cfg: ExperimentConfig, variant: str = "
                 train_step(features[batch], labels[batch], models[a, b], cfg)
 
         stopped = []
-        for i in sorted(range(len(runs)), key=lambda i: runs[i].fold):
+        for i in sorted(range(len(runs)), key=lambda i: runs[i].index):
             run = runs[i]
             params, coupling = state.ema_snapshot(i)
             val_probs = predict_with_views(params, coupling, features[run.val_idx],
@@ -211,26 +323,16 @@ def train_folds(features, labels, folds, cfg: ExperimentConfig, variant: str = "
                     stopped.append(i)
         if epoch == cfg.epochs:
             stopped = list(range(len(runs)))
-        results += [dataclasses.replace(runs[i].best, epochs_run=epoch,
-                                        skipped_steps=int(state.skips[i])) for i in stopped]
+        results += [(runs[i].index, dataclasses.replace(runs[i].best, epochs_run=epoch,
+                                                        skipped_steps=int(state.skips[i])))
+                    for i in stopped]
         keep = [i for i in range(len(runs)) if i not in stopped]
         if not keep:
             break
         if stopped:
             runs = [runs[i] for i in keep]
             state = stack_states([state.select(slice(i, i + 1)) for i in keep])
-    return sorted(results, key=lambda fr: fr.fold)
-
-
-def run_fold(train_x, train_y, val_x, val_y, cfg: ExperimentConfig, seed: int,
-             fold_index: int = 0, variant: str = "linear", hidden: int = 32,
-             views=(identity_view,)) -> FoldResult:
-    """Train one fold: `train_folds` for a single model."""
-    n_train = len(train_x)
-    features, labels = np.concatenate([train_x, val_x]), np.concatenate([train_y, val_y])
-    rows = np.arange(len(features))
-    return train_folds(features, labels, [(fold_index, seed, rows[:n_train], rows[n_train:])],
-                       cfg, variant=variant, hidden=hidden, views=views)[0]
+    return [fr for _, fr in sorted(results, key=lambda pair: pair[0])]
 
 
 # ---------------------------------------------------------------------------
@@ -303,7 +405,27 @@ def run_experiment(dataset: Dataset, cfg: ExperimentConfig,
                    test_dataset: Dataset | None = None, variant: str = "linear",
                    hidden: int = 32, views=(identity_view,),
                    histogram_bins: int = 20) -> RunReport:
-    """Stratified K-fold training plus fold-ensemble evaluation.
+    """Stratified K-fold training plus fold-ensemble evaluation."""
+    cfg, assign = _split(dataset, cfg, test_dataset)
+    fold_results = train_folds(dataset.features, dataset.labels,
+                               fold_runs(assign, cfg.seed, cfg.refinement_enabled), cfg,
+                               variant=variant, hidden=hidden, views=views)
+    return experiment_report(dataset, cfg, assign, fold_results, test_dataset=test_dataset,
+                             views=views, histogram_bins=histogram_bins)
+
+
+def _split(dataset: Dataset, cfg: ExperimentConfig,
+           test_dataset: Dataset | None) -> tuple[ExperimentConfig, FoldAssignment]:
+    cfg = validate_config(cfg)
+    if test_dataset is not None and test_dataset.n_labels != dataset.n_labels:
+        raise HarnessError("train and test datasets disagree on label count")
+    return cfg, mis_split(dataset.labels, cfg.K, cfg.seed)
+
+
+def experiment_report(dataset: Dataset, cfg: ExperimentConfig, assign: FoldAssignment,
+                      fold_results: list[FoldResult], test_dataset: Dataset | None = None,
+                      views=(identity_view,), histogram_bins: int = 20) -> RunReport:
+    """The report of one experiment from its K trained fold models.
 
     With a test dataset, fold models are ensembled (arithmetic mean) on it.
     Without one, the headline AUC, correlations and histograms come from
@@ -311,16 +433,6 @@ def run_experiment(dataset: Dataset, cfg: ExperimentConfig,
     fold models' predictions on the full feature matrix (they need common
     inputs).
     """
-    cfg = validate_config(cfg)
-    if test_dataset is not None and test_dataset.n_labels != dataset.n_labels:
-        raise HarnessError("train and test datasets disagree on label count")
-
-    assign = mis_split(dataset.labels, cfg.K, cfg.seed)
-    folds = [(k, cfg.seed + k, np.flatnonzero(assign.fold_of != k), assign.indices(k))
-             for k in range(cfg.K)]
-    fold_results = train_folds(dataset.features, dataset.labels, folds, cfg,
-                               variant=variant, hidden=hidden, views=views)
-
     eval_batch = cfg.batch_size * cfg.eval_batch_multiplier
     if test_dataset is not None:
         eval_x, eval_labels = test_dataset.features, test_dataset.labels
@@ -438,11 +550,17 @@ class AblationResult:
 def run_ablation(dataset: Dataset, cfg: ExperimentConfig,
                  test_dataset: Dataset | None = None, variant: str = "linear",
                  hidden: int = 32) -> AblationResult:
-    """Same data, same seeds, refinement on vs off."""
-    cfg_on = dataclasses.replace(validate_config(cfg), refinement_enabled=True)
-    cfg_off = dataclasses.replace(cfg_on, refinement_enabled=False)
-    refined = run_experiment(dataset, cfg_on, test_dataset=test_dataset, variant=variant,
-                             hidden=hidden)
-    baseline = run_experiment(dataset, cfg_off, test_dataset=test_dataset, variant=variant,
-                              hidden=hidden)
-    return AblationResult(refined=refined, baseline=baseline)
+    """Same data, folds and seeds, refinement on vs off: both arms' 2K
+    models train in one `train_folds` call."""
+    cfg, assign = _split(dataset, cfg, test_dataset)
+    cfg_on = dataclasses.replace(cfg, refinement_enabled=True)
+    cfg_off = dataclasses.replace(cfg, refinement_enabled=False)
+    results = train_folds(dataset.features, dataset.labels,
+                          fold_runs(assign, cfg.seed, True) + fold_runs(assign, cfg.seed, False),
+                          cfg, variant=variant, hidden=hidden)
+    return AblationResult(
+        refined=experiment_report(dataset, cfg_on, assign, results[:cfg.K],
+                                  test_dataset=test_dataset),
+        baseline=experiment_report(dataset, cfg_off, assign, results[cfg.K:],
+                                   test_dataset=test_dataset),
+    )

@@ -1,10 +1,10 @@
 """Shared oracles for the test suite: central finite differences, a
 relative-error reducer, the pair-count AUC reference, per-column
-references for roc_auc, macro_auc and the label histograms, a training
-loop that never touches the coupling module, the identifiable planted-edge
-construction, row-loop references for the CSV data path, mis_split and
-bucketed_kfold, and a one-fold-at-a-time training reference with a
-per-array optimizer."""
+references for roc_auc, macro_auc and the label histograms, `train_folds`
+for a single model, a training loop that never touches the coupling
+module, the identifiable planted-edge construction, row-loop references for
+the CSV data path, mis_split and bucketed_kfold, and a one-fold-at-a-time
+training reference with a per-array optimizer."""
 
 import math
 
@@ -108,6 +108,19 @@ def reference_probability_histograms(probs, bins=20):
     for l in range(p.shape[1]):
         counts[l] = np.bincount(idx[:, l], minlength=bins)
     return counts
+
+
+def run_fold(train_x, train_y, val_x, val_y, cfg, seed, fold_index=0, variant="linear",
+             hidden=32):
+    """`train_folds` for one model on its own train and validation arrays,
+    with the refinement flag of `cfg`."""
+    from coupled_labels.harness import train_folds
+
+    n_train = len(train_x)
+    features, labels = np.concatenate([train_x, val_x]), np.concatenate([train_y, val_y])
+    rows = np.arange(len(features))
+    run = (fold_index, seed, rows[:n_train], rows[n_train:], cfg.refinement_enabled)
+    return train_folds(features, labels, [run], cfg, variant=variant, hidden=hidden)[0]
 
 
 def couplings_free_fold(train_x, train_y, val_x, val_y, cfg, seed):
@@ -448,7 +461,7 @@ def reference_run_fold(train_x, train_y, val_x, val_y, cfg, seed, fold_index=0,
     """run_fold for one fold on its own, with a per-array optimizer loop."""
     from coupled_labels import losses, metrics
     from coupled_labels.coupling import (
-        CouplingMatrix, enforce_zero_diag, new_coupling, refine_backward, refine_forward,
+        CouplingMatrix, new_coupling, refine_backward, refine_forward, zero_diag,
     )
     from coupled_labels.harness import FoldResult, HarnessError, predict_with_views
     from coupled_labels.optim import Schedule, StepLog, lr_at
@@ -517,7 +530,7 @@ def reference_run_fold(train_x, train_y, val_x, val_y, cfg, seed, fold_index=0,
             else:
                 _reference_adamw(params, grads, opt, lr, cfg.weight_decay)
                 if coupling is not None:
-                    enforce_zero_diag(coupling)
+                    zero_diag(coupling.A)
                 _reference_ema(shadow, params, cfg.ema_decay)
         log.append(StepLog(step=step, lr=lr, loss=total, grad_norm=grad_norm,
                            skipped=skipped))

@@ -167,15 +167,45 @@ class TestAblate:
         assert "delta" in out
 
 
+def _python(code: str) -> str:
+    """Standard output of `code` run by a fresh interpreter on this package."""
+    src = str(Path(coupled_labels.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True, timeout=120).stdout.strip()
+
+
 class TestImportWeight:
     def test_cli_import_leaves_out_scipy_stats(self):
         # scipy.stats alone roughly doubles the import time and peak RSS of
         # every CLI stage; nothing on the CLI's import path may pull it in
-        src = str(Path(coupled_labels.__file__).resolve().parents[1])
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
         code = ("import sys, coupled_labels.cli; "
                 "print(sorted(m for m in sys.modules if m.startswith('scipy.stats')))")
-        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                             text=True, check=True, timeout=120)
-        assert out.stdout.strip() == "[]"
+        assert _python(code) == "[]"
+
+    def test_cli_import_and_sharded_training_leave_out_pools(self):
+        # multiprocessing.Pool and the concurrent.futures executors unpickle
+        # results on helper threads, into a second malloc arena (+2.9 MiB
+        # peak RSS on the default workload); the training engine's forked
+        # workers answer through plain pipes read by the main thread. The
+        # concurrent.futures package itself comes with scipy's import of
+        # numpy.testing and starts nothing.
+        code = """
+import sys
+import numpy as np
+import coupled_labels.cli
+from coupled_labels import harness
+from coupled_labels.datamodel import config_from_dict
+
+POOLS = ("multiprocessing.pool", "concurrent.futures.thread", "concurrent.futures.process")
+print(sorted(m for m in sys.modules if m in POOLS))
+harness._usable_cpus = lambda: 2
+rng = np.random.default_rng(0)
+x, y = rng.normal(size=(40, 3)), np.tile([[0.0, 1.0], [1.0, 0.0]], (20, 1))
+rows = np.arange(40)
+runs = [(k, k, np.roll(rows, 10 * k)[:30], np.roll(rows, 10 * k)[30:], True) for k in range(2)]
+harness.train_folds(x, y, runs, config_from_dict({"epochs": 2, "batch_size": 8}))
+print(sorted(m for m in sys.modules if m in POOLS))
+"""
+        assert _python(code).splitlines() == ["[]", "[]"]

@@ -1,4 +1,10 @@
+import contextlib
+import dataclasses
 import json
+import multiprocessing
+import os
+import signal
+import threading
 
 import numpy as np
 import pytest
@@ -6,16 +12,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import expit
 
+from coupled_labels import harness
 from coupled_labels.datamodel import Dataset, config_from_dict
 from coupled_labels.harness import (
     HarnessError,
+    fold_runs,
     identity_view,
     predict_probs,
     predict_with_views,
     read_report_json,
     run_ablation,
     run_experiment,
-    run_fold,
     train_folds,
     write_run_report,
 )
@@ -27,6 +34,7 @@ from helpers import (
     fold_result_bits,
     identifiable_spec,
     reference_run_fold,
+    run_fold,
 )
 
 
@@ -192,9 +200,18 @@ def _outcome(train):
         return str(exc)
 
 
-def _reference(x, y, folds, cfg, variant, hidden):
-    return [reference_run_fold(x[tr], y[tr], x[va], y[va], cfg, seed, k, variant, hidden)
-            for k, seed, tr, va in folds]
+def _reference(x, y, runs, cfg, variant, hidden):
+    return [reference_run_fold(x[tr], y[tr], x[va], y[va],
+                               dataclasses.replace(cfg, refinement_enabled=refine), seed, k,
+                               variant, hidden)
+            for k, seed, tr, va, refine in runs]
+
+
+def _with_workers(n, train):
+    """`train()` with the engine seeing `n` usable CPUs."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(harness, "_usable_cpus", lambda: n)
+        return train()
 
 
 @st.composite
@@ -202,8 +219,9 @@ def lockstep_problems(draw):
     """Shared features and labels split into K = 2..5 folds of unequal sizes,
     with a batch size that gives unequal steps per epoch and ragged tails,
     patience that may stop folds at different epochs, either predictor,
-    either loss, refinement on or off, and maybe a NaN training row seen by
-    one fold only, whose skipped steps put its Adam clock behind the others'."""
+    either loss, refinement on or off per run, and maybe a NaN training row
+    seen by one fold only, whose skipped steps put its Adam clock behind the
+    others'."""
     K = draw(st.integers(2, 5))
     sizes = draw(st.lists(st.integers(4, 13), min_size=K, max_size=K))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -216,6 +234,7 @@ def lockstep_problems(draw):
         y[first, 0], y[second, 0] = 1.0, 0.0   # validation AUC is defined
     x[n, 0] = np.nan
     nan_fold = draw(st.none() | st.integers(0, K - 1))
+    refine = draw(st.lists(st.booleans(), min_size=K, max_size=K))
     epochs = draw(st.integers(1, 4))
     cfg = config_from_dict({
         "K": K, "epochs": epochs, "patience": draw(st.integers(1, epochs)),
@@ -224,39 +243,42 @@ def lockstep_problems(draw):
         "loss_kind": draw(st.sampled_from(["ASL", "WeightedBCE"])),
         "refinement_enabled": draw(st.booleans()),
     })
-    folds = []
+    runs = []
     for k in range(K):
         train = np.flatnonzero(fold_of != k)
         if k == nan_fold:
             train = np.append(train, n)
-        folds.append((k, cfg.seed + k, train, np.flatnonzero(fold_of == k)))
+        runs.append((k, cfg.seed + k, train, np.flatnonzero(fold_of == k), refine[k]))
     variant = draw(st.sampled_from(["linear", "mlp1"]))
-    return x, y, folds, cfg, variant, draw(st.integers(2, 5))
+    return x, y, runs, cfg, variant, draw(st.integers(2, 5))
 
 
 class TestLockstepMatchesReference:
-    """Folds trained in lockstep against each fold trained alone with the
-    per-array optimizer of tests/helpers.py: every FoldResult bit for bit."""
+    """Runs trained in lockstep, in one process or sharded across forked
+    workers, against each run trained alone under its own refinement flag
+    with the per-array optimizer of tests/helpers.py: every FoldResult bit
+    for bit, or the same HarnessError text."""
 
     @settings(max_examples=40, deadline=None)
     @given(lockstep_problems())
     def test_train_folds_bit_identical(self, problem):
-        x, y, folds, cfg, variant, hidden = problem
-        assert _outcome(lambda: train_folds(x, y, folds, cfg, variant, hidden)) == _outcome(
-            lambda: _reference(x, y, folds, cfg, variant, hidden))
+        x, y, runs, cfg, variant, hidden = problem
+        expected = _outcome(lambda: _reference(x, y, runs, cfg, variant, hidden))
+        for workers in (1, 2):
+            assert _with_workers(workers, lambda: _outcome(
+                lambda: train_folds(x, y, runs, cfg, variant, hidden))) == expected
 
     @settings(max_examples=15, deadline=None)
     @given(lockstep_problems())
     def test_run_experiment_bit_identical(self, problem):
-        x, y, folds, cfg, variant, hidden = problem
+        x, y, _, cfg, variant, hidden = problem
         ds = Dataset(features=x[:-1], labels=y[:-1],
                      label_names=[f"y{i}" for i in range(y.shape[1])])
         assign = mis_split(ds.labels, cfg.K, cfg.seed)
-        split = [(k, cfg.seed + k, np.flatnonzero(assign.fold_of != k), assign.indices(k))
-                 for k in range(cfg.K)]
+        runs = fold_runs(assign, cfg.seed, cfg.refinement_enabled)
         got = _outcome(lambda: run_experiment(ds, cfg, variant=variant,
                                               hidden=hidden).fold_results)
-        assert got == _outcome(lambda: _reference(ds.features, ds.labels, split, cfg,
+        assert got == _outcome(lambda: _reference(ds.features, ds.labels, runs, cfg,
                                                   variant, hidden))
 
     def test_nan_fold_and_early_stops_exercised(self):
@@ -272,12 +294,119 @@ class TestLockstepMatchesReference:
                                 "lr": 0.05, "seed": 2})
         train = [np.flatnonzero(fold_of != k) for k in range(K)]
         train[1] = np.append(train[1], n)
-        folds = [(k, cfg.seed + k, train[k], np.flatnonzero(fold_of == k)) for k in range(K)]
-        results = train_folds(x, y, folds, cfg, variant="mlp1", hidden=4)
+        runs = [(k, cfg.seed + k, train[k], np.flatnonzero(fold_of == k), k != 2)
+                for k in range(K)]
+        results = _with_workers(1, lambda: train_folds(x, y, runs, cfg, variant="mlp1",
+                                                       hidden=4))
         assert [fr.skipped_steps > 0 for fr in results] == [False, True, False, False]
         assert len({fr.epochs_run for fr in results}) > 1
         assert [fold_result_bits(fr) for fr in results] == [
-            fold_result_bits(fr) for fr in _reference(x, y, folds, cfg, "mlp1", 4)]
+            fold_result_bits(fr) for fr in _reference(x, y, runs, cfg, "mlp1", 4)]
+
+    def test_refinement_off_row_of_mixed_stack_equals_couplings_free_build(self):
+        # gate 2 inside one stack: the same fold trained with and without
+        # refinement in one buffer; the model without it must match the
+        # training loop that never touches the coupling module
+        ds = toy_dataset(n=72, seed=4)
+        cfg = fast_cfg(batch_size=24, epochs=2)
+        rows = np.arange(72)
+        runs = [(0, 11, rows[:48], rows[48:], True), (0, 11, rows[:48], rows[48:], False)]
+        refined, plain = _with_workers(1, lambda: train_folds(ds.features, ds.labels, runs, cfg))
+        best_auc, best_epoch, best_params = couplings_free_fold(
+            ds.features[:48], ds.labels[:48], ds.features[48:], ds.labels[48:], cfg, 11)
+        assert refined.checkpoint_coupling is not None and plain.checkpoint_coupling is None
+        assert repr(plain.best_val_macro_auc) == repr(best_auc)
+        assert plain.best_epoch == best_epoch
+        for name in ("W2", "b2"):
+            assert np.array_equal(getattr(plain.checkpoint_params, name).view(np.uint64),
+                                  getattr(best_params, name).view(np.uint64))
+
+
+@contextlib.contextmanager
+def _time_limit(seconds):
+    """Raise TimeoutError in the main thread if the block runs too long."""
+    def expire(signum, frame):
+        raise TimeoutError(f"still waiting after {seconds} s")
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
+                    reason="the engine shards only where it can fork")
+class TestShardedEngine:
+    """The forked shards: same results and errors as one process, no hang
+    on a lost worker, nothing left running."""
+
+    def _problem(self, n_runs=4):
+        ds = toy_dataset(n=80, seed=5)
+        rows = np.arange(80)
+        runs = [(k, 20 + k, np.roll(rows, 20 * k)[:60], np.roll(rows, 20 * k)[60:], k % 2 == 0)
+                for k in range(n_runs)]
+        return ds, runs
+
+    def test_worker_counts_give_same_bits(self):
+        ds, runs = self._problem()
+        cfg = fast_cfg(epochs=3, batch_size=7)
+        outcomes = [_with_workers(w, lambda: _outcome(
+            lambda: train_folds(ds.features, ds.labels, runs, cfg))) for w in (1, 2, 3)]
+        assert outcomes[0] == outcomes[1] == outcomes[2]
+        assert [r["fold"] for r in outcomes[0]] == [0, 1, 2, 3]
+
+    def test_single_class_fold_named_as_in_process(self):
+        # runs 1 and 3 (folds 5 and 3) validate on one class only: each
+        # shard fails, and the engine reports the first failing run, as one
+        # process does
+        ds, runs = self._problem()
+        labels = ds.labels.copy()
+        runs = [(fold, seed, tr, va, refine)
+                for fold, (_, seed, tr, va, refine) in zip((9, 5, 7, 3), runs)]
+        for k in (1, 3):
+            labels[runs[k][3]] = 0.0
+        texts = []
+        for workers in (1, 2):
+            with pytest.raises(HarnessError) as exc:
+                _with_workers(workers, lambda: train_folds(ds.features, labels, runs, fast_cfg()))
+            texts.append(str(exc.value))
+        assert texts[0] == texts[1]
+        assert texts[0].startswith("fold 5: ")
+
+    def test_worker_exiting_without_results_raises(self, monkeypatch):
+        ds, runs = self._problem()
+        monkeypatch.setattr(harness, "_train_lockstep", lambda *args: os._exit(3))
+        with _time_limit(60), pytest.raises(HarnessError, match="code 3 without its results"):
+            _with_workers(2, lambda: train_folds(ds.features, ds.labels, runs, fast_cfg()))
+        assert multiprocessing.active_children() == []
+
+    def test_trains_in_process_while_another_thread_runs(self, monkeypatch):
+        # a child forked now could inherit a lock the other thread holds
+        ds, runs = self._problem()
+        monkeypatch.setattr(harness, "_train_forked",
+                            lambda *args: pytest.fail("forked while another thread ran"))
+        release = threading.Event()
+        thread = threading.Thread(target=release.wait)
+        thread.start()
+        try:
+            results = _with_workers(2, lambda: train_folds(ds.features, ds.labels, runs,
+                                                           fast_cfg()))
+        finally:
+            release.set()
+            thread.join(timeout=10)
+        assert not thread.is_alive()
+        assert len(results) == len(runs)
+
+    def test_no_process_or_thread_left_behind(self):
+        ds, runs = self._problem()
+        threads = threading.active_count()
+        results = _with_workers(2, lambda: train_folds(ds.features, ds.labels, runs,
+                                                       fast_cfg()))
+        assert len(results) == len(runs)
+        assert multiprocessing.active_children() == []
+        assert threading.active_count() == threads
 
 
 class TestAblationExactness:

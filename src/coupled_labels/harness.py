@@ -3,10 +3,11 @@ and best-checkpoint selection, view-averaged prediction, cross-fold
 ensembling, ablation, and report assembly.
 
 All training goes through `train_folds`: a list of runs (fold, seed, rows,
-refinement on or off) split into one shard per CPU, each shard in lockstep
-in a forked worker. One `train_step` per batch position advances every
-model of a shard that has a full batch there, and each model computes bit
-for bit what it would compute trained alone.
+refinement on or off) cut into shards of one refinement flag, each shard
+in lockstep, in a forked worker per CPU where the runs divide evenly. One
+`train_step` per batch position advances every model of a shard that has
+a full batch there, and each model computes bit for bit what it would
+compute trained alone.
 
 Reports are fully deterministic for a given (dataset, config, seed): no
 timestamps, fixed key order, repr-exact floats.
@@ -138,13 +139,26 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _worker_count(n_runs: int) -> int:
-    """One worker per usable CPU, at most one per run. None beyond this
-    process where `fork` is missing, or unsafe: a child forked while another
-    thread runs can inherit a lock that thread holds, and wait on it forever."""
-    if "fork" not in multiprocessing.get_all_start_methods() or threading.active_count() > 1:
-        return 1
-    return min(_usable_cpus(), n_runs)
+def _plan_shards(refine: list[bool]) -> tuple[list[list[int]], bool]:
+    """Cut the run indices into shards of one refinement flag each, and say
+    whether to train them in forked workers.
+
+    Forked shards are W of one size, for the largest W up to the usable
+    CPUs that the runs and their flag groups divide evenly: a worker with
+    more models than another would keep the others waiting. Without such a
+    W, each flag group trains as one shard in this process. So does every
+    shard where `fork` is missing, or unsafe: a child forked while another
+    thread runs can inherit a lock that thread holds, and wait on it forever.
+    """
+    groups = [g for g in ([i for i, r in enumerate(refine) if r == flag]
+                          for flag in (True, False)) if g]
+    n = len(refine)
+    if "fork" in multiprocessing.get_all_start_methods() and threading.active_count() == 1:
+        for w in range(min(_usable_cpus(), n), 1, -1):
+            size = n // w
+            if n % w == 0 and all(len(g) % size == 0 for g in groups):
+                return [g[i:i + size] for g in groups for i in range(0, len(g), size)], True
+    return groups, False
 
 
 def fold_runs(assign: FoldAssignment, seed: int, refine: bool) -> list[tuple]:
@@ -167,31 +181,33 @@ def train_folds(features, labels, runs, cfg: ExperimentConfig, variant: str = "l
     weights, keep the best checkpoint, stop after `patience` epochs without
     improvement.
 
-    The runs are cut into contiguous shards, one per usable CPU and at most
-    one per run. Each shard trains in lockstep in a forked worker process
-    that sends its results back through a pipe; with one shard, or where
-    `fork` is not available or other threads run, the shard trains in this
-    process. Every model computes the same bits either way.
+    The models of one refinement flag train in lockstep, in even shards
+    across forked workers that send their results back through pipes, or
+    as one shard per flag in this process (`_plan_shards`). Every model
+    computes the same bits either way, and a failure names the first
+    failing run in the order of `runs`.
     """
     cfg = validate_config(cfg)
     if not runs:
         raise HarnessError("no runs to train")
-    n = len(runs)
-    n_shards = _worker_count(n)
-    shards = []
-    for s in range(n_shards):
-        first, end = s * n // n_shards, (s + 1) * n // n_shards
-        # a shard holds an A for every model if any of its models refines
-        with_coupling = any(refine for *_, refine in runs[first:end])
-        shards.append([_new_run(features, labels, i, runs[i], cfg, variant, hidden,
-                                with_coupling) for i in range(first, end)])
-    if n_shards == 1:
-        return _train_lockstep(features, labels, shards[0], cfg, views)
-    return _train_forked(features, labels, shards, cfg, views)
+    models = [_new_run(features, labels, i, run, cfg, variant, hidden)
+              for i, run in enumerate(runs)]
+    plan, forked = _plan_shards([run[4] for run in runs])
+    shards = [[models[i] for i in shard] for shard in plan]
+    if forked:
+        outcomes = _train_forked(features, labels, shards, cfg, views)
+    else:
+        outcomes = [pair for shard in shards
+                    for pair in _train_lockstep(features, labels, shard, cfg, views)]
+    outcomes.sort(key=lambda pair: pair[0])
+    for _, outcome in outcomes:
+        if isinstance(outcome, Exception):
+            raise outcome
+    return [outcome for _, outcome in outcomes]
 
 
 def _new_run(features, labels, index: int, run: tuple, cfg: ExperimentConfig, variant: str,
-             hidden: int, with_coupling: bool) -> _Run:
+             hidden: int) -> _Run:
     fold, seed, train_idx, val_idx, refine = run
     n_train = train_idx.shape[0]
     if n_train < 1 or val_idx.shape[0] < 1:
@@ -199,7 +215,7 @@ def _new_run(features, labels, index: int, run: tuple, cfg: ExperimentConfig, va
     ss = np.random.SeedSequence(seed)
     rng_init, rng_dropout, rng_shuffle = (np.random.default_rng(c) for c in ss.spawn(3))
     predictor = init_params(variant, features.shape[1], labels.shape[1], rng_init, hidden=hidden)
-    coupling = new_coupling(labels.shape[1], alpha=cfg.alpha) if with_coupling else None
+    coupling = new_coupling(labels.shape[1], alpha=cfg.alpha) if refine else None
     steps_per_epoch = math.ceil(n_train / cfg.batch_size)
     total_steps = steps_per_epoch * cfg.epochs
     if total_steps < 2:
@@ -211,14 +227,15 @@ def _new_run(features, labels, index: int, run: tuple, cfg: ExperimentConfig, va
     pos_weight = (compute_pos_weights(labels[train_idx])
                   if cfg.loss_kind == "WeightedBCE" else None)
     state = init_train_state(predictor, coupling, schedule, cfg, rng_dropout,
-                             pos_weight=pos_weight, refine=refine)
+                             pos_weight=pos_weight)
     return _Run(index, fold, train_idx, val_idx, rng_shuffle, state)
 
 
 def _train_forked(features, labels, shards: list[list[_Run]], cfg: ExperimentConfig,
-                  views) -> list[FoldResult]:
-    """Train each shard in its own forked worker. The workers share the
-    parent's arrays copy-on-write; the first failure in run order is raised."""
+                  views) -> list[tuple]:
+    """Train each shard in its own forked worker and gather the shards'
+    (run index, result or error) pairs. The workers share the parent's
+    arrays copy-on-write."""
     ctx = multiprocessing.get_context("fork")
     workers, outcomes = [], []
     try:
@@ -234,12 +251,12 @@ def _train_forked(features, labels, shards: list[list[_Run]], cfg: ExperimentCon
             try:
                 while len(received) < len(shard):
                     received.append(receiver.recv())
-                    if isinstance(received[-1], Exception):
+                    if isinstance(received[-1][1], Exception):
                         break
             except EOFError:
                 proc.join()
-                received.append(HarnessError(
-                    f"training worker exited with code {proc.exitcode} without its results"))
+                received.append((shard[0].index, HarnessError(
+                    f"training worker exited with code {proc.exitcode} without its results")))
             outcomes.append(received)
     finally:
         for proc, receiver in workers:
@@ -247,12 +264,7 @@ def _train_forked(features, labels, shards: list[list[_Run]], cfg: ExperimentCon
             if len(outcomes) < len(workers):   # interrupted: no one reads its results
                 proc.terminate()
             proc.join()
-    results = []
-    for received in outcomes:
-        if isinstance(received[-1], Exception):
-            raise received[-1]
-        results += received
-    return results
+    return [pair for received in outcomes for pair in received]
 
 
 def _shard_worker(sender, features, labels, shard: list[_Run], cfg: ExperimentConfig,
@@ -260,7 +272,7 @@ def _shard_worker(sender, features, labels, shard: list[_Run], cfg: ExperimentCo
     try:
         outcomes = _train_lockstep(features, labels, shard, cfg, views)
     except Exception as exc:
-        outcomes = [exc]
+        outcomes = [(shard[0].index, exc)]
     # one message per model: the parent never holds a whole shard's bytes
     for outcome in outcomes:
         sender.send(outcome)
@@ -268,10 +280,11 @@ def _shard_worker(sender, features, labels, shard: list[_Run], cfg: ExperimentCo
 
 
 def _train_lockstep(features, labels, runs: list[_Run], cfg: ExperimentConfig,
-                    views) -> list[FoldResult]:
-    """Train the runs' models together and return their results in run
-    order. One `train_step` per batch position advances every model that
-    has a full batch there; ragged tails step alone."""
+                    views) -> list[tuple]:
+    """Train the runs' models together and return (run index, result)
+    pairs in run order, or the first failing run's (run index, error).
+    One `train_step` per batch position advances every model that has a
+    full batch there; ragged tails step alone."""
     bs = cfg.batch_size
     # Buffer rows go in falling order of full batches per epoch, so the
     # models with a full batch at a position are always a leading slice.
@@ -309,7 +322,7 @@ def _train_lockstep(features, labels, runs: list[_Run], cfg: ExperimentConfig,
             try:
                 report = metrics.macro_auc(val_probs, labels[run.val_idx])
             except metrics.UndefinedAucError as exc:
-                raise HarnessError(f"fold {run.fold}: {exc}") from None
+                return [(run.index, HarnessError(f"fold {run.fold}: {exc}"))]
             if run.best is None or report.macro_auc > run.best.best_val_macro_auc:
                 run.best = FoldResult(
                     fold=run.fold, best_epoch=epoch, best_val_macro_auc=report.macro_auc,
@@ -332,7 +345,7 @@ def _train_lockstep(features, labels, runs: list[_Run], cfg: ExperimentConfig,
         if stopped:
             runs = [runs[i] for i in keep]
             state = stack_states([state.select(slice(i, i + 1)) for i in keep])
-    return [fr for _, fr in sorted(results, key=lambda pair: pair[0])]
+    return sorted(results, key=lambda pair: pair[0])
 
 
 # ---------------------------------------------------------------------------

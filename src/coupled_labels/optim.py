@@ -207,17 +207,11 @@ class TrainState:
     """Everything the training of M models mutates, one buffer row or list
     entry per model: the live trainables (`predictor` and `coupling` are
     views into `params`), Adam moments, EMA shadow, schedule and dropout
-    stream, the schedule clock `step`, the skip count and the step log.
-
-    `refine` says whether the coupling refines each model's logits. A model
-    that does not refine keeps its `A` at exactly zero and trains bit for
-    bit as it would with no coupling at all, so it can share the buffers
-    of models that do."""
+    stream, the schedule clock `step`, the skip count and the step log."""
 
     params: ParamBuffer
     predictor: PredictorParams
     coupling: CouplingMatrix | None
-    refine: np.ndarray                  # (M,) bool
     opt: OptimState
     ema: EmaState
     schedules: list[Schedule]
@@ -235,17 +229,14 @@ class TrainState:
         return _assemble(self, *(None if f is None else f[rows] for f in _model_fields(self)))
 
     def ema_snapshot(self, row: int) -> tuple[PredictorParams, CouplingMatrix | None]:
-        """A copy of model `row`'s EMA weights as a predictor and coupling;
-        the coupling is None for a model that does not refine."""
+        """A copy of model `row`'s EMA weights as a predictor and coupling."""
         shadow = self.ema.shadow
-        predictor, coupling = _bind(shadow.like(shadow.data[row].copy()), self.predictor,
-                                    self.coupling)
-        return predictor, coupling if self.refine[row] else None
+        return _bind(shadow.like(shadow.data[row].copy()), self.predictor, self.coupling)
 
 
 def _model_fields(s: TrainState) -> tuple:
     """The per-model fields of a state, in `_assemble`'s argument order."""
-    return (s.params.data, s.refine, s.opt.t, s.opt.m.data, s.opt.v.data, s.ema.shadow.data,
+    return (s.params.data, s.opt.t, s.opt.m.data, s.opt.v.data, s.ema.shadow.data,
             s.schedules, s.rngs_dropout, s.pos_weight, s.step, s.skips, s.logs)
 
 
@@ -261,12 +252,12 @@ def _bind(params: ParamBuffer, predictor: PredictorParams,
     return bound, CouplingMatrix(A=params["A"], alpha=coupling.alpha)
 
 
-def _assemble(proto: TrainState, params, refine, t, m, v, shadow, schedules, rngs_dropout,
+def _assemble(proto: TrainState, params, t, m, v, shadow, schedules, rngs_dropout,
               pos_weight, step, skips, logs) -> TrainState:
     params = proto.params.like(params)
     predictor, coupling = _bind(params, proto.predictor, proto.coupling)
     return TrainState(
-        params=params, predictor=predictor, coupling=coupling, refine=refine,
+        params=params, predictor=predictor, coupling=coupling,
         opt=dataclasses.replace(proto.opt, t=t, m=params.like(m), v=params.like(v)),
         ema=dataclasses.replace(proto.ema, shadow=params.like(shadow)),
         schedules=schedules, rngs_dropout=rngs_dropout, pos_weight=pos_weight,
@@ -290,10 +281,8 @@ def stack_states(states: list[TrainState]) -> TrainState:
 def init_train_state(predictor: PredictorParams, coupling: CouplingMatrix | None,
                      schedule: Schedule, cfg: ExperimentConfig,
                      rng_dropout: np.random.Generator,
-                     pos_weight: np.ndarray | None = None, refine: bool = True) -> TrainState:
-    """A one-model state starting from copies of `predictor` and `coupling`.
-    With `refine` False the coupling stays in the buffer, at zero, without
-    refining the logits."""
+                     pos_weight: np.ndarray | None = None) -> TrainState:
+    """A one-model state starting from copies of `predictor` and `coupling`."""
     arrays = dict(predictor.trainable())
     if coupling is not None:
         arrays["A"] = coupling.A
@@ -304,7 +293,6 @@ def init_train_state(predictor: PredictorParams, coupling: CouplingMatrix | None
         params=params,
         predictor=predictor,
         coupling=coupling,
-        refine=np.array([refine and coupling is not None]),
         opt=init_optim(params, cfg.lr, cfg.weight_decay),
         ema=init_ema(params, cfg.ema_decay),
         schedules=[schedule],
@@ -338,13 +326,8 @@ def train_step(x, y, state: TrainState, cfg: ExperimentConfig):
                    for sched, t in zip(state.schedules, state.step.tolist())])
     z, pcache = predict_forward(x, state.predictor, mode="train", rng=state.rngs_dropout)
     if state.coupling is not None:
-        # a model that does not refine takes the unrefined logits, no L1
-        # term, and a zero gradient for its A
-        on = state.refine[:, None, None]
         z_ref, ccache = refine_forward(z, state.coupling)
-        z_ref = np.where(on, z_ref, z)
         l1_value, l1_grad = losses.l1_penalty(state.coupling.A, cfg.lambda_l1)
-        l1_value = np.where(state.refine, l1_value, 0.0)
     else:
         z_ref, ccache = z, None
         l1_value, l1_grad = 0.0, None
@@ -359,8 +342,7 @@ def train_step(x, y, state: TrainState, cfg: ExperimentConfig):
         with np.errstate(invalid="ignore", over="ignore"):
             if state.coupling is not None:
                 grad_z, grad_A = refine_backward(sup.grad_logits, ccache, state.coupling)
-                grad_z = np.where(on, grad_z, sup.grad_logits)
-                grad_A = np.where(on, grad_A + l1_grad, 0.0)
+                grad_A = grad_A + l1_grad
             else:
                 grad_z = sup.grad_logits
             grads, _ = predict_backward(grad_z, pcache, state.predictor)

@@ -303,15 +303,17 @@ class TestLockstepMatchesReference:
         assert [fold_result_bits(fr) for fr in results] == [
             fold_result_bits(fr) for fr in _reference(x, y, runs, cfg, "mlp1", 4)]
 
-    def test_refinement_off_row_of_mixed_stack_equals_couplings_free_build(self):
-        # gate 2 inside one stack: the same fold trained with and without
-        # refinement in one buffer; the model without it must match the
-        # training loop that never touches the coupling module
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_refinement_off_run_of_mixed_list_equals_couplings_free_build(self, workers):
+        # gate 2 inside one engine call: the same fold trained with and
+        # without refinement; the model without it must match the training
+        # loop that never touches the coupling module
         ds = toy_dataset(n=72, seed=4)
         cfg = fast_cfg(batch_size=24, epochs=2)
         rows = np.arange(72)
         runs = [(0, 11, rows[:48], rows[48:], True), (0, 11, rows[:48], rows[48:], False)]
-        refined, plain = _with_workers(1, lambda: train_folds(ds.features, ds.labels, runs, cfg))
+        refined, plain = _with_workers(workers,
+                                       lambda: train_folds(ds.features, ds.labels, runs, cfg))
         best_auc, best_epoch, best_params = couplings_free_fold(
             ds.features[:48], ds.labels[:48], ds.features[48:], ds.labels[48:], cfg, 11)
         assert refined.checkpoint_coupling is not None and plain.checkpoint_coupling is None
@@ -339,8 +341,22 @@ def _time_limit(seconds):
 @pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
                     reason="the engine shards only where it can fork")
 class TestShardedEngine:
-    """The forked shards: same results and errors as one process, no hang
-    on a lost worker, nothing left running."""
+    """The forked shards: planned even and of one refinement flag, same
+    results and errors as one process, no hang on a lost worker, nothing
+    left running."""
+
+    @pytest.mark.parametrize("cpus, refine, plan", [
+        (1, [True] * 3, ([[0, 1, 2]], False)),
+        (2, [True] * 3, ([[0, 1, 2]], False)),          # 3 runs do not split in 2
+        (3, [True] * 3, ([[0], [1], [2]], True)),
+        (2, [True] * 3 + [False] * 3, ([[0, 1, 2], [3, 4, 5]], True)),
+        (4, [True] * 3 + [False] * 3, ([[0, 1, 2], [3, 4, 5]], True)),
+        (1, [True, False, True, False], ([[0, 2], [1, 3]], False)),
+        (2, [False, True, True, False], ([[1, 2], [0, 3]], True)),
+        (2, [True, True, False], ([[0, 1], [2]], False)),
+    ])
+    def test_shard_plan(self, cpus, refine, plan):
+        assert _with_workers(cpus, lambda: harness._plan_shards(refine)) == plan
 
     def _problem(self, n_runs=4):
         ds = toy_dataset(n=80, seed=5)
@@ -358,14 +374,14 @@ class TestShardedEngine:
         assert [r["fold"] for r in outcomes[0]] == [0, 1, 2, 3]
 
     def test_single_class_fold_named_as_in_process(self):
-        # runs 1 and 3 (folds 5 and 3) validate on one class only: each
-        # shard fails, and the engine reports the first failing run, as one
-        # process does
+        # runs 1 and 2 (folds 5 and 7) validate on one class only: each
+        # shard fails, one at run 2 and one at run 1, and the engine reports
+        # the first failing run, as training them one by one does
         ds, runs = self._problem()
         labels = ds.labels.copy()
         runs = [(fold, seed, tr, va, refine)
                 for fold, (_, seed, tr, va, refine) in zip((9, 5, 7, 3), runs)]
-        for k in (1, 3):
+        for k in (1, 2):
             labels[runs[k][3]] = 0.0
         texts = []
         for workers in (1, 2):

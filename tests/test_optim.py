@@ -17,7 +17,6 @@ from coupled_labels.optim import (
     init_optim,
     init_train_state,
     lr_at,
-    stack_states,
     train_step,
 )
 from coupled_labels.predictor import init_params
@@ -243,21 +242,3 @@ class TestRefinementOffPath:
         state = build_state(cfg, refinement=False)
         assert "A" not in state.trainables()
         assert "A" not in state.ema.shadow
-
-    def test_non_refining_model_keeps_A_zero_in_a_mixed_stack(self):
-        cfg = config_from_dict({"lr": 0.05, "lambda_l1": 0.01})
-        rng = np.random.default_rng(7)
-        states = [init_train_state(init_params("linear", 6, 3, rng), new_coupling(3),
-                                   Schedule(5, 100), cfg, np.random.default_rng(8),
-                                   refine=refine)
-                  for refine in (True, False)]
-        state = stack_states(states)
-        x = rng.normal(size=(2, 8, 6))
-        y = (rng.random((2, 8, 3)) < 0.5).astype(float)
-        for _ in range(5):
-            assert not any(e.skipped for e in train_step(x, y, state, cfg))
-        assert np.any(state.coupling.A[0] != 0.0)
-        for buf in (state.params, state.opt.m, state.opt.v, state.ema.shadow):
-            assert not buf["A"][1].view(np.uint64).any()   # +0.0 in every entry
-        assert state.ema_snapshot(0)[1] is not None
-        assert state.ema_snapshot(1)[1] is None

@@ -16,7 +16,6 @@ Logits (M, B, L) with a stacked (M, L, L) matrix refine M models at once.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.special import expit
@@ -28,46 +27,31 @@ class CouplingShapeError(CoupledLabelsError):
     """Logits and coupling matrix disagree on the number of labels."""
 
 
-@dataclass
-class CouplingMatrix:
-    A: np.ndarray          # (L, L) or (M, L, L), zero diagonal
-    alpha: float = 0.3
-
-    def __post_init__(self):
-        self.A = np.asarray(self.A, dtype=np.float64)
-        if self.A.ndim not in (2, 3) or self.A.shape[-1] != self.A.shape[-2]:
-            raise CouplingShapeError(f"coupling matrix must be square, got {self.A.shape}")
-
-    @property
-    def n_labels(self) -> int:
-        return self.A.shape[-1]
-
-    def copy(self) -> "CouplingMatrix":
-        return CouplingMatrix(A=self.A.copy(), alpha=self.alpha)
-
-
-def new_coupling(n_labels: int, alpha: float = 0.3) -> CouplingMatrix:
+def new_coupling(n_labels: int) -> np.ndarray:
     """Zero-initialized coupling: the model starts fully independent."""
     if n_labels < 2:
         raise CouplingShapeError(f"need at least two labels, got {n_labels}")
-    return CouplingMatrix(A=np.zeros((n_labels, n_labels)), alpha=alpha)
+    return np.zeros((n_labels, n_labels))
 
 
-def refine_forward(z, cm: CouplingMatrix) -> tuple[np.ndarray, dict]:
+def refine_forward(z, A: np.ndarray, alpha: float) -> tuple[np.ndarray, dict]:
     """z' = z + alpha * (sigmoid(z) @ A). Returns (z', cache for backward)."""
     z = np.asarray(z, dtype=np.float64)
-    if z.ndim not in (2, 3) or z.shape[-1] != cm.n_labels:
+    if A.ndim not in (2, 3) or A.shape[-1] != A.shape[-2]:
+        raise CouplingShapeError(f"coupling matrix must be square, got {A.shape}")
+    if z.ndim not in (2, 3) or z.shape[-1] != A.shape[-1]:
         raise CouplingShapeError(
             f"logits with {z.shape[-1] if z.ndim else 0} columns do not match "
-            f"{cm.n_labels}-label coupling matrix"
+            f"{A.shape[-1]}-label coupling matrix"
         )
     with np.errstate(invalid="ignore", over="ignore"):
         p = expit(z)
-        z_prime = z + cm.alpha * (p @ cm.A)
+        z_prime = z + alpha * (p @ A)
     return z_prime, {"p": p, "z": z}
 
 
-def refine_backward(grad_zprime, cache: dict, cm: CouplingMatrix) -> tuple[np.ndarray, np.ndarray]:
+def refine_backward(grad_zprime, cache: dict, A: np.ndarray,
+                    alpha: float) -> tuple[np.ndarray, np.ndarray]:
     """Exact chain rule through the refinement step.
 
     grad_z = g + alpha * (g @ A^T) * sigmoid'(z)
@@ -78,8 +62,8 @@ def refine_backward(grad_zprime, cache: dict, cm: CouplingMatrix) -> tuple[np.nd
     if g.shape != p.shape:
         raise CouplingShapeError(f"upstream gradient {g.shape} does not match cache {p.shape}")
     sig_prime = p * (1.0 - p)
-    grad_z = g + cm.alpha * (g @ cm.A.swapaxes(-1, -2)) * sig_prime
-    grad_A = cm.alpha * (p.swapaxes(-1, -2) @ g)
+    grad_z = g + alpha * (g @ A.swapaxes(-1, -2)) * sig_prime
+    grad_A = alpha * (p.swapaxes(-1, -2) @ g)
     zero_diag(grad_A)
     return grad_z, grad_A
 
@@ -91,9 +75,9 @@ def zero_diag(A: np.ndarray) -> np.ndarray:
     return A
 
 
-def save_coupling_csv(cm_or_matrix, label_names: list[str], path) -> None:
+def save_coupling_csv(A, label_names: list[str], path) -> None:
     """L x L CSV with a label-name header row/column; diagonal written as 0."""
-    A = cm_or_matrix.A if isinstance(cm_or_matrix, CouplingMatrix) else np.asarray(cm_or_matrix)
+    A = np.asarray(A)
     if A.shape != (len(label_names), len(label_names)):
         raise CouplingShapeError(
             f"matrix shape {A.shape} does not match {len(label_names)} label names"
@@ -106,16 +90,3 @@ def save_coupling_csv(cm_or_matrix, label_names: list[str], path) -> None:
         for i, name in enumerate(label_names):
             writer.writerow([name] + [repr(float(v)) for v in out[i]])
 
-
-def load_coupling_csv(path) -> tuple[np.ndarray, list[str]]:
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        names = header[1:]
-        rows = []
-        for row in reader:
-            rows.append([float(v) for v in row[1:]])
-    A = np.array(rows, dtype=np.float64)
-    if A.shape != (len(names), len(names)):
-        raise CouplingShapeError(f"{path}: ragged coupling CSV")
-    return A, names

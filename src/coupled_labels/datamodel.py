@@ -14,6 +14,7 @@ import hashlib
 import io
 import itertools
 import json
+import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -114,14 +115,12 @@ class Dataset:
         return self.labels.shape[1]
 
 
-def load_dataset(path, format: str = "csv") -> Dataset:
+def load_dataset(path) -> Dataset:
     """Load a Dataset from a CSV file.
 
     The header must name the D feature columns, then the L label columns
     prefixed with ``label:``. Label cells are parsed strictly as ``0``/``1``.
     """
-    if format != "csv":
-        raise DataFormatError(f"unsupported dataset format: {format!r}")
     path = Path(path)
     if not path.exists():
         raise DataFormatError(f"dataset file not found: {path}")
@@ -346,44 +345,53 @@ def save_config(cfg: ExperimentConfig, path) -> None:
         fh.write("\n")
 
 
+def _number(value, kind=(int, float)) -> bool:
+    """Whether `value` is a finite number of `kind`. JSON true/false load as
+    bool, which Python counts as int; they are flags, not numbers."""
+    return (isinstance(value, kind) and not isinstance(value, bool)
+            and abs(value) <= sys.float_info.max)
+
+
 def validate_config(cfg: ExperimentConfig) -> ExperimentConfig:
     """Return cfg unchanged if every invariant holds; otherwise raise a
     ConfigError naming each violated field."""
     problems = []
-    if not isinstance(cfg.K, int) or cfg.K < 2:
-        problems.append(f"K: must be an integer >= 2, got {cfg.K}")
-    if cfg.alpha < 0:
-        problems.append(f"alpha: must be >= 0, got {cfg.alpha}")
-    if cfg.lambda_l1 < 0:
-        problems.append(f"lambda_l1: must be >= 0, got {cfg.lambda_l1}")
+    if not _number(cfg.K, int) or cfg.K < 2:
+        problems.append(f"K: must be an integer >= 2, got {cfg.K!r}")
+    if not _number(cfg.alpha) or cfg.alpha < 0:
+        problems.append(f"alpha: must be a finite number >= 0, got {cfg.alpha!r}")
+    if not _number(cfg.lambda_l1) or cfg.lambda_l1 < 0:
+        problems.append(f"lambda_l1: must be a finite number >= 0, got {cfg.lambda_l1!r}")
     if cfg.loss_kind not in LOSS_KINDS:
         problems.append(f"loss_kind: must be one of {LOSS_KINDS}, got {cfg.loss_kind!r}")
-    if cfg.asl.gamma_pos < 0:
-        problems.append(f"asl.gamma_pos: must be >= 0, got {cfg.asl.gamma_pos}")
-    if cfg.asl.gamma_neg < 0:
-        problems.append(f"asl.gamma_neg: must be >= 0, got {cfg.asl.gamma_neg}")
-    if not 0.0 <= cfg.asl.clip < 1.0:
-        problems.append(f"asl.clip: must lie in [0, 1), got {cfg.asl.clip}")
-    if cfg.lr <= 0:
-        problems.append(f"lr: must be > 0, got {cfg.lr}")
-    if cfg.weight_decay < 0:
-        problems.append(f"weight_decay: must be >= 0, got {cfg.weight_decay}")
-    if not isinstance(cfg.batch_size, int) or cfg.batch_size < 1:
-        problems.append(f"batch_size: must be a positive integer, got {cfg.batch_size}")
-    if not isinstance(cfg.eval_batch_multiplier, int) or cfg.eval_batch_multiplier < 1:
+    if not _number(cfg.asl.gamma_pos) or cfg.asl.gamma_pos < 0:
+        problems.append(f"asl.gamma_pos: must be a finite number >= 0, got {cfg.asl.gamma_pos!r}")
+    if not _number(cfg.asl.gamma_neg) or cfg.asl.gamma_neg < 0:
+        problems.append(f"asl.gamma_neg: must be a finite number >= 0, got {cfg.asl.gamma_neg!r}")
+    if not _number(cfg.asl.clip) or not 0.0 <= cfg.asl.clip < 1.0:
+        problems.append(f"asl.clip: must be a number in [0, 1), got {cfg.asl.clip!r}")
+    if not _number(cfg.lr) or cfg.lr <= 0:
+        problems.append(f"lr: must be a finite number > 0, got {cfg.lr!r}")
+    if not _number(cfg.weight_decay) or cfg.weight_decay < 0:
+        problems.append(f"weight_decay: must be a finite number >= 0, got {cfg.weight_decay!r}")
+    if not _number(cfg.batch_size, int) or cfg.batch_size < 1:
+        problems.append(f"batch_size: must be a positive integer, got {cfg.batch_size!r}")
+    if not _number(cfg.eval_batch_multiplier, int) or cfg.eval_batch_multiplier < 1:
         problems.append(
-            f"eval_batch_multiplier: must be a positive integer, got {cfg.eval_batch_multiplier}"
+            f"eval_batch_multiplier: must be a positive integer, got {cfg.eval_batch_multiplier!r}"
         )
-    if not isinstance(cfg.epochs, int) or cfg.epochs < 1:
-        problems.append(f"epochs: must be a positive integer, got {cfg.epochs}")
-    if not isinstance(cfg.patience, int) or cfg.patience < 1:
-        problems.append(f"patience: must be a positive integer, got {cfg.patience}")
-    if not 0.0 < cfg.ema_decay < 1.0:
-        problems.append(f"ema_decay: must lie in (0, 1), got {cfg.ema_decay}")
-    if cfg.grad_clip_norm <= 0:
-        problems.append(f"grad_clip_norm: must be > 0, got {cfg.grad_clip_norm}")
-    if not isinstance(cfg.seed, int):
+    if not _number(cfg.epochs, int) or cfg.epochs < 1:
+        problems.append(f"epochs: must be a positive integer, got {cfg.epochs!r}")
+    if not _number(cfg.patience, int) or cfg.patience < 1:
+        problems.append(f"patience: must be a positive integer, got {cfg.patience!r}")
+    if not _number(cfg.ema_decay) or not 0.0 < cfg.ema_decay < 1.0:
+        problems.append(f"ema_decay: must be a number in (0, 1), got {cfg.ema_decay!r}")
+    if not _number(cfg.grad_clip_norm) or cfg.grad_clip_norm <= 0:
+        problems.append(f"grad_clip_norm: must be a finite number > 0, got {cfg.grad_clip_norm!r}")
+    if not _number(cfg.seed, int):
         problems.append(f"seed: must be an integer, got {cfg.seed!r}")
+    if not isinstance(cfg.refinement_enabled, bool):
+        problems.append(f"refinement_enabled: must be a boolean, got {cfg.refinement_enabled!r}")
     if problems:
         raise ConfigError("invalid config: " + "; ".join(problems))
     return cfg

@@ -28,7 +28,7 @@ import numpy as np
 from scipy.special import expit
 
 from . import metrics
-from .coupling import CouplingMatrix, new_coupling, refine_forward, save_coupling_csv
+from .coupling import new_coupling, refine_forward, save_coupling_csv
 from .datamodel import (
     CoupledLabelsError,
     Dataset,
@@ -54,6 +54,12 @@ class HarnessError(CoupledLabelsError):
     pass
 
 
+# Equal-width probability bins per label in a report's histograms.
+HISTOGRAM_BINS = 20
+# |A| at or below this counts as a near-zero coupling in the ablation summary.
+NEAR_ZERO = 0.05
+
+
 # ---------------------------------------------------------------------------
 # prediction views (TTA hook)
 #
@@ -66,9 +72,10 @@ def identity_view(x):
     return x
 
 
-def predict_probs(params: PredictorParams, coupling: CouplingMatrix | None, x,
+def predict_probs(params: PredictorParams, A: np.ndarray | None, alpha: float, x,
                   batch_size: int | None = None) -> np.ndarray:
-    """Eval-mode probabilities (post-refinement sigmoid), chunked."""
+    """Eval-mode probabilities (post-refinement sigmoid), chunked; without
+    a coupling matrix `A` the logits are not refined."""
     x = np.asarray(x, dtype=np.float64)
     n = x.shape[0]
     step = n if batch_size is None else max(1, batch_size)
@@ -76,13 +83,13 @@ def predict_probs(params: PredictorParams, coupling: CouplingMatrix | None, x,
     for lo in range(0, n, step):
         chunk = x[lo:lo + step]
         z, _ = predict_forward(chunk, params, mode="eval")
-        if coupling is not None:
-            z, _ = refine_forward(z, coupling)
+        if A is not None:
+            z, _ = refine_forward(z, A, alpha)
         out[lo:lo + step] = expit(z)
     return out
 
 
-def predict_with_views(params: PredictorParams, coupling: CouplingMatrix | None, x,
+def predict_with_views(params: PredictorParams, A: np.ndarray | None, alpha: float, x,
                        views=(identity_view,), batch_size: int | None = None) -> np.ndarray:
     """Average of predictions over the input views, identity first."""
     views = tuple(views)
@@ -95,7 +102,7 @@ def predict_with_views(params: PredictorParams, coupling: CouplingMatrix | None,
     x = np.asarray(x, dtype=np.float64)
     acc = None
     for view in views:
-        probs = predict_probs(params, coupling, view(x), batch_size=batch_size)
+        probs = predict_probs(params, A, alpha, view(x), batch_size=batch_size)
         acc = probs if acc is None else acc + probs
     return acc / len(views)
 
@@ -113,7 +120,7 @@ class FoldResult:
     epochs_run: int
     skipped_steps: int
     checkpoint_params: PredictorParams       # EMA weights at the best epoch
-    checkpoint_coupling: CouplingMatrix | None
+    checkpoint_coupling: np.ndarray | None   # EMA coupling matrix, None without refinement
     val_auc: metrics.AucReport
     train_log: list[StepLog]
 
@@ -215,7 +222,7 @@ def _new_run(features, labels, index: int, run: tuple, cfg: ExperimentConfig, va
     ss = np.random.SeedSequence(seed)
     rng_init, rng_dropout, rng_shuffle = (np.random.default_rng(c) for c in ss.spawn(3))
     predictor = init_params(variant, features.shape[1], labels.shape[1], rng_init, hidden=hidden)
-    coupling = new_coupling(labels.shape[1], alpha=cfg.alpha) if refine else None
+    A = new_coupling(labels.shape[1]) if refine else None
     steps_per_epoch = math.ceil(n_train / cfg.batch_size)
     total_steps = steps_per_epoch * cfg.epochs
     if total_steps < 2:
@@ -226,7 +233,7 @@ def _new_run(features, labels, index: int, run: tuple, cfg: ExperimentConfig, va
     )
     pos_weight = (compute_pos_weights(labels[train_idx])
                   if cfg.loss_kind == "WeightedBCE" else None)
-    state = init_train_state(predictor, coupling, schedule, cfg, rng_dropout,
+    state = init_train_state(predictor, A, schedule, cfg, rng_dropout,
                              pos_weight=pos_weight)
     return _Run(index, fold, train_idx, val_idx, rng_shuffle, state)
 
@@ -316,8 +323,8 @@ def _train_lockstep(features, labels, runs: list[_Run], cfg: ExperimentConfig,
         stopped = []
         for i in sorted(range(len(runs)), key=lambda i: runs[i].index):
             run = runs[i]
-            params, coupling = state.ema_snapshot(i)
-            val_probs = predict_with_views(params, coupling, features[run.val_idx],
+            params, A = state.ema_snapshot(i)
+            val_probs = predict_with_views(params, A, cfg.alpha, features[run.val_idx],
                                            views=views, batch_size=eval_batch)
             try:
                 report = metrics.macro_auc(val_probs, labels[run.val_idx])
@@ -327,7 +334,7 @@ def _train_lockstep(features, labels, runs: list[_Run], cfg: ExperimentConfig,
                 run.best = FoldResult(
                     fold=run.fold, best_epoch=epoch, best_val_macro_auc=report.macro_auc,
                     epochs_run=0, skipped_steps=0, checkpoint_params=params,
-                    checkpoint_coupling=coupling, val_auc=report, train_log=state.logs[i],
+                    checkpoint_coupling=A, val_auc=report, train_log=state.logs[i],
                 )
                 run.epochs_without_improvement = 0
             else:
@@ -368,7 +375,6 @@ class RunReport:
     per_label_std: np.ndarray
     correlation: np.ndarray
     histograms: np.ndarray
-    histogram_bins: int
 
     def to_json_dict(self) -> dict:
         return _jsonify({
@@ -396,7 +402,7 @@ class RunReport:
                 "per_label_fold_std": self.per_label_std.tolist(),
                 "pearson_correlation": self.correlation.tolist(),
                 "probability_histograms": {
-                    "bins": self.histogram_bins,
+                    "bins": HISTOGRAM_BINS,
                     "counts": self.histograms.tolist(),
                 },
             },
@@ -416,15 +422,14 @@ def _jsonify(obj):
 
 def run_experiment(dataset: Dataset, cfg: ExperimentConfig,
                    test_dataset: Dataset | None = None, variant: str = "linear",
-                   hidden: int = 32, views=(identity_view,),
-                   histogram_bins: int = 20) -> RunReport:
+                   hidden: int = 32, views=(identity_view,)) -> RunReport:
     """Stratified K-fold training plus fold-ensemble evaluation."""
     cfg, assign = _split(dataset, cfg, test_dataset)
     fold_results = train_folds(dataset.features, dataset.labels,
                                fold_runs(assign, cfg.seed, cfg.refinement_enabled), cfg,
                                variant=variant, hidden=hidden, views=views)
     return experiment_report(dataset, cfg, assign, fold_results, test_dataset=test_dataset,
-                             views=views, histogram_bins=histogram_bins)
+                             views=views)
 
 
 def _split(dataset: Dataset, cfg: ExperimentConfig,
@@ -437,7 +442,7 @@ def _split(dataset: Dataset, cfg: ExperimentConfig,
 
 def experiment_report(dataset: Dataset, cfg: ExperimentConfig, assign: FoldAssignment,
                       fold_results: list[FoldResult], test_dataset: Dataset | None = None,
-                      views=(identity_view,), histogram_bins: int = 20) -> RunReport:
+                      views=(identity_view,)) -> RunReport:
     """The report of one experiment from its K trained fold models.
 
     With a test dataset, fold models are ensembled (arithmetic mean) on it.
@@ -452,7 +457,7 @@ def experiment_report(dataset: Dataset, cfg: ExperimentConfig, assign: FoldAssig
     else:
         eval_x, eval_labels = dataset.features, dataset.labels
     fold_eval_probs = [
-        predict_with_views(fr.checkpoint_params, fr.checkpoint_coupling, eval_x,
+        predict_with_views(fr.checkpoint_params, fr.checkpoint_coupling, cfg.alpha, eval_x,
                            views=views, batch_size=eval_batch)
         for fr in fold_results
     ]
@@ -472,7 +477,7 @@ def experiment_report(dataset: Dataset, cfg: ExperimentConfig, assign: FoldAssig
     coupling_mean = None
     if cfg.refinement_enabled:
         coupling_mean = np.mean(
-            np.stack([fr.checkpoint_coupling.A for fr in fold_results], axis=0), axis=0
+            np.stack([fr.checkpoint_coupling for fr in fold_results], axis=0), axis=0
         )
 
     return RunReport(
@@ -488,8 +493,7 @@ def experiment_report(dataset: Dataset, cfg: ExperimentConfig, assign: FoldAssig
         agreement=metrics.fold_agreement(fold_eval_probs),
         per_label_std=metrics.per_label_fold_std(fold_eval_probs),
         correlation=metrics.pearson_label_correlation(headline_probs),
-        histograms=metrics.probability_histograms(headline_probs, bins=histogram_bins),
-        histogram_bins=histogram_bins,
+        histograms=metrics.probability_histograms(headline_probs, bins=HISTOGRAM_BINS),
     )
 
 
@@ -514,9 +518,9 @@ def write_run_report(report: RunReport, outdir) -> Path:
         save_checkpoint(
             outdir / "checkpoints" / f"fold{fr.fold}.json",
             fr.checkpoint_params,
-            None if fr.checkpoint_coupling is None else fr.checkpoint_coupling.A,
+            fr.checkpoint_coupling,
             cfg_hash,
-            alpha=None if fr.checkpoint_coupling is None else fr.checkpoint_coupling.alpha,
+            alpha=None if fr.checkpoint_coupling is None else report.config.alpha,
         )
     if report.coupling_mean is not None:
         save_coupling_csv(report.coupling_mean, report.label_names,
@@ -542,14 +546,14 @@ class AblationResult:
     refined: RunReport
     baseline: RunReport
 
-    def comparison(self, near_zero: float = 0.05) -> dict:
+    def comparison(self) -> dict:
         A = self.refined.coupling_mean
         off = A[~np.eye(A.shape[0], dtype=bool)]
         summary = {
-            "n_positive": int((off > near_zero).sum()),
-            "n_negative": int((off < -near_zero).sum()),
-            "n_near_zero": int((np.abs(off) <= near_zero).sum()),
-            "near_zero_threshold": near_zero,
+            "n_positive": int((off > NEAR_ZERO).sum()),
+            "n_negative": int((off < -NEAR_ZERO).sum()),
+            "n_near_zero": int((np.abs(off) <= NEAR_ZERO).sum()),
+            "near_zero_threshold": NEAR_ZERO,
         }
         return _jsonify({
             "macro_auc_refined": self.refined.ensemble_auc.macro_auc,

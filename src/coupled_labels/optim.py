@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import losses
-from .coupling import CouplingMatrix, refine_backward, refine_forward, zero_diag
+from .coupling import refine_backward, refine_forward, zero_diag
 from .datamodel import CoupledLabelsError, ExperimentConfig
 from .predictor import PredictorParams, predict_backward, predict_forward
 
@@ -205,13 +205,14 @@ class StepLog:
 @dataclass
 class TrainState:
     """Everything the training of M models mutates, one buffer row or list
-    entry per model: the live trainables (`predictor` and `coupling` are
-    views into `params`), Adam moments, EMA shadow, schedule and dropout
-    stream, the schedule clock `step`, the skip count and the step log."""
+    entry per model: the live trainables (`predictor` and the coupling
+    matrix `A`, None without refinement, are views into `params`), Adam
+    moments, EMA shadow, schedule and dropout stream, the schedule clock
+    `step`, the skip count and the step log."""
 
     params: ParamBuffer
     predictor: PredictorParams
-    coupling: CouplingMatrix | None
+    A: np.ndarray | None
     opt: OptimState
     ema: EmaState
     schedules: list[Schedule]
@@ -221,17 +222,15 @@ class TrainState:
     skips: np.ndarray                   # (M,)
     logs: list[list[StepLog]]
 
-    def trainables(self) -> ParamBuffer:
-        return self.params
-
     def select(self, rows: slice) -> "TrainState":
         """The models at `rows`, sharing this state's buffers, clocks and logs."""
         return _assemble(self, *(None if f is None else f[rows] for f in _model_fields(self)))
 
-    def ema_snapshot(self, row: int) -> tuple[PredictorParams, CouplingMatrix | None]:
+    def ema_snapshot(self, row: int) -> tuple[PredictorParams, np.ndarray | None]:
         """A copy of model `row`'s EMA weights as a predictor and coupling."""
         shadow = self.ema.shadow
-        return _bind(shadow.like(shadow.data[row].copy()), self.predictor, self.coupling)
+        snapshot = shadow.like(shadow.data[row].copy())
+        return _bind(snapshot, self.predictor), snapshot.get("A")
 
 
 def _model_fields(s: TrainState) -> tuple:
@@ -240,24 +239,19 @@ def _model_fields(s: TrainState) -> tuple:
             s.schedules, s.rngs_dropout, s.pos_weight, s.step, s.skips, s.logs)
 
 
-def _bind(params: ParamBuffer, predictor: PredictorParams,
-          coupling: CouplingMatrix | None) -> tuple[PredictorParams, CouplingMatrix | None]:
-    """A predictor and coupling like the given ones, viewing `params`."""
-    bound = PredictorParams(
+def _bind(params: ParamBuffer, predictor: PredictorParams) -> PredictorParams:
+    """A predictor like the given one, viewing `params`."""
+    return PredictorParams(
         variant=predictor.variant, W2=params["W2"], b2=params["b2"],
         W1=params.get("W1"), b1=params.get("b1"), dropout_p=predictor.dropout_p,
     )
-    if coupling is None:
-        return bound, None
-    return bound, CouplingMatrix(A=params["A"], alpha=coupling.alpha)
 
 
 def _assemble(proto: TrainState, params, t, m, v, shadow, schedules, rngs_dropout,
               pos_weight, step, skips, logs) -> TrainState:
     params = proto.params.like(params)
-    predictor, coupling = _bind(params, proto.predictor, proto.coupling)
     return TrainState(
-        params=params, predictor=predictor, coupling=coupling,
+        params=params, predictor=_bind(params, proto.predictor), A=params.get("A"),
         opt=dataclasses.replace(proto.opt, t=t, m=params.like(m), v=params.like(v)),
         ema=dataclasses.replace(proto.ema, shadow=params.like(shadow)),
         schedules=schedules, rngs_dropout=rngs_dropout, pos_weight=pos_weight,
@@ -278,21 +272,21 @@ def stack_states(states: list[TrainState]) -> TrainState:
     return _assemble(states[0], *map(merged, zip(*map(_model_fields, states))))
 
 
-def init_train_state(predictor: PredictorParams, coupling: CouplingMatrix | None,
+def init_train_state(predictor: PredictorParams, A: np.ndarray | None,
                      schedule: Schedule, cfg: ExperimentConfig,
                      rng_dropout: np.random.Generator,
                      pos_weight: np.ndarray | None = None) -> TrainState:
-    """A one-model state starting from copies of `predictor` and `coupling`."""
+    """A one-model state starting from copies of `predictor` and the
+    coupling matrix `A` (None: no refinement)."""
     arrays = dict(predictor.trainable())
-    if coupling is not None:
-        arrays["A"] = coupling.A
+    if A is not None:
+        arrays["A"] = A
     row = ParamBuffer.of(arrays)
     params = row.like(row.data[None])
-    predictor, coupling = _bind(params, predictor, coupling)
     return TrainState(
         params=params,
-        predictor=predictor,
-        coupling=coupling,
+        predictor=_bind(params, predictor),
+        A=params.get("A"),
         opt=init_optim(params, cfg.lr, cfg.weight_decay),
         ema=init_ema(params, cfg.ema_decay),
         schedules=[schedule],
@@ -325,9 +319,9 @@ def train_step(x, y, state: TrainState, cfg: ExperimentConfig):
     lr = np.array([lr_at(sched, t, cfg.lr)
                    for sched, t in zip(state.schedules, state.step.tolist())])
     z, pcache = predict_forward(x, state.predictor, mode="train", rng=state.rngs_dropout)
-    if state.coupling is not None:
-        z_ref, ccache = refine_forward(z, state.coupling)
-        l1_value, l1_grad = losses.l1_penalty(state.coupling.A, cfg.lambda_l1)
+    if state.A is not None:
+        z_ref, ccache = refine_forward(z, state.A, cfg.alpha)
+        l1_value, l1_grad = losses.l1_penalty(state.A, cfg.lambda_l1)
     else:
         z_ref, ccache = z, None
         l1_value, l1_grad = 0.0, None
@@ -340,13 +334,13 @@ def train_step(x, y, state: TrainState, cfg: ExperimentConfig):
     if ok.any():
         # models already skipping may hold non-finite values from here on
         with np.errstate(invalid="ignore", over="ignore"):
-            if state.coupling is not None:
-                grad_z, grad_A = refine_backward(sup.grad_logits, ccache, state.coupling)
+            if state.A is not None:
+                grad_z, grad_A = refine_backward(sup.grad_logits, ccache, state.A, cfg.alpha)
                 grad_A = grad_A + l1_grad
             else:
                 grad_z = sup.grad_logits
             grads, _ = predict_backward(grad_z, pcache, state.predictor)
-            if state.coupling is not None:
+            if state.A is not None:
                 grads["A"] = grad_A
             grads = state.params.like(np.concatenate(
                 [grads[k].reshape(ok.shape + (-1,)) for k in state.params], axis=-1))
@@ -375,8 +369,8 @@ def train_step(x, y, state: TrainState, cfg: ExperimentConfig):
 
 def _update(state: TrainState, grads: ParamBuffer, lr: np.ndarray) -> None:
     adamw_step(state.params, grads, state.opt, lr)
-    if state.coupling is not None:
-        zero_diag(state.coupling.A)
+    if state.A is not None:
+        zero_diag(state.A)
     ema_update(state.ema, state.params)
 
 

@@ -70,16 +70,6 @@ class PredictorParams:
     def n_features(self) -> int:
         return self.W1.shape[-2] if self.variant == "mlp1" else self.W2.shape[-2]
 
-    def copy(self) -> "PredictorParams":
-        return PredictorParams(
-            variant=self.variant,
-            W2=self.W2.copy(),
-            b2=self.b2.copy(),
-            W1=None if self.W1 is None else self.W1.copy(),
-            b1=None if self.b1 is None else self.b1.copy(),
-            dropout_p=self.dropout_p,
-        )
-
     def trainable(self) -> dict[str, np.ndarray]:
         """Named live parameter arrays, output layer first: the order in
         which predict_backward produces their gradients."""

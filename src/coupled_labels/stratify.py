@@ -75,21 +75,6 @@ def load_folds(path) -> FoldAssignment:
     return FoldAssignment(fold_of=folds, K=int(folds.max()) + 1 if folds.size else 0)
 
 
-@dataclass(frozen=True)
-class MisStats:
-    """Bookkeeping from one mis_split run.
-
-    ``label_order`` is the sequence in which labels were exhausted;
-    ``pre_assigned`` counts, per entry of label_order, how many of that
-    label's positives had already been placed while serving earlier labels.
-    A label picked with pre_assigned == 0 is guaranteed per-fold positive
-    counts within +-1 of its real-valued quota.
-    """
-
-    label_order: list[int]
-    pre_assigned: list[int]
-
-
 def _check_split_args(labels: np.ndarray, K: int):
     n = labels.shape[0]
     if K < 2:
@@ -98,7 +83,7 @@ def _check_split_args(labels: np.ndarray, K: int):
         raise SplitError(f"cannot split {n} examples into {K} folds")
 
 
-def mis_split(labels, K: int, seed: int, with_stats: bool = False):
+def mis_split(labels, K: int, seed: int) -> FoldAssignment:
     """Multilabel iterative stratification.
 
     Repeatedly takes the label with the fewest remaining unassigned positives
@@ -128,9 +113,6 @@ def mis_split(labels, K: int, seed: int, with_stats: bool = False):
     fold_of = [-1] * n
     folds = range(K)
 
-    label_order: list[int] = []
-    pre_assigned: list[int] = []
-
     def pick(candidates: list[int]) -> int:
         if len(candidates) > 1:
             return candidates[rng.integers(len(candidates))]
@@ -141,8 +123,6 @@ def mis_split(labels, K: int, seed: int, with_stats: bool = False):
         if not active:
             break
         lab = min(active, key=remaining_pos.__getitem__)
-        label_order.append(lab)
-        pre_assigned.append(counts[lab] - remaining_pos[lab])
         quota = label_quota[lab]
         for i in np.flatnonzero(y[:, lab] == 1.0).tolist():
             if fold_of[i] >= 0:
@@ -167,10 +147,7 @@ def mis_split(labels, K: int, seed: int, with_stats: bool = False):
         fold_of[i] = f
         example_quota[f] -= 1.0
 
-    assign = FoldAssignment(fold_of=np.array(fold_of, dtype=np.int64), K=K)
-    if with_stats:
-        return assign, MisStats(label_order=label_order, pre_assigned=pre_assigned)
-    return assign
+    return FoldAssignment(fold_of=np.array(fold_of, dtype=np.int64), K=K)
 
 
 def bucketed_kfold(labels, K: int, seed: int) -> FoldAssignment:

@@ -3,10 +3,12 @@ relative-error reducer, the pair-count AUC reference, per-column
 references for roc_auc, macro_auc and the label histograms, `train_folds`
 for a single model, a training loop that never touches the coupling
 module, the identifiable planted-edge construction, row-loop references for
-the CSV data path, mis_split and bucketed_kfold, and a one-fold-at-a-time
-training reference with a per-array optimizer."""
+the CSV data path, mis_split and bucketed_kfold, a reader for the
+coupling CSV, and a one-fold-at-a-time training reference with a per-array
+optimizer."""
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import expit
@@ -313,11 +315,26 @@ def reference_save_folds(assign, path):
             writer.writerow([i, int(f)])
 
 
+@dataclass(frozen=True)
+class MisStats:
+    """Bookkeeping from one reference_mis_split run.
+
+    ``label_order`` is the sequence in which labels were exhausted;
+    ``pre_assigned`` counts, per entry of label_order, how many of that
+    label's positives had already been placed while serving earlier labels.
+    A label picked with pre_assigned == 0 is guaranteed per-fold positive
+    counts within +-1 of its real-valued quota.
+    """
+
+    label_order: list[int]
+    pre_assigned: list[int]
+
+
 def reference_mis_split(labels, K, seed):
     """mis_split with NumPy calls on K-long arrays inside the per-example
     loop; returns (FoldAssignment, MisStats)."""
     from coupled_labels.datamodel import check_label_matrix
-    from coupled_labels.stratify import FoldAssignment, MisStats, SplitError
+    from coupled_labels.stratify import FoldAssignment, SplitError
 
     y = check_label_matrix(labels)
     n, n_labels = y.shape
@@ -460,9 +477,7 @@ def reference_run_fold(train_x, train_y, val_x, val_y, cfg, seed, fold_index=0,
                        variant="linear", hidden=32):
     """run_fold for one fold on its own, with a per-array optimizer loop."""
     from coupled_labels import losses, metrics
-    from coupled_labels.coupling import (
-        CouplingMatrix, new_coupling, refine_backward, refine_forward, zero_diag,
-    )
+    from coupled_labels.coupling import new_coupling, refine_backward, refine_forward, zero_diag
     from coupled_labels.harness import FoldResult, HarnessError, predict_with_views
     from coupled_labels.optim import Schedule, StepLog, lr_at
     from coupled_labels.predictor import (
@@ -476,7 +491,7 @@ def reference_run_fold(train_x, train_y, val_x, val_y, cfg, seed, fold_index=0,
     rng_init, rng_dropout, rng_shuffle = (np.random.default_rng(c) for c in ss.spawn(3))
     predictor = init_params(variant, train_x.shape[1], train_y.shape[1], rng_init,
                             hidden=hidden)
-    coupling = new_coupling(train_y.shape[1], alpha=cfg.alpha) if cfg.refinement_enabled else None
+    A = new_coupling(train_y.shape[1]) if cfg.refinement_enabled else None
     steps_per_epoch = math.ceil(n_train / cfg.batch_size)
     total_steps = steps_per_epoch * cfg.epochs
     if total_steps < 2:
@@ -489,8 +504,8 @@ def reference_run_fold(train_x, train_y, val_x, val_y, cfg, seed, fold_index=0,
                   if cfg.loss_kind == "WeightedBCE" else None)
 
     params = predictor.trainable()
-    if coupling is not None:
-        params["A"] = coupling.A
+    if A is not None:
+        params["A"] = A
     opt = {"t": 0, "m": {k: np.zeros_like(p) for k, p in params.items()},
            "v": {k: np.zeros_like(p) for k, p in params.items()}}
     shadow = {k: p.copy() for k, p in params.items()}
@@ -500,9 +515,9 @@ def reference_run_fold(train_x, train_y, val_x, val_y, cfg, seed, fold_index=0,
         nonlocal skips, step
         lr = lr_at(schedule, step, cfg.lr)
         z, pcache = predict_forward(x, predictor, mode="train", rng=rng_dropout)
-        if coupling is not None:
-            z_ref, ccache = refine_forward(z, coupling)
-            l1_value, l1_grad = losses.l1_penalty(coupling.A, cfg.lambda_l1)
+        if A is not None:
+            z_ref, ccache = refine_forward(z, A, cfg.alpha)
+            l1_value, l1_grad = losses.l1_penalty(A, cfg.lambda_l1)
         else:
             z_ref, l1_value = z, 0.0
         if cfg.loss_kind == "ASL":
@@ -516,21 +531,21 @@ def reference_run_fold(train_x, train_y, val_x, val_y, cfg, seed, fold_index=0,
         if not sup.is_finite or not math.isfinite(total):
             skipped = True
         else:
-            if coupling is not None:
-                grad_z, grad_A = refine_backward(sup.grad_logits, ccache, coupling)
+            if A is not None:
+                grad_z, grad_A = refine_backward(sup.grad_logits, ccache, A, cfg.alpha)
                 grad_A = grad_A + l1_grad
             else:
                 grad_z = sup.grad_logits
             grads, _ = predict_backward(grad_z, pcache, predictor)
-            if coupling is not None:
+            if A is not None:
                 grads["A"] = grad_A
             grad_norm = _reference_clip(grads, cfg.grad_clip_norm)
             if not math.isfinite(grad_norm):
                 skipped = True
             else:
                 _reference_adamw(params, grads, opt, lr, cfg.weight_decay)
-                if coupling is not None:
-                    zero_diag(coupling.A)
+                if A is not None:
+                    zero_diag(A)
                 _reference_ema(shadow, params, cfg.ema_decay)
         log.append(StepLog(step=step, lr=lr, loss=total, grad_norm=grad_norm,
                            skipped=skipped))
@@ -552,16 +567,16 @@ def reference_run_fold(train_x, train_y, val_x, val_y, cfg, seed, fold_index=0,
             b1=shadow["b1"].copy() if "b1" in shadow else None,
             dropout_p=predictor.dropout_p,
         )
-        ema_coupling = (None if coupling is None
-                        else CouplingMatrix(A=shadow["A"].copy(), alpha=coupling.alpha))
-        val_probs = predict_with_views(ema_params, ema_coupling, val_x, batch_size=eval_batch)
+        ema_A = None if A is None else shadow["A"].copy()
+        val_probs = predict_with_views(ema_params, ema_A, cfg.alpha, val_x,
+                                       batch_size=eval_batch)
         try:
             report = metrics.macro_auc(val_probs, val_y)
         except metrics.UndefinedAucError as exc:
             raise HarnessError(f"fold {fold_index}: {exc}") from None
         if report.macro_auc > best_auc:
             best_auc, best_epoch = report.macro_auc, epoch
-            best = (ema_params, ema_coupling, report)
+            best = (ema_params, ema_A, report)
             bad = 0
         else:
             bad += 1
@@ -578,7 +593,7 @@ def fold_result_bits(fr):
     """Everything a FoldResult holds, with every float as its exact bits."""
     arrays = dict(fr.checkpoint_params.trainable())
     if fr.checkpoint_coupling is not None:
-        arrays["A"] = fr.checkpoint_coupling.A
+        arrays["A"] = fr.checkpoint_coupling
     return {
         "fold": fr.fold,
         "best_epoch": fr.best_epoch,
@@ -591,3 +606,18 @@ def fold_result_bits(fr):
         "train_log": [(e.step, repr(e.lr), repr(e.loss), repr(e.grad_norm), e.skipped)
                       for e in fr.train_log],
     }
+
+
+def load_coupling_csv(path):
+    """Read a coupling CSV written by save_coupling_csv: (A, label names)."""
+    import csv
+
+    from coupled_labels.coupling import CouplingShapeError
+
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        names = next(reader)[1:]
+        A = np.array([[float(v) for v in row[1:]] for row in reader], dtype=np.float64)
+    if A.shape != (len(names), len(names)):
+        raise CouplingShapeError(f"{path}: ragged coupling CSV")
+    return A, names

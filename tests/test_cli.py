@@ -138,6 +138,14 @@ class TestTrainAndReport:
                          "--out", str(tmp_path / "r")])
         assert code == 1
 
+    def test_non_boolean_flag_exit_1_names_field(self, tiny_data, tmp_path, capsys):
+        cfg = tmp_path / "bad_cfg.json"
+        cfg.write_text(json.dumps({"refinement_enabled": "false"}))
+        code = cli_main(["train", "--data", str(tiny_data), "--config", str(cfg),
+                         "--out", str(tmp_path / "r")])
+        assert code == 1
+        assert "refinement_enabled" in capsys.readouterr().err
+
     def test_runtime_failure_exit_2(self, tiny_data, tiny_config, tmp_path, monkeypatch):
         from coupled_labels import cli as cli_module
 

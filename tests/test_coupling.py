@@ -2,40 +2,48 @@ import numpy as np
 import pytest
 
 from coupled_labels.coupling import (
-    CouplingMatrix,
     CouplingShapeError,
-    load_coupling_csv,
     new_coupling,
     refine_backward,
     refine_forward,
     save_coupling_csv,
     zero_diag,
 )
-from helpers import central_diff, max_rel_err
+from helpers import central_diff, load_coupling_csv, max_rel_err
+
+ALPHA = 0.3
 
 
 class TestForward:
     def test_zero_coupling_is_identity(self):
         rng = np.random.default_rng(0)
         z = rng.normal(size=(5, 4))
-        z_prime, _ = refine_forward(z, new_coupling(4))
+        z_prime, _ = refine_forward(z, new_coupling(4), ALPHA)
         np.testing.assert_array_equal(z_prime, z)
 
     def test_hand_boost(self):
         # sigma(0) = 0.5; message into label 1 is 0.3 * 0.5 * 1 = 0.15
-        cm = CouplingMatrix(A=np.array([[0.0, 1.0], [0.0, 0.0]]), alpha=0.3)
-        z_prime, cache = refine_forward(np.array([[0.0, 0.0]]), cm)
+        A = np.array([[0.0, 1.0], [0.0, 0.0]])
+        z_prime, cache = refine_forward(np.array([[0.0, 0.0]]), A, ALPHA)
         np.testing.assert_allclose(z_prime, [[0.0, 0.15]], atol=1e-15)
         np.testing.assert_allclose(cache["p"], [[0.5, 0.5]])
 
     def test_hand_suppression(self):
-        cm = CouplingMatrix(A=np.array([[0.0, -1.0], [0.0, 0.0]]), alpha=0.3)
-        z_prime, _ = refine_forward(np.array([[0.0, 0.0]]), cm)
+        A = np.array([[0.0, -1.0], [0.0, 0.0]])
+        z_prime, _ = refine_forward(np.array([[0.0, 0.0]]), A, ALPHA)
         np.testing.assert_allclose(z_prime, [[0.0, -0.15]], atol=1e-15)
 
     def test_dimension_mismatch(self):
         with pytest.raises(CouplingShapeError):
-            refine_forward(np.zeros((2, 3)), new_coupling(4))
+            refine_forward(np.zeros((2, 3)), new_coupling(4), ALPHA)
+
+    def test_non_square_matrix_rejected(self):
+        with pytest.raises(CouplingShapeError, match="square"):
+            refine_forward(np.zeros((2, 3)), np.zeros((3, 2)), ALPHA)
+
+    def test_new_coupling_needs_two_labels(self):
+        with pytest.raises(CouplingShapeError):
+            new_coupling(1)
 
 
 class TestBackward:
@@ -43,9 +51,9 @@ class TestBackward:
         rng = np.random.default_rng(1)
         z = rng.normal(size=(3, 4))
         g = rng.normal(size=(3, 4))
-        cm = new_coupling(4)
-        _, cache = refine_forward(z, cm)
-        grad_z, grad_A = refine_backward(g, cache, cm)
+        A = new_coupling(4)
+        _, cache = refine_forward(z, A, ALPHA)
+        grad_z, grad_A = refine_backward(g, cache, A, ALPHA)
         np.testing.assert_array_equal(grad_z, g)
         # couplings can still grow from zero
         assert np.abs(grad_A).sum() > 0.0
@@ -57,16 +65,15 @@ class TestBackward:
         A = rng.uniform(-1, 1, size=(l, l))
         np.fill_diagonal(A, 0.0)
         g = rng.normal(size=(n, l))
-        cm = CouplingMatrix(A=A, alpha=0.3)
-        _, cache = refine_forward(z, cm)
-        grad_z, grad_A = refine_backward(g, cache, cm)
+        _, cache = refine_forward(z, A, ALPHA)
+        grad_z, grad_A = refine_backward(g, cache, A, ALPHA)
 
         def objective_z(zz):
-            out, _ = refine_forward(zz, cm)
+            out, _ = refine_forward(zz, A, ALPHA)
             return float((out * g).sum())
 
         def objective_A(AA):
-            out, _ = refine_forward(z, CouplingMatrix(A=AA, alpha=0.3))
+            out, _ = refine_forward(z, AA, ALPHA)
             return float((out * g).sum())
 
         assert max_rel_err(grad_z, central_diff(objective_z, z)) < 1e-6
@@ -78,16 +85,16 @@ class TestBackward:
         rng = np.random.default_rng(3)
         z = rng.normal(size=(6, 4))
         g = rng.normal(size=(6, 4))
-        cm = CouplingMatrix(A=rng.normal(size=(4, 4)), alpha=0.3)
-        _, cache = refine_forward(z, cm)
-        _, grad_A = refine_backward(g, cache, cm)
+        A = rng.normal(size=(4, 4))
+        _, cache = refine_forward(z, A, ALPHA)
+        _, grad_A = refine_backward(g, cache, A, ALPHA)
         np.testing.assert_array_equal(np.diag(grad_A), np.zeros(4))
 
     def test_shape_mismatch(self):
-        cm = new_coupling(3)
-        _, cache = refine_forward(np.zeros((2, 3)), cm)
+        A = new_coupling(3)
+        _, cache = refine_forward(np.zeros((2, 3)), A, ALPHA)
         with pytest.raises(CouplingShapeError):
-            refine_backward(np.zeros((2, 4)), cache, cm)
+            refine_backward(np.zeros((2, 4)), cache, A, ALPHA)
 
 
 class TestZeroDiag:
@@ -118,10 +125,8 @@ class TestPermutationEquivariance:
         A = rng.normal(size=(l, l))
         np.fill_diagonal(A, 0.0)
         perm = rng.permutation(l)
-        cm = CouplingMatrix(A=A, alpha=0.3)
-        cm_perm = CouplingMatrix(A=A[np.ix_(perm, perm)], alpha=0.3)
-        direct, _ = refine_forward(z[:, perm], cm_perm)
-        permuted, _ = refine_forward(z, cm)
+        direct, _ = refine_forward(z[:, perm], A[np.ix_(perm, perm)], ALPHA)
+        permuted, _ = refine_forward(z, A, ALPHA)
         np.testing.assert_allclose(direct, permuted[:, perm], atol=1e-14)
 
 
@@ -132,7 +137,7 @@ class TestCsv:
         np.fill_diagonal(A, 0.0)
         names = ["edema", "cardiomegaly", "effusion"]
         path = tmp_path / "coupling.csv"
-        save_coupling_csv(CouplingMatrix(A=A, alpha=0.3), names, path)
+        save_coupling_csv(A, names, path)
         back, back_names = load_coupling_csv(path)
         np.testing.assert_array_equal(back, A)
         assert back_names == names

@@ -320,6 +320,13 @@ class TestConfig:
         {"loss_kind": "focal"},
         {"batch_size": 0},
         {"patience": 0},
+        {"refinement_enabled": "false"},
+        {"grad_clip_norm": float("nan")},
+        {"alpha": float("inf")},
+        {"lr": "0.01"},
+        {"alpha": None},
+        {"lr": float("nan")},
+        {"epochs": True},
     ])
     def test_invariant_violations(self, patch):
         with pytest.raises(ConfigError) as exc:

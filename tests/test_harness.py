@@ -49,6 +49,9 @@ def toy_dataset(n=60, d=5, l=3, seed=0):
     return Dataset(features=x, labels=labels, label_names=[f"y{i}" for i in range(l)])
 
 
+ALPHA = 0.3
+
+
 def fast_cfg(**over):
     base = dict(K=2, epochs=2, batch_size=16, seed=3)
     base.update(over)
@@ -61,24 +64,26 @@ class TestPredictWithViews:
         params = init_params("linear", 4, 3, rng)
         x = rng.normal(size=(7, 4))
         np.testing.assert_array_equal(
-            predict_with_views(params, None, x), predict_probs(params, None, x)
+            predict_with_views(params, None, ALPHA, x), predict_probs(params, None, ALPHA, x)
         )
 
     def test_duplicate_identity_idempotent(self):
         rng = np.random.default_rng(2)
         params = init_params("linear", 4, 3, rng)
         x = rng.normal(size=(5, 4))
-        plain = predict_probs(params, None, x)
-        averaged = predict_with_views(params, None, x, views=(identity_view, identity_view))
+        plain = predict_probs(params, None, ALPHA, x)
+        averaged = predict_with_views(params, None, ALPHA, x,
+                                      views=(identity_view, identity_view))
         np.testing.assert_allclose(averaged, plain, atol=1e-16)
 
     def test_two_views_elementwise_mean(self):
         rng = np.random.default_rng(3)
         params = init_params("linear", 4, 2, rng)
         x = rng.normal(size=(6, 4))
-        combined = predict_with_views(params, None, x, views=(identity_view, lambda x: 0.5 * x))
+        combined = predict_with_views(params, None, ALPHA, x,
+                                      views=(identity_view, lambda x: 0.5 * x))
         oracle = 0.5 * (
-            predict_probs(params, None, x) + predict_probs(params, None, 0.5 * x)
+            predict_probs(params, None, ALPHA, x) + predict_probs(params, None, ALPHA, 0.5 * x)
         )
         np.testing.assert_allclose(combined, oracle, atol=1e-16)
 
@@ -87,19 +92,19 @@ class TestPredictWithViews:
         params = init_params("linear", 3, 2, rng)
         x = np.zeros((2, 3))
         with pytest.raises(HarnessError):
-            predict_with_views(params, None, x, views=())
+            predict_with_views(params, None, ALPHA, x, views=())
         with pytest.raises(HarnessError):
-            predict_with_views(params, None, x, views=(np.fliplr,))
+            predict_with_views(params, None, ALPHA, x, views=(np.fliplr,))
         with pytest.raises(HarnessError):
-            predict_with_views(params, None, x, views=(identity_view, "no_such_view"))
+            predict_with_views(params, None, ALPHA, x, views=(identity_view, "no_such_view"))
 
     def test_chunked_prediction_matches_unchunked(self):
         rng = np.random.default_rng(5)
         params = init_params("linear", 4, 3, rng)
         x = rng.normal(size=(23, 4))
         np.testing.assert_allclose(
-            predict_probs(params, None, x, batch_size=7),
-            predict_probs(params, None, x),
+            predict_probs(params, None, ALPHA, x, batch_size=7),
+            predict_probs(params, None, ALPHA, x),
             atol=1e-15,
         )
 
@@ -115,7 +120,7 @@ class TestRunFold:
         assert a.best_val_macro_auc == b.best_val_macro_auc
         assert a.best_epoch == b.best_epoch
         np.testing.assert_array_equal(a.checkpoint_params.W2, b.checkpoint_params.W2)
-        np.testing.assert_array_equal(a.checkpoint_coupling.A, b.checkpoint_coupling.A)
+        np.testing.assert_array_equal(a.checkpoint_coupling, b.checkpoint_coupling)
 
     def test_default_patience_never_stops_early(self):
         # patience 3 with 3 epochs cannot trigger: the first epoch always
@@ -219,9 +224,9 @@ def lockstep_problems(draw):
     """Shared features and labels split into K = 2..5 folds of unequal sizes,
     with a batch size that gives unequal steps per epoch and ragged tails,
     patience that may stop folds at different epochs, either predictor,
-    either loss, refinement on or off per run, and maybe a NaN training row
-    seen by one fold only, whose skipped steps put its Adam clock behind the
-    others'."""
+    either loss, alpha 0.3 or 0.7, refinement on or off per run, and maybe a
+    NaN training row seen by one fold only, whose skipped steps put its Adam
+    clock behind the others'."""
     K = draw(st.integers(2, 5))
     sizes = draw(st.lists(st.integers(4, 13), min_size=K, max_size=K))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -241,6 +246,7 @@ def lockstep_problems(draw):
         "batch_size": draw(st.integers(2, 9)), "lr": draw(st.sampled_from([2e-4, 0.05])),
         "seed": draw(st.integers(0, 1000)),
         "loss_kind": draw(st.sampled_from(["ASL", "WeightedBCE"])),
+        "alpha": draw(st.sampled_from([0.3, 0.7])),
         "refinement_enabled": draw(st.booleans()),
     })
     runs = []
@@ -452,8 +458,8 @@ class TestAblationExactness:
         from coupled_labels.coupling import new_coupling
 
         x = rng.normal(size=(9, 4))
-        with_zero = predict_probs(params, new_coupling(3), x)
-        without = predict_probs(params, None, x)
+        with_zero = predict_probs(params, new_coupling(3), ALPHA, x)
+        without = predict_probs(params, None, ALPHA, x)
         np.testing.assert_array_equal(with_zero, without)
 
 
@@ -514,7 +520,7 @@ class TestRunDirectory:
                 params.W2, report.fold_results[k].checkpoint_params.W2
             )
             np.testing.assert_array_equal(
-                A, report.fold_results[k].checkpoint_coupling.A
+                A, report.fold_results[k].checkpoint_coupling
             )
             assert ckpt_hash == report.config.hash()
         back = read_report_json(outdir)

@@ -164,9 +164,9 @@ class TestEma:
 def build_state(cfg, n_features=6, n_labels=3, seed=0, refinement=True):
     rng = np.random.default_rng(seed)
     predictor = init_params("linear", n_features, n_labels, rng)
-    coupling = new_coupling(n_labels, alpha=cfg.alpha) if refinement else None
+    A = new_coupling(n_labels) if refinement else None
     schedule = Schedule(warmup_steps=5, total_steps=100)
-    return init_train_state(predictor, coupling, schedule, cfg,
+    return init_train_state(predictor, A, schedule, cfg,
                             np.random.default_rng(seed + 1))
 
 
@@ -178,13 +178,13 @@ class TestTrainStep:
         x = rng.normal(size=(4, 6))
         x[2, 1] = np.nan  # poisons the logits
         y = (rng.random((4, 3)) < 0.5).astype(float)
-        params_before = {k: v.copy() for k, v in state.trainables().items()}
+        params_before = {k: v.copy() for k, v in state.params.items()}
         ema_before = {k: v.copy() for k, v in state.ema.shadow.items()}
         entry = train_step(x, y, state, cfg)
         assert entry.skipped is True
         assert state.skips == 1
         assert state.step == 1  # schedule clock still advances
-        for k, v in state.trainables().items():
+        for k, v in state.params.items():
             np.testing.assert_array_equal(v, params_before[k])
         for k, v in state.ema.shadow.items():
             np.testing.assert_array_equal(v, ema_before[k])
@@ -204,12 +204,12 @@ class TestTrainStep:
         rng = np.random.default_rng(4)
         x = rng.normal(size=(8, 6))
         y = (rng.random((8, 3)) < 0.5).astype(float)
-        before = state.trainables()["W2"].copy()
+        before = state.params["W2"].copy()
         entry = train_step(x, y, state, cfg)
         assert entry.skipped is False
         assert math.isfinite(entry.loss) and math.isfinite(entry.grad_norm)
-        assert not np.array_equal(state.trainables()["W2"], before)
-        assert np.all(np.diag(state.coupling.A[0]) == 0.0)
+        assert not np.array_equal(state.params["W2"], before)
+        assert np.all(np.diag(state.A[0]) == 0.0)
         assert len(state.logs[0]) == 1
 
     def test_loss_halves_on_separable_batch(self):
@@ -240,5 +240,6 @@ class TestRefinementOffPath:
     def test_no_coupling_in_trainables(self):
         cfg = config_from_dict({"refinement_enabled": False})
         state = build_state(cfg, refinement=False)
-        assert "A" not in state.trainables()
+        assert "A" not in state.params
+        assert state.A is None
         assert "A" not in state.ema.shadow

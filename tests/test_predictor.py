@@ -1,3 +1,5 @@
+import copy
+
 import numpy as np
 import pytest
 
@@ -95,7 +97,7 @@ class TestBackward:
         grads, grad_x = predict_backward(g, cache, params)
 
         def objective(names, arrays):
-            trial = params.copy()
+            trial = copy.deepcopy(params)
             for name, arr in zip(names, arrays):
                 setattr(trial, name, arr)
             z, _ = predict_forward(x, trial, mode="eval")
@@ -131,7 +133,7 @@ class TestBackward:
         grads, _ = predict_backward(g, cache, params)
 
         def objective(W1):
-            trial = params.copy()
+            trial = copy.deepcopy(params)
             trial.W1 = W1
             return float((fwd(trial)[0] * g).sum())
 

@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import harness, stratify, synthgen
-from .datamodel import CoupledLabelsError, load_config, load_dataset, save_dataset
+from .datamodel import CoupledLabelsError, load_config, load_dataset, save_dataset, write_json
 
 
 class _Parser(argparse.ArgumentParser):
@@ -76,10 +76,8 @@ def _cmd_split(args) -> int:
     splitter = stratify.mis_split if args.method == "mis" else stratify.bucketed_kfold
     assign = splitter(dataset.labels, args.k, args.seed)
     stratify.save_folds(assign, args.out)
-    with open(str(args.out) + ".meta.json", "w") as fh:
-        json.dump({"data": str(args.data), "k": args.k, "seed": args.seed,
-                   "method": args.method}, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json({"data": str(args.data), "k": args.k, "seed": args.seed,
+                "method": args.method}, str(args.out) + ".meta.json")
     quality = stratify.split_quality(dataset.labels, assign)
     print(f"wrote {args.out}: fold sizes {quality.fold_sizes.tolist()}, "
           f"max prevalence deviation {quality.max_deviation:.6f}")
@@ -104,19 +102,21 @@ def _cmd_ablate(args) -> int:
     harness.write_run_report(result.refined, outdir / "with_refinement")
     harness.write_run_report(result.baseline, outdir / "no_refinement")
     comparison = result.comparison()
-    with open(outdir / "ablation.json", "w") as fh:
-        json.dump(comparison, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(comparison, outdir / "ablation.json")
     print(f"ablation written to {outdir}")
-    print(f"{'arm':<18} macro_auc")
-    print(f"{'with_refinement':<18} {comparison['macro_auc_refined']:.6f}")
-    print(f"{'no_refinement':<18} {comparison['macro_auc_baseline']:.6f}")
-    print(f"delta: {comparison['delta']:+.6f}")
+    _print_ablation(comparison)
     sign = comparison["coupling_sign_summary"]
     print(f"learned couplings (|A| > {sign['near_zero_threshold']}): "
           f"{sign['n_positive']} positive, {sign['n_negative']} negative, "
           f"{sign['n_near_zero']} near zero")
     return 0
+
+
+def _print_ablation(comparison: dict) -> None:
+    print(f"{'arm':<18} macro_auc")
+    print(f"{'with_refinement':<18} {comparison['macro_auc_refined']:.6f}")
+    print(f"{'no_refinement':<18} {comparison['macro_auc_baseline']:.6f}")
+    print(f"delta: {comparison['delta']:+.6f}")
 
 
 def _print_auc_table(report: dict) -> None:
@@ -171,11 +171,7 @@ def _cmd_report(args) -> int:
     # an ablation directory holds two sub-runs; report each arm
     if (rundir / "ablation.json").exists():
         with open(rundir / "ablation.json") as fh:
-            comparison = json.load(fh)
-        print(f"{'arm':<18} macro_auc")
-        print(f"{'with_refinement':<18} {comparison['macro_auc_refined']:.6f}")
-        print(f"{'no_refinement':<18} {comparison['macro_auc_baseline']:.6f}")
-        print(f"delta: {comparison['delta']:+.6f}")
+            _print_ablation(json.load(fh))
         for arm in ("with_refinement", "no_refinement"):
             sub = rundir / arm
             report = harness.read_report_json(sub)

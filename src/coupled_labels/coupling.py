@@ -82,8 +82,7 @@ def save_coupling_csv(A, label_names: list[str], path) -> None:
         raise CouplingShapeError(
             f"matrix shape {A.shape} does not match {len(label_names)} label names"
         )
-    out = A.copy()
-    np.fill_diagonal(out, 0.0)
+    out = zero_diag(A.copy())
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["source"] + list(label_names))

@@ -339,10 +339,16 @@ def load_config(path) -> ExperimentConfig:
     return config_from_dict(raw)
 
 
-def save_config(cfg: ExperimentConfig, path) -> None:
+def write_json(obj, path) -> None:
+    """The one layout of every JSON file a run writes, checkpoints aside:
+    sorted keys, two-space indent, a final newline."""
     with open(path, "w") as fh:
-        json.dump(cfg.to_json_dict(), fh, indent=2, sort_keys=True)
+        json.dump(obj, fh, indent=2, sort_keys=True)
         fh.write("\n")
+
+
+def save_config(cfg: ExperimentConfig, path) -> None:
+    write_json(cfg.to_json_dict(), path)
 
 
 def _number(value, kind=(int, float)) -> bool:

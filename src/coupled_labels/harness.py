@@ -35,6 +35,7 @@ from .datamodel import (
     ExperimentConfig,
     save_config,
     validate_config,
+    write_json,
 )
 from .losses import compute_pos_weights
 from .optim import (
@@ -64,7 +65,7 @@ NEAR_ZERO = 0.05
 # prediction views (TTA hook)
 #
 # A view is an input transform; an image-backed predictor passes its "flip"
-# after the identity. The synthetic pipeline uses the identity view only.
+# after the identity. Training and reports predict with the identity view only.
 # ---------------------------------------------------------------------------
 
 
@@ -176,7 +177,7 @@ def fold_runs(assign: FoldAssignment, seed: int, refine: bool) -> list[tuple]:
 
 
 def train_folds(features, labels, runs, cfg: ExperimentConfig, variant: str = "linear",
-                hidden: int = 32, views=(identity_view,)) -> list[FoldResult]:
+                hidden: int = 32) -> list[FoldResult]:
     """Train one model per run and return their results in the order of
     `runs`.
 
@@ -202,10 +203,10 @@ def train_folds(features, labels, runs, cfg: ExperimentConfig, variant: str = "l
     plan, forked = _plan_shards([run[4] for run in runs])
     shards = [[models[i] for i in shard] for shard in plan]
     if forked:
-        outcomes = _train_forked(features, labels, shards, cfg, views)
+        outcomes = _train_forked(features, labels, shards, cfg)
     else:
         outcomes = [pair for shard in shards
-                    for pair in _train_lockstep(features, labels, shard, cfg, views)]
+                    for pair in _train_lockstep(features, labels, shard, cfg)]
     outcomes.sort(key=lambda pair: pair[0])
     for _, outcome in outcomes:
         if isinstance(outcome, Exception):
@@ -238,8 +239,8 @@ def _new_run(features, labels, index: int, run: tuple, cfg: ExperimentConfig, va
     return _Run(index, fold, train_idx, val_idx, rng_shuffle, state)
 
 
-def _train_forked(features, labels, shards: list[list[_Run]], cfg: ExperimentConfig,
-                  views) -> list[tuple]:
+def _train_forked(features, labels, shards: list[list[_Run]],
+                  cfg: ExperimentConfig) -> list[tuple]:
     """Train each shard in its own forked worker and gather the shards'
     (run index, result or error) pairs. The workers share the parent's
     arrays copy-on-write."""
@@ -249,7 +250,7 @@ def _train_forked(features, labels, shards: list[list[_Run]], cfg: ExperimentCon
         for shard in shards:
             receiver, sender = ctx.Pipe(duplex=False)
             proc = ctx.Process(target=_shard_worker,
-                               args=(sender, features, labels, shard, cfg, views))
+                               args=(sender, features, labels, shard, cfg))
             proc.start()
             sender.close()
             workers.append((proc, receiver))
@@ -274,10 +275,9 @@ def _train_forked(features, labels, shards: list[list[_Run]], cfg: ExperimentCon
     return [pair for received in outcomes for pair in received]
 
 
-def _shard_worker(sender, features, labels, shard: list[_Run], cfg: ExperimentConfig,
-                  views) -> None:
+def _shard_worker(sender, features, labels, shard: list[_Run], cfg: ExperimentConfig) -> None:
     try:
-        outcomes = _train_lockstep(features, labels, shard, cfg, views)
+        outcomes = _train_lockstep(features, labels, shard, cfg)
     except Exception as exc:
         outcomes = [(shard[0].index, exc)]
     # one message per model: the parent never holds a whole shard's bytes
@@ -286,8 +286,7 @@ def _shard_worker(sender, features, labels, shard: list[_Run], cfg: ExperimentCo
     sender.close()
 
 
-def _train_lockstep(features, labels, runs: list[_Run], cfg: ExperimentConfig,
-                    views) -> list[tuple]:
+def _train_lockstep(features, labels, runs: list[_Run], cfg: ExperimentConfig) -> list[tuple]:
     """Train the runs' models together and return (run index, result)
     pairs in run order, or the first failing run's (run index, error).
     One `train_step` per batch position advances every model that has a
@@ -325,7 +324,7 @@ def _train_lockstep(features, labels, runs: list[_Run], cfg: ExperimentConfig,
             run = runs[i]
             params, A = state.ema_snapshot(i)
             val_probs = predict_with_views(params, A, cfg.alpha, features[run.val_idx],
-                                           views=views, batch_size=eval_batch)
+                                           batch_size=eval_batch)
             try:
                 report = metrics.macro_auc(val_probs, labels[run.val_idx])
             except metrics.UndefinedAucError as exc:
@@ -422,14 +421,13 @@ def _jsonify(obj):
 
 def run_experiment(dataset: Dataset, cfg: ExperimentConfig,
                    test_dataset: Dataset | None = None, variant: str = "linear",
-                   hidden: int = 32, views=(identity_view,)) -> RunReport:
+                   hidden: int = 32) -> RunReport:
     """Stratified K-fold training plus fold-ensemble evaluation."""
     cfg, assign = _split(dataset, cfg, test_dataset)
     fold_results = train_folds(dataset.features, dataset.labels,
                                fold_runs(assign, cfg.seed, cfg.refinement_enabled), cfg,
-                               variant=variant, hidden=hidden, views=views)
-    return experiment_report(dataset, cfg, assign, fold_results, test_dataset=test_dataset,
-                             views=views)
+                               variant=variant, hidden=hidden)
+    return experiment_report(dataset, cfg, assign, fold_results, test_dataset=test_dataset)
 
 
 def _split(dataset: Dataset, cfg: ExperimentConfig,
@@ -441,8 +439,8 @@ def _split(dataset: Dataset, cfg: ExperimentConfig,
 
 
 def experiment_report(dataset: Dataset, cfg: ExperimentConfig, assign: FoldAssignment,
-                      fold_results: list[FoldResult], test_dataset: Dataset | None = None,
-                      views=(identity_view,)) -> RunReport:
+                      fold_results: list[FoldResult],
+                      test_dataset: Dataset | None = None) -> RunReport:
     """The report of one experiment from its K trained fold models.
 
     With a test dataset, fold models are ensembled (arithmetic mean) on it.
@@ -458,7 +456,7 @@ def experiment_report(dataset: Dataset, cfg: ExperimentConfig, assign: FoldAssig
         eval_x, eval_labels = dataset.features, dataset.labels
     fold_eval_probs = [
         predict_with_views(fr.checkpoint_params, fr.checkpoint_coupling, cfg.alpha, eval_x,
-                           views=views, batch_size=eval_batch)
+                           batch_size=eval_batch)
         for fr in fold_results
     ]
     ensemble_probs = np.mean(np.stack(fold_eval_probs, axis=0), axis=0)
@@ -507,21 +505,14 @@ def write_run_report(report: RunReport, outdir) -> Path:
     assignment, per-fold logs and checkpoints, mean coupling CSV."""
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-    with open(outdir / "report.json", "w") as fh:
-        json.dump(report.to_json_dict(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(report.to_json_dict(), outdir / "report.json")
     save_config(report.config, outdir / "config.json")
     save_folds(report.assignment, outdir / "folds.csv")
     cfg_hash = report.config.hash()
     for fr in report.fold_results:
         save_train_log(fr.train_log, outdir / f"fold{fr.fold}_train_log.csv")
-        save_checkpoint(
-            outdir / "checkpoints" / f"fold{fr.fold}.json",
-            fr.checkpoint_params,
-            fr.checkpoint_coupling,
-            cfg_hash,
-            alpha=None if fr.checkpoint_coupling is None else report.config.alpha,
-        )
+        save_checkpoint(outdir / "checkpoints" / f"fold{fr.fold}.json",
+                        fr.checkpoint_params, fr.checkpoint_coupling, cfg_hash)
     if report.coupling_mean is not None:
         save_coupling_csv(report.coupling_mean, report.label_names,
                           outdir / "coupling_mean.csv")

@@ -302,8 +302,6 @@ def _supervised_loss(z, y, cfg: ExperimentConfig, pos_weight) -> losses.LossOutp
     if cfg.loss_kind == "ASL":
         return losses.asl_loss(z, y, gamma_pos=cfg.asl.gamma_pos,
                                gamma_neg=cfg.asl.gamma_neg, clip=cfg.asl.clip)
-    if pos_weight is None:
-        pos_weight = losses.compute_pos_weights(y)
     return losses.weighted_bce_loss(z, y, pos_weight)
 
 

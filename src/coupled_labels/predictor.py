@@ -172,7 +172,8 @@ def predict_backward(grad_z, cache: dict, params: PredictorParams) -> tuple[dict
 
 
 def save_checkpoint(path, params: PredictorParams, coupling_A: np.ndarray | None,
-                    config_hash: str, alpha: float | None = None) -> None:
+                    config_hash: str) -> None:
+    """No alpha: a refined model's rate is its run config's, matched by hash."""
     record = {
         "config_hash": config_hash,
         "variant": params.variant,
@@ -181,7 +182,6 @@ def save_checkpoint(path, params: PredictorParams, coupling_A: np.ndarray | None
     }
     if coupling_A is not None:
         record["arrays"]["A"] = np.asarray(coupling_A).tolist()
-        record["alpha"] = alpha
     Path(path).parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w") as fh:
         json.dump(record, fh, sort_keys=True)

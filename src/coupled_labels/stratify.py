@@ -75,8 +75,7 @@ def load_folds(path) -> FoldAssignment:
     return FoldAssignment(fold_of=folds, K=int(folds.max()) + 1 if folds.size else 0)
 
 
-def _check_split_args(labels: np.ndarray, K: int):
-    n = labels.shape[0]
+def _check_split_args(n: int, K: int):
     if K < 2:
         raise SplitError(f"K must be >= 2, got {K}")
     if K > n:
@@ -96,7 +95,7 @@ def mis_split(labels, K: int, seed: int) -> FoldAssignment:
     """
     y = check_label_matrix(labels)
     n, n_labels = y.shape
-    _check_split_args(y, K)
+    _check_split_args(n, K)
     rng = np.random.default_rng(seed)
 
     # The loop below runs once per example on K- and L-long state, where
@@ -160,7 +159,7 @@ def bucketed_kfold(labels, K: int, seed: int) -> FoldAssignment:
     """
     y = check_label_matrix(labels)
     n, _ = y.shape
-    _check_split_args(y, K)
+    _check_split_args(n, K)
     rng = np.random.default_rng(seed)
 
     # bit-packed rows sort bytewise in the order of their "0110..." strings
@@ -186,10 +185,7 @@ def bucketed_kfold(labels, K: int, seed: int) -> FoldAssignment:
 
 def random_kfold(n: int, K: int, seed: int) -> FoldAssignment:
     """Uniform random near-equal K-fold; the comparison baseline."""
-    if K < 2:
-        raise SplitError(f"K must be >= 2, got {K}")
-    if K > n:
-        raise SplitError(f"cannot split {n} examples into {K} folds")
+    _check_split_args(n, K)
     rng = np.random.default_rng(seed)
     perm = rng.permutation(n)
     fold_of = np.empty(n, dtype=np.int64)

@@ -19,7 +19,7 @@ from graphlib import CycleError, TopologicalSorter
 import numpy as np
 from scipy.special import expit
 
-from .datamodel import CoupledLabelsError, Dataset
+from .datamodel import CoupledLabelsError, Dataset, _number, write_json
 
 
 class GenSpecError(CoupledLabelsError):
@@ -108,23 +108,36 @@ def topo_order(spec: GenSpec) -> list[int]:
     return order
 
 
+def _edge(e) -> bool:
+    return (isinstance(e, list) and len(e) == 3
+            and _number(e[0], int) and _number(e[1], int) and _number(e[2]))
+
+
+# field -> (what it must be, test) for spec files; GenSpec checks the ranges
+_SPEC_RULES = {
+    "n_examples": ("an integer", lambda v: _number(v, int)),
+    "n_features": ("an integer", lambda v: _number(v, int)),
+    "n_labels": ("an integer", lambda v: _number(v, int)),
+    "planted_edges": ("a list of [source, target, strength] with integer labels and "
+                      "a finite strength", lambda v: isinstance(v, list) and all(map(_edge, v))),
+    "noise_scale": ("a finite number", _number),
+    "seed": ("an integer >= 0", lambda v: _number(v, int) and v >= 0),
+}
+
+
 def spec_from_dict(raw: dict) -> GenSpec:
-    known = {"n_examples", "n_features", "n_labels", "planted_edges", "noise_scale", "seed"}
-    unknown = set(raw) - known
+    unknown = set(raw) - set(_SPEC_RULES)
     if unknown:
         raise GenSpecError(f"unknown generator spec field(s): {sorted(unknown)}")
-    missing = known - set(raw)
+    missing = set(_SPEC_RULES) - set(raw)
     if missing:
         raise GenSpecError(f"generator spec missing field(s): {sorted(missing)}")
-    edges = tuple(PlantedEdge(int(s), int(t), float(b)) for s, t, b in raw["planted_edges"])
-    return GenSpec(
-        n_examples=int(raw["n_examples"]),
-        n_features=int(raw["n_features"]),
-        n_labels=int(raw["n_labels"]),
-        planted_edges=edges,
-        noise_scale=float(raw["noise_scale"]),
-        seed=int(raw["seed"]),
-    )
+    problems = [f"{name}: must be {rule}, got {raw[name]!r}"
+                for name, (rule, ok) in _SPEC_RULES.items() if not ok(raw[name])]
+    if problems:
+        raise GenSpecError("invalid generator spec: " + "; ".join(problems))
+    edges = tuple(PlantedEdge(s, t, float(b)) for s, t, b in raw["planted_edges"])
+    return GenSpec(**{**raw, "planted_edges": edges, "noise_scale": float(raw["noise_scale"])})
 
 
 def load_spec(path) -> GenSpec:
@@ -136,9 +149,7 @@ def load_spec(path) -> GenSpec:
 
 
 def save_spec(spec: GenSpec, path) -> None:
-    with open(path, "w") as fh:
-        json.dump(spec.to_json_dict(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(spec.to_json_dict(), path)
 
 
 def generate(spec: GenSpec) -> Dataset:

@@ -4,8 +4,8 @@ references for roc_auc, macro_auc and the label histograms, `train_folds`
 for a single model, a training loop that never touches the coupling
 module, the identifiable planted-edge construction, row-loop references for
 the CSV data path, mis_split and bucketed_kfold, a reader for the
-coupling CSV, and a one-fold-at-a-time training reference with a per-array
-optimizer."""
+coupling CSV, a one-fold-at-a-time training reference with a per-array
+optimizer, and generator spec files that `gen` must reject."""
 
 import math
 from dataclasses import dataclass
@@ -621,3 +621,22 @@ def load_coupling_csv(path):
     if A.shape != (len(names), len(names)):
         raise CouplingShapeError(f"{path}: ragged coupling CSV")
     return A, names
+
+
+# A valid generator spec file, and patches of one field that make it invalid:
+# (field, bad value).
+GOOD_SPEC = {"n_examples": 300, "n_features": 4, "n_labels": 3,
+             "planted_edges": [[0, 1, 2.0]], "noise_scale": 1.0, "seed": 0}
+BAD_SPEC_PATCHES = [
+    ("noise_scale", float("nan")),
+    ("noise_scale", float("inf")),
+    ("n_examples", True),
+    ("n_examples", 12.7),
+    ("seed", 1.5),
+    ("n_examples", "300"),
+    ("n_labels", 14.0),
+    ("planted_edges", [[0.5, 1, 2.0]]),
+    ("seed", -1),
+    ("planted_edges", [[0, 1]]),
+    ("planted_edges", 5),
+]

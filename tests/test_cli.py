@@ -12,6 +12,7 @@ import coupled_labels
 from coupled_labels.cli import cli_main
 from coupled_labels.datamodel import Dataset, save_dataset
 from coupled_labels.stratify import load_folds
+from helpers import BAD_SPEC_PATCHES, GOOD_SPEC
 
 
 @pytest.fixture
@@ -59,6 +60,16 @@ class TestGen:
             "noise_scale": 1.0, "seed": 4,
         }))
         assert cli_main(["gen", "--spec", str(spec), "--out", str(tmp_path / "x.csv")]) == 1
+
+    @pytest.mark.parametrize("field,value", BAD_SPEC_PATCHES,
+                             ids=[f"{f}={v!r}" for f, v in BAD_SPEC_PATCHES])
+    def test_gen_bad_spec_value_exit_1_naming_field(self, tmp_path, capsys, field, value):
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({**GOOD_SPEC, field: value}))
+        out = tmp_path / "x.csv"
+        assert cli_main(["gen", "--spec", str(spec), "--out", str(out)]) == 1
+        assert f"{field}: must be" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestSplit:

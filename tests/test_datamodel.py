@@ -100,6 +100,9 @@ class TestLoadDataset:
         ds = Dataset(features=feats, labels=labels,
                      label_names=[f"l{i}" for i in range(length)])
         path = tmp_path / "rt.csv"
+        # every example shares tmp_path; writing a fresh file instead of
+        # truncating the last example's can be far cheaper on ext4
+        path.unlink(missing_ok=True)
         save_dataset(ds, path)
         back = load_dataset(path)
         np.testing.assert_array_equal(back.features, ds.features)
@@ -180,6 +183,8 @@ class TestMatchesRowLoopReference:
     @given(datasets())
     def test_save_byte_identical_and_load_bit_identical(self, tmp_path, ds):
         ref_path, path = tmp_path / "ref.csv", tmp_path / "new.csv"
+        ref_path.unlink(missing_ok=True)
+        path.unlink(missing_ok=True)
         reference_save_dataset(ds, ref_path)
         save_dataset(ds, path)
         assert path.read_bytes() == ref_path.read_bytes()
@@ -194,6 +199,7 @@ class TestMatchesRowLoopReference:
     @given(near_plain_csv())
     def test_same_outcome_on_near_plain_text(self, tmp_path, text):
         path = tmp_path / "fuzz.csv"
+        path.unlink(missing_ok=True)
         path.write_bytes(text.encode())
         assert load_outcome(load_dataset, path) == load_outcome(reference_load_dataset, path)
 

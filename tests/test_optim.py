@@ -5,6 +5,7 @@ import pytest
 
 from coupled_labels.coupling import new_coupling
 from coupled_labels.datamodel import ExperimentConfig, config_from_dict
+from coupled_labels.losses import LossInputError
 from coupled_labels.optim import (
     EmaState,
     ParamBuffer,
@@ -234,6 +235,17 @@ class TestTrainStep:
         y = (rng.random((4, 3)) < 0.5).astype(float)
         entry = train_step(x, y, state, cfg)
         assert entry.skipped is False
+
+    def test_weighted_bce_without_weights_raises(self):
+        # the weights come from the fold's training rows, never from a batch
+        cfg = config_from_dict({"loss_kind": "WeightedBCE"})
+        state = build_state(cfg)
+        assert state.pos_weight is None
+        rng = np.random.default_rng(6)
+        x = rng.normal(size=(4, 6))
+        y = (rng.random((4, 3)) < 0.5).astype(float)
+        with pytest.raises(LossInputError):
+            train_step(x, y, state, cfg)
 
 
 class TestRefinementOffPath:

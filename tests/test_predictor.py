@@ -1,4 +1,5 @@
 import copy
+import json
 
 import numpy as np
 import pytest
@@ -148,9 +149,11 @@ class TestCheckpoint:
         A = rng.normal(size=(3, 3))
         np.fill_diagonal(A, 0.0)
         path = tmp_path / "ckpt.json"
-        save_checkpoint(path, params, A, "abc123", alpha=0.3)
+        save_checkpoint(path, params, A, "abc123")
         back, back_A, h = load_checkpoint(path)
         assert h == "abc123"
+        # the rate lives in the run's config.json only
+        assert "alpha" not in json.loads(path.read_text())
         np.testing.assert_array_equal(back.W1, params.W1)
         np.testing.assert_array_equal(back.W2, params.W2)
         np.testing.assert_array_equal(back_A, A)

@@ -240,6 +240,10 @@ class TestFoldsCsv:
     def test_save_byte_identical_to_reference(self, tmp_path, split, seed):
         labels, K = split
         assign = mis_split(labels, K, seed)
+        # every example shares tmp_path; writing fresh files instead of
+        # truncating the last example's can be far cheaper on ext4
+        (tmp_path / "folds.csv").unlink(missing_ok=True)
+        (tmp_path / "ref.csv").unlink(missing_ok=True)
         save_folds(assign, tmp_path / "folds.csv")
         reference_save_folds(assign, tmp_path / "ref.csv")
         assert (tmp_path / "folds.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()

@@ -12,6 +12,7 @@ from coupled_labels.synthgen import (
     spec_from_dict,
     topo_order,
 )
+from helpers import BAD_SPEC_PATCHES, GOOD_SPEC
 
 
 def small_spec(**kwargs):
@@ -124,3 +125,9 @@ class TestSpecJson:
     def test_missing_field_rejected(self):
         with pytest.raises(GenSpecError):
             spec_from_dict({"n_examples": 10})
+
+    @pytest.mark.parametrize("field,value", BAD_SPEC_PATCHES,
+                             ids=[f"{f}={v!r}" for f, v in BAD_SPEC_PATCHES])
+    def test_bad_value_rejected_naming_field(self, field, value):
+        with pytest.raises(GenSpecError, match=rf"\b{field}: must be"):
+            spec_from_dict({**GOOD_SPEC, field: value})

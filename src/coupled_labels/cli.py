@@ -84,21 +84,32 @@ def _cmd_split(args) -> int:
     return 0
 
 
+def _new_run_dir(path) -> Path:
+    """`path` as the directory of a new run: it must not exist or be an
+    empty directory, so that no file of an earlier run sits beside the new
+    run's files."""
+    outdir = Path(path)
+    if outdir.exists() and (not outdir.is_dir() or any(outdir.iterdir())):
+        raise CoupledLabelsError(f"--out {outdir} exists and is not an empty directory")
+    return outdir
+
+
 def _cmd_train(args) -> int:
+    outdir = _new_run_dir(args.out)
     dataset = load_dataset(args.data)
     cfg = load_config(args.config)
     report = harness.run_experiment(dataset, cfg)
-    harness.write_run_report(report, args.out)
+    harness.write_run_report(report, outdir)
     print(f"run written to {args.out}")
     _print_auc_table(report.to_json_dict())
     return 0
 
 
 def _cmd_ablate(args) -> int:
+    outdir = _new_run_dir(args.out)
     dataset = load_dataset(args.data)
     cfg = load_config(args.config)
     result = harness.run_ablation(dataset, cfg)
-    outdir = Path(args.out)
     harness.write_run_report(result.refined, outdir / "with_refinement")
     harness.write_run_report(result.baseline, outdir / "no_refinement")
     comparison = result.comparison()

@@ -394,8 +394,8 @@ def validate_config(cfg: ExperimentConfig) -> ExperimentConfig:
         problems.append(f"ema_decay: must be a number in (0, 1), got {cfg.ema_decay!r}")
     if not _number(cfg.grad_clip_norm) or cfg.grad_clip_norm <= 0:
         problems.append(f"grad_clip_norm: must be a finite number > 0, got {cfg.grad_clip_norm!r}")
-    if not _number(cfg.seed, int):
-        problems.append(f"seed: must be an integer, got {cfg.seed!r}")
+    if not _number(cfg.seed, int) or cfg.seed < 0:
+        problems.append(f"seed: must be an integer >= 0, got {cfg.seed!r}")
     if not isinstance(cfg.refinement_enabled, bool):
         problems.append(f"refinement_enabled: must be a boolean, got {cfg.refinement_enabled!r}")
     if problems:

@@ -75,15 +75,15 @@ def identity_view(x):
 
 def predict_probs(params: PredictorParams, A: np.ndarray | None, alpha: float, x,
                   batch_size: int | None = None) -> np.ndarray:
-    """Eval-mode probabilities (post-refinement sigmoid), chunked; without
-    a coupling matrix `A` the logits are not refined."""
+    """Probabilities (post-refinement sigmoid), chunked; without a coupling
+    matrix `A` the logits are not refined."""
     x = np.asarray(x, dtype=np.float64)
     n = x.shape[0]
     step = n if batch_size is None else max(1, batch_size)
     out = np.empty((n, params.n_labels))
     for lo in range(0, n, step):
         chunk = x[lo:lo + step]
-        z, _ = predict_forward(chunk, params, mode="eval")
+        z, _ = predict_forward(chunk, params)
         if A is not None:
             z, _ = refine_forward(z, A, alpha)
         out[lo:lo + step] = expit(z)
@@ -176,8 +176,7 @@ def fold_runs(assign: FoldAssignment, seed: int, refine: bool) -> list[tuple]:
             for k in range(assign.K)]
 
 
-def train_folds(features, labels, runs, cfg: ExperimentConfig, variant: str = "linear",
-                hidden: int = 32) -> list[FoldResult]:
+def train_folds(features, labels, runs, cfg: ExperimentConfig) -> list[FoldResult]:
     """Train one model per run and return their results in the order of
     `runs`.
 
@@ -198,8 +197,7 @@ def train_folds(features, labels, runs, cfg: ExperimentConfig, variant: str = "l
     cfg = validate_config(cfg)
     if not runs:
         raise HarnessError("no runs to train")
-    models = [_new_run(features, labels, i, run, cfg, variant, hidden)
-              for i, run in enumerate(runs)]
+    models = [_new_run(features, labels, i, run, cfg) for i, run in enumerate(runs)]
     plan, forked = _plan_shards([run[4] for run in runs])
     shards = [[models[i] for i in shard] for shard in plan]
     if forked:
@@ -214,15 +212,16 @@ def train_folds(features, labels, runs, cfg: ExperimentConfig, variant: str = "l
     return [outcome for _, outcome in outcomes]
 
 
-def _new_run(features, labels, index: int, run: tuple, cfg: ExperimentConfig, variant: str,
-             hidden: int) -> _Run:
+def _new_run(features, labels, index: int, run: tuple, cfg: ExperimentConfig) -> _Run:
     fold, seed, train_idx, val_idx, refine = run
     n_train = train_idx.shape[0]
     if n_train < 1 or val_idx.shape[0] < 1:
         raise HarnessError(f"fold {fold}: empty train or validation subset")
-    ss = np.random.SeedSequence(seed)
-    rng_init, rng_dropout, rng_shuffle = (np.random.default_rng(c) for c in ss.spawn(3))
-    predictor = init_params(variant, features.shape[1], labels.shape[1], rng_init, hidden=hidden)
+    # Child 2 seeds the shuffle stream and child 1 goes unused: spawning
+    # fewer than three would change the shuffles and every trained result.
+    init_seed, _, shuffle_seed = np.random.SeedSequence(seed).spawn(3)
+    rng_shuffle = np.random.default_rng(shuffle_seed)
+    predictor = init_params(features.shape[1], labels.shape[1], np.random.default_rng(init_seed))
     A = new_coupling(labels.shape[1]) if refine else None
     steps_per_epoch = math.ceil(n_train / cfg.batch_size)
     total_steps = steps_per_epoch * cfg.epochs
@@ -234,8 +233,7 @@ def _new_run(features, labels, index: int, run: tuple, cfg: ExperimentConfig, va
     )
     pos_weight = (compute_pos_weights(labels[train_idx])
                   if cfg.loss_kind == "WeightedBCE" else None)
-    state = init_train_state(predictor, A, schedule, cfg, rng_dropout,
-                             pos_weight=pos_weight)
+    state = init_train_state(predictor, A, schedule, cfg, pos_weight=pos_weight)
     return _Run(index, fold, train_idx, val_idx, rng_shuffle, state)
 
 
@@ -420,13 +418,11 @@ def _jsonify(obj):
 
 
 def run_experiment(dataset: Dataset, cfg: ExperimentConfig,
-                   test_dataset: Dataset | None = None, variant: str = "linear",
-                   hidden: int = 32) -> RunReport:
+                   test_dataset: Dataset | None = None) -> RunReport:
     """Stratified K-fold training plus fold-ensemble evaluation."""
     cfg, assign = _split(dataset, cfg, test_dataset)
     fold_results = train_folds(dataset.features, dataset.labels,
-                               fold_runs(assign, cfg.seed, cfg.refinement_enabled), cfg,
-                               variant=variant, hidden=hidden)
+                               fold_runs(assign, cfg.seed, cfg.refinement_enabled), cfg)
     return experiment_report(dataset, cfg, assign, fold_results, test_dataset=test_dataset)
 
 
@@ -556,8 +552,7 @@ class AblationResult:
 
 
 def run_ablation(dataset: Dataset, cfg: ExperimentConfig,
-                 test_dataset: Dataset | None = None, variant: str = "linear",
-                 hidden: int = 32) -> AblationResult:
+                 test_dataset: Dataset | None = None) -> AblationResult:
     """Same data, folds and seeds, refinement on vs off: both arms' 2K
     models train in one `train_folds` call."""
     cfg, assign = _split(dataset, cfg, test_dataset)
@@ -565,7 +560,7 @@ def run_ablation(dataset: Dataset, cfg: ExperimentConfig,
     cfg_off = dataclasses.replace(cfg, refinement_enabled=False)
     results = train_folds(dataset.features, dataset.labels,
                           fold_runs(assign, cfg.seed, True) + fold_runs(assign, cfg.seed, False),
-                          cfg, variant=variant, hidden=hidden)
+                          cfg)
     return AblationResult(
         refined=experiment_report(dataset, cfg_on, assign, results[:cfg.K],
                                   test_dataset=test_dataset),

@@ -3,12 +3,12 @@ with a one-epoch linear warm-up, global-norm gradient clipping, an EMA shadow
 of every trainable (coupling matrix included), and non-finite-step skipping.
 
 The trainables of M models live in one float64 (M, P) buffer, a row per
-model, with named views `W2`, `b2`, `W1`, `b1`, `A`; the Adam moments and the
-EMA shadow are buffers of the same layout. Each update is then a few vector
-operations whatever M is, and `train_step` advances M models by one batch
-each with one pass through the layer functions. Every model computes exactly
-what it would compute alone: it keeps its own schedule, Adam clock, dropout
-stream and log.
+model, with named views `W2`, `b2` and, for a refined model, `A`; the Adam
+moments and the EMA shadow are buffers of the same layout. Each update is
+then a few vector operations whatever M is, and `train_step` advances M
+models by one batch each with one pass through the layer functions. Every
+model computes exactly what it would compute alone: it keeps its own
+schedule, Adam clock and log.
 
 A skipped step still advances the schedule clock so total_steps keeps its
 meaning; parameters, moments and EMA are left untouched.
@@ -207,8 +207,8 @@ class TrainState:
     """Everything the training of M models mutates, one buffer row or list
     entry per model: the live trainables (`predictor` and the coupling
     matrix `A`, None without refinement, are views into `params`), Adam
-    moments, EMA shadow, schedule and dropout stream, the schedule clock
-    `step`, the skip count and the step log."""
+    moments, EMA shadow, schedule, the schedule clock `step`, the skip
+    count and the step log."""
 
     params: ParamBuffer
     predictor: PredictorParams
@@ -216,7 +216,6 @@ class TrainState:
     opt: OptimState
     ema: EmaState
     schedules: list[Schedule]
-    rngs_dropout: list[np.random.Generator]
     pos_weight: np.ndarray | None       # (M, L)
     step: np.ndarray                    # (M,)
     skips: np.ndarray                   # (M,)
@@ -230,38 +229,34 @@ class TrainState:
         """A copy of model `row`'s EMA weights as a predictor and coupling."""
         shadow = self.ema.shadow
         snapshot = shadow.like(shadow.data[row].copy())
-        return _bind(snapshot, self.predictor), snapshot.get("A")
+        return _bind(snapshot), snapshot.get("A")
 
 
 def _model_fields(s: TrainState) -> tuple:
     """The per-model fields of a state, in `_assemble`'s argument order."""
     return (s.params.data, s.opt.t, s.opt.m.data, s.opt.v.data, s.ema.shadow.data,
-            s.schedules, s.rngs_dropout, s.pos_weight, s.step, s.skips, s.logs)
+            s.schedules, s.pos_weight, s.step, s.skips, s.logs)
 
 
-def _bind(params: ParamBuffer, predictor: PredictorParams) -> PredictorParams:
-    """A predictor like the given one, viewing `params`."""
-    return PredictorParams(
-        variant=predictor.variant, W2=params["W2"], b2=params["b2"],
-        W1=params.get("W1"), b1=params.get("b1"), dropout_p=predictor.dropout_p,
-    )
+def _bind(params: ParamBuffer) -> PredictorParams:
+    """The predictor viewing `params`."""
+    return PredictorParams(W2=params["W2"], b2=params["b2"])
 
 
-def _assemble(proto: TrainState, params, t, m, v, shadow, schedules, rngs_dropout,
-              pos_weight, step, skips, logs) -> TrainState:
+def _assemble(proto: TrainState, params, t, m, v, shadow, schedules, pos_weight, step,
+              skips, logs) -> TrainState:
     params = proto.params.like(params)
     return TrainState(
-        params=params, predictor=_bind(params, proto.predictor), A=params.get("A"),
+        params=params, predictor=_bind(params), A=params.get("A"),
         opt=dataclasses.replace(proto.opt, t=t, m=params.like(m), v=params.like(v)),
         ema=dataclasses.replace(proto.ema, shadow=params.like(shadow)),
-        schedules=schedules, rngs_dropout=rngs_dropout, pos_weight=pos_weight,
-        step=step, skips=skips, logs=logs,
+        schedules=schedules, pos_weight=pos_weight, step=step, skips=skips, logs=logs,
     )
 
 
 def stack_states(states: list[TrainState]) -> TrainState:
     """One state holding the models of `states` in order. Buffers and clocks
-    are copied; schedules, dropout streams and logs are shared."""
+    are copied; schedules and logs are shared."""
     def merged(parts):
         if parts[0] is None:
             return None
@@ -274,7 +269,6 @@ def stack_states(states: list[TrainState]) -> TrainState:
 
 def init_train_state(predictor: PredictorParams, A: np.ndarray | None,
                      schedule: Schedule, cfg: ExperimentConfig,
-                     rng_dropout: np.random.Generator,
                      pos_weight: np.ndarray | None = None) -> TrainState:
     """A one-model state starting from copies of `predictor` and the
     coupling matrix `A` (None: no refinement)."""
@@ -285,12 +279,11 @@ def init_train_state(predictor: PredictorParams, A: np.ndarray | None,
     params = row.like(row.data[None])
     return TrainState(
         params=params,
-        predictor=_bind(params, predictor),
+        predictor=_bind(params),
         A=params.get("A"),
         opt=init_optim(params, cfg.lr, cfg.weight_decay),
         ema=init_ema(params, cfg.ema_decay),
         schedules=[schedule],
-        rngs_dropout=[rng_dropout],
         pos_weight=None if pos_weight is None else np.asarray(pos_weight)[None],
         step=np.zeros(1, dtype=np.int64),
         skips=np.zeros(1, dtype=np.int64),
@@ -316,7 +309,7 @@ def train_step(x, y, state: TrainState, cfg: ExperimentConfig):
         x, y = np.asarray(x)[None], np.asarray(y)[None]
     lr = np.array([lr_at(sched, t, cfg.lr)
                    for sched, t in zip(state.schedules, state.step.tolist())])
-    z, pcache = predict_forward(x, state.predictor, mode="train", rng=state.rngs_dropout)
+    z, pcache = predict_forward(x, state.predictor)
     if state.A is not None:
         z_ref, ccache = refine_forward(z, state.A, cfg.alpha)
         l1_value, l1_grad = losses.l1_penalty(state.A, cfg.lambda_l1)

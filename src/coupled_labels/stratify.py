@@ -75,11 +75,13 @@ def load_folds(path) -> FoldAssignment:
     return FoldAssignment(fold_of=folds, K=int(folds.max()) + 1 if folds.size else 0)
 
 
-def _check_split_args(n: int, K: int):
+def _check_split_args(n: int, K: int, seed: int):
     if K < 2:
         raise SplitError(f"K must be >= 2, got {K}")
     if K > n:
         raise SplitError(f"cannot split {n} examples into {K} folds")
+    if seed < 0:
+        raise SplitError(f"seed must be >= 0, got {seed}")
 
 
 def mis_split(labels, K: int, seed: int) -> FoldAssignment:
@@ -95,7 +97,7 @@ def mis_split(labels, K: int, seed: int) -> FoldAssignment:
     """
     y = check_label_matrix(labels)
     n, n_labels = y.shape
-    _check_split_args(n, K)
+    _check_split_args(n, K, seed)
     rng = np.random.default_rng(seed)
 
     # The loop below runs once per example on K- and L-long state, where
@@ -159,7 +161,7 @@ def bucketed_kfold(labels, K: int, seed: int) -> FoldAssignment:
     """
     y = check_label_matrix(labels)
     n, _ = y.shape
-    _check_split_args(n, K)
+    _check_split_args(n, K, seed)
     rng = np.random.default_rng(seed)
 
     # bit-packed rows sort bytewise in the order of their "0110..." strings
@@ -185,7 +187,7 @@ def bucketed_kfold(labels, K: int, seed: int) -> FoldAssignment:
 
 def random_kfold(n: int, K: int, seed: int) -> FoldAssignment:
     """Uniform random near-equal K-fold; the comparison baseline."""
-    _check_split_args(n, K)
+    _check_split_args(n, K, seed)
     rng = np.random.default_rng(seed)
     perm = rng.permutation(n)
     fold_of = np.empty(n, dtype=np.int64)

@@ -112,8 +112,7 @@ def reference_probability_histograms(probs, bins=20):
     return counts
 
 
-def run_fold(train_x, train_y, val_x, val_y, cfg, seed, fold_index=0, variant="linear",
-             hidden=32):
+def run_fold(train_x, train_y, val_x, val_y, cfg, seed, fold_index=0):
     """`train_folds` for one model on its own train and validation arrays,
     with the refinement flag of `cfg`."""
     from coupled_labels.harness import train_folds
@@ -122,7 +121,7 @@ def run_fold(train_x, train_y, val_x, val_y, cfg, seed, fold_index=0, variant="l
     features, labels = np.concatenate([train_x, val_x]), np.concatenate([train_y, val_y])
     rows = np.arange(len(features))
     run = (fold_index, seed, rows[:n_train], rows[n_train:], cfg.refinement_enabled)
-    return train_folds(features, labels, [run], cfg, variant=variant, hidden=hidden)[0]
+    return train_folds(features, labels, [run], cfg)[0]
 
 
 def couplings_free_fold(train_x, train_y, val_x, val_y, cfg, seed):
@@ -144,15 +143,14 @@ def couplings_free_fold(train_x, train_y, val_x, val_y, cfg, seed):
     )
 
     ss = np.random.SeedSequence(seed)
-    rng_init, rng_dropout, rng_shuffle = (np.random.default_rng(c) for c in ss.spawn(3))
-    pred = init_params("linear", train_x.shape[1], train_y.shape[1], rng_init, hidden=32)
+    rng_init, _, rng_shuffle = (np.random.default_rng(c) for c in ss.spawn(3))
+    pred = init_params(train_x.shape[1], train_y.shape[1], rng_init)
     n = train_x.shape[0]
     steps_per_epoch = math.ceil(n / cfg.batch_size)
     total = steps_per_epoch * cfg.epochs
     sched = Schedule(warmup_steps=min(steps_per_epoch, total - 1), total_steps=total)
     params = ParamBuffer.of(pred.trainable())
-    pred = PredictorParams(variant="linear", W2=params["W2"], b2=params["b2"],
-                           dropout_p=pred.dropout_p)
+    pred = PredictorParams(W2=params["W2"], b2=params["b2"])
     opt = init_optim(params, cfg.lr, cfg.weight_decay)
     ema = init_ema(params, cfg.ema_decay)
     step = 0
@@ -163,7 +161,7 @@ def couplings_free_fold(train_x, train_y, val_x, val_y, cfg, seed):
         for lo in range(0, n, cfg.batch_size):
             idx = order[lo:lo + cfg.batch_size]
             lr = lr_at(sched, step, cfg.lr)
-            z, cache = predict_forward(train_x[idx], pred, mode="train", rng=rng_dropout)
+            z, cache = predict_forward(train_x[idx], pred)
             sup = asl_loss(z, train_y[idx], cfg.asl.gamma_pos, cfg.asl.gamma_neg,
                            cfg.asl.clip)
             grads, _ = predict_backward(sup.grad_logits, cache, pred)
@@ -171,14 +169,12 @@ def couplings_free_fold(train_x, train_y, val_x, val_y, cfg, seed):
             adamw_step(params, grads, opt, lr)
             ema_update(ema, params)
             step += 1
-        eval_params = PredictorParams(variant="linear", W2=ema.shadow["W2"].copy(),
-                                      b2=ema.shadow["b2"].copy(),
-                                      dropout_p=pred.dropout_p)
+        eval_params = PredictorParams(W2=ema.shadow["W2"].copy(), b2=ema.shadow["b2"].copy())
         eval_batch = cfg.batch_size * cfg.eval_batch_multiplier
         probs = np.empty((val_x.shape[0], train_y.shape[1]))
         for lo in range(0, val_x.shape[0], eval_batch):
             chunk = val_x[lo:lo + eval_batch]
-            zz, _ = predict_forward(chunk, eval_params, mode="eval")
+            zz, _ = predict_forward(chunk, eval_params)
             probs[lo:lo + eval_batch] = expit(zz)
         auc = metrics.macro_auc(probs, val_y).macro_auc
         if auc > best_auc:
@@ -432,7 +428,7 @@ def reference_bucketed_kfold(labels, K, seed):
 # lockstep must give the same FoldResult bit for bit.
 # ---------------------------------------------------------------------------
 
-_REFERENCE_DECAY_KEYS = frozenset({"W1", "W2", "A"})
+_REFERENCE_DECAY_KEYS = frozenset({"W2", "A"})
 
 
 def _reference_clip(grads, max_norm):
@@ -473,8 +469,7 @@ def _reference_ema(shadow, params, decay):
         s += (1.0 - decay) * p
 
 
-def reference_run_fold(train_x, train_y, val_x, val_y, cfg, seed, fold_index=0,
-                       variant="linear", hidden=32):
+def reference_run_fold(train_x, train_y, val_x, val_y, cfg, seed, fold_index=0):
     """run_fold for one fold on its own, with a per-array optimizer loop."""
     from coupled_labels import losses, metrics
     from coupled_labels.coupling import new_coupling, refine_backward, refine_forward, zero_diag
@@ -488,9 +483,8 @@ def reference_run_fold(train_x, train_y, val_x, val_y, cfg, seed, fold_index=0,
     train_y = np.asarray(train_y, dtype=np.float64)
     n_train = train_x.shape[0]
     ss = np.random.SeedSequence(seed)
-    rng_init, rng_dropout, rng_shuffle = (np.random.default_rng(c) for c in ss.spawn(3))
-    predictor = init_params(variant, train_x.shape[1], train_y.shape[1], rng_init,
-                            hidden=hidden)
+    rng_init, _, rng_shuffle = (np.random.default_rng(c) for c in ss.spawn(3))
+    predictor = init_params(train_x.shape[1], train_y.shape[1], rng_init)
     A = new_coupling(train_y.shape[1]) if cfg.refinement_enabled else None
     steps_per_epoch = math.ceil(n_train / cfg.batch_size)
     total_steps = steps_per_epoch * cfg.epochs
@@ -514,7 +508,7 @@ def reference_run_fold(train_x, train_y, val_x, val_y, cfg, seed, fold_index=0,
     def train_step(x, y):
         nonlocal skips, step
         lr = lr_at(schedule, step, cfg.lr)
-        z, pcache = predict_forward(x, predictor, mode="train", rng=rng_dropout)
+        z, pcache = predict_forward(x, predictor)
         if A is not None:
             z_ref, ccache = refine_forward(z, A, cfg.alpha)
             l1_value, l1_grad = losses.l1_penalty(A, cfg.lambda_l1)
@@ -561,12 +555,7 @@ def reference_run_fold(train_x, train_y, val_x, val_y, cfg, seed, fold_index=0,
             idx = order[lo:lo + cfg.batch_size]
             train_step(train_x[idx], train_y[idx])
         epochs_run = epoch
-        ema_params = PredictorParams(
-            variant=predictor.variant, W2=shadow["W2"].copy(), b2=shadow["b2"].copy(),
-            W1=shadow["W1"].copy() if "W1" in shadow else None,
-            b1=shadow["b1"].copy() if "b1" in shadow else None,
-            dropout_p=predictor.dropout_p,
-        )
+        ema_params = PredictorParams(W2=shadow["W2"].copy(), b2=shadow["b2"].copy())
         ema_A = None if A is None else shadow["A"].copy()
         val_probs = predict_with_views(ema_params, ema_A, cfg.alpha, val_x,
                                        batch_size=eval_batch)

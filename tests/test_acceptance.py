@@ -68,21 +68,18 @@ def gate(number: str, description: str, ok: bool, detail: str = ""):
 # ---------------------------------------------------------------------------
 
 
-def _e2e_instance(rng, variant):
+def _e2e_instance(rng):
     n = int(rng.integers(1, 9))
     d = int(rng.integers(2, 11))
     l = int(rng.integers(2, 7))
-    h = int(rng.integers(2, 8))
-    params = init_params(variant, d, l, rng, hidden=h)
+    params = init_params(d, l, rng)
     A = rng.uniform(0.1, 0.8, size=(l, l)) * rng.choice([-1.0, 1.0], size=(l, l))
     np.fill_diagonal(A, 0.0)
     for _ in range(50):
         x = rng.uniform(-2.0, 2.0, size=(n, d))
-        z, _ = predict_forward(x, params, mode="eval")
+        z, _ = predict_forward(x, params)
         z_ref, _ = refine_forward(z, A, ALPHA)
         clear = np.all(np.abs(expit(z_ref) - 0.05) > 1e-4)
-        if variant == "mlp1":
-            clear = clear and np.all(np.abs(x @ params.W1 + params.b1) > 1e-4)
         if clear and np.all(np.abs(z) < 30):
             break
     y = (rng.random((n, l)) < 0.5).astype(np.float64)
@@ -90,7 +87,7 @@ def _e2e_instance(rng, variant):
 
 
 def _e2e_total_and_grads(x, y, params, A, lam=1e-3):
-    z, pcache = predict_forward(x, params, mode="eval")
+    z, pcache = predict_forward(x, params)
     z_ref, ccache = refine_forward(z, A, ALPHA)
     sup = asl_loss(z_ref, y, gamma_pos=0.0, gamma_neg=4.0, clip=0.05)
     l1_val, l1_grad = l1_penalty(A, lam)
@@ -104,9 +101,8 @@ def test_criterion_1_end_to_end_gradient_exactness():
     rng = np.random.default_rng(2024)
     start = time.perf_counter()
     worst = 0.0
-    for i in range(100):
-        variant = "linear" if i % 2 == 0 else "mlp1"
-        x, y, params, A = _e2e_instance(rng, variant)
+    for _ in range(100):
+        x, y, params, A = _e2e_instance(rng)
         _, grads = _e2e_total_and_grads(x, y, params, A)
 
         for name in grads:
@@ -144,7 +140,7 @@ def test_criterion_2_refinement_identity_and_ablation():
     z_ref, _ = refine_forward(z, new_coupling(6), ALPHA)
     identity_ok = np.array_equal(z_ref, z)
 
-    params = init_params("linear", 5, 4, rng)
+    params = init_params(5, 4, rng)
     x = rng.normal(size=(15, 5))
     probs_zero = predict_probs(params, new_coupling(4), ALPHA, x)
     probs_none = predict_probs(params, None, ALPHA, x)
@@ -388,9 +384,8 @@ def test_criterion_7_optimizer_identities():
     ema_ok = np.max(np.abs(ema.shadow["w"] - expected)) < 1e-12
 
     cfg = ExperimentConfig()
-    predictor = init_params("linear", 4, 3, np.random.default_rng(2))
-    state = init_train_state(predictor, new_coupling(3), Schedule(2, 50), cfg,
-                             np.random.default_rng(3))
+    predictor = init_params(4, 3, np.random.default_rng(2))
+    state = init_train_state(predictor, new_coupling(3), Schedule(2, 50), cfg)
     x = np.zeros((4, 4))
     x[0, 0] = np.nan
     y = np.zeros((4, 3))

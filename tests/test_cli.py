@@ -107,6 +107,13 @@ class TestSplit:
         assert code == 1
         assert "error" in capsys.readouterr().err
 
+    def test_negative_seed_exit_1(self, tiny_data, tmp_path, capsys):
+        out = tmp_path / "f.csv"
+        code = cli_main(["split", "--data", str(tiny_data), "--seed", "-1", "--out", str(out)])
+        assert code == 1
+        assert "seed" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestTrainAndReport:
     def test_full_pipeline(self, tiny_data, tiny_config, tmp_path, capsys):
@@ -157,6 +164,14 @@ class TestTrainAndReport:
         assert code == 1
         assert "refinement_enabled" in capsys.readouterr().err
 
+    def test_negative_seed_exit_1_names_field(self, tiny_data, tmp_path, capsys):
+        cfg = tmp_path / "bad_cfg.json"
+        cfg.write_text(json.dumps({"seed": -1}))
+        code = cli_main(["train", "--data", str(tiny_data), "--config", str(cfg),
+                         "--out", str(tmp_path / "r")])
+        assert code == 1
+        assert "seed" in capsys.readouterr().err
+
     def test_runtime_failure_exit_2(self, tiny_data, tiny_config, tmp_path, monkeypatch):
         from coupled_labels import cli as cli_module
 
@@ -184,6 +199,43 @@ class TestAblate:
         assert cli_main(["report", "--run", str(rundir)]) == 0
         out = capsys.readouterr().out
         assert "delta" in out
+
+
+class TestRunDirectory:
+    """`train` and `ablate` write only into a new or empty directory, so a
+    run directory never mixes the files of two runs."""
+
+    @pytest.mark.parametrize("command", ["train", "ablate"])
+    def test_reused_out_exit_1_leaves_old_run(self, command, tiny_data, tiny_config,
+                                              tmp_path, capsys):
+        rundir = tmp_path / "run"
+        assert cli_main(["ablate", "--data", str(tiny_data), "--config", str(tiny_config),
+                         "--out", str(rundir)]) == 0
+        before = {p: p.read_bytes() for p in rundir.rglob("*") if p.is_file()}
+        capsys.readouterr()
+        code = cli_main([command, "--data", str(tiny_data), "--config", str(tiny_config),
+                         "--out", str(rundir)])
+        assert code == 1
+        assert str(rundir) in capsys.readouterr().err
+        assert {p: p.read_bytes() for p in rundir.rglob("*") if p.is_file()} == before
+
+    @pytest.mark.parametrize("command", ["train", "ablate"])
+    def test_existing_file_rejected_before_loading_data(self, command, tiny_config,
+                                                        tmp_path, capsys):
+        out = tmp_path / "out"
+        out.write_text("kept\n")
+        code = cli_main([command, "--data", str(tmp_path / "missing.csv"), "--config",
+                         str(tiny_config), "--out", str(out)])
+        assert code == 1
+        assert f"--out {out}" in capsys.readouterr().err
+        assert out.read_text() == "kept\n"
+
+    def test_empty_directory_accepted(self, tiny_data, tiny_config, tmp_path):
+        rundir = tmp_path / "run"
+        rundir.mkdir()
+        assert cli_main(["train", "--data", str(tiny_data), "--config", str(tiny_config),
+                         "--out", str(rundir)]) == 0
+        assert (rundir / "report.json").exists()
 
 
 def _python(code: str) -> str:

@@ -333,6 +333,7 @@ class TestConfig:
         {"alpha": None},
         {"lr": float("nan")},
         {"epochs": True},
+        {"seed": -1},
     ])
     def test_invariant_violations(self, patch):
         with pytest.raises(ConfigError) as exc:

@@ -61,7 +61,7 @@ def fast_cfg(**over):
 class TestPredictWithViews:
     def test_identity_only_equals_plain(self):
         rng = np.random.default_rng(1)
-        params = init_params("linear", 4, 3, rng)
+        params = init_params(4, 3, rng)
         x = rng.normal(size=(7, 4))
         np.testing.assert_array_equal(
             predict_with_views(params, None, ALPHA, x), predict_probs(params, None, ALPHA, x)
@@ -69,7 +69,7 @@ class TestPredictWithViews:
 
     def test_duplicate_identity_idempotent(self):
         rng = np.random.default_rng(2)
-        params = init_params("linear", 4, 3, rng)
+        params = init_params(4, 3, rng)
         x = rng.normal(size=(5, 4))
         plain = predict_probs(params, None, ALPHA, x)
         averaged = predict_with_views(params, None, ALPHA, x,
@@ -78,7 +78,7 @@ class TestPredictWithViews:
 
     def test_two_views_elementwise_mean(self):
         rng = np.random.default_rng(3)
-        params = init_params("linear", 4, 2, rng)
+        params = init_params(4, 2, rng)
         x = rng.normal(size=(6, 4))
         combined = predict_with_views(params, None, ALPHA, x,
                                       views=(identity_view, lambda x: 0.5 * x))
@@ -89,7 +89,7 @@ class TestPredictWithViews:
 
     def test_view_validation(self):
         rng = np.random.default_rng(4)
-        params = init_params("linear", 3, 2, rng)
+        params = init_params(3, 2, rng)
         x = np.zeros((2, 3))
         with pytest.raises(HarnessError):
             predict_with_views(params, None, ALPHA, x, views=())
@@ -100,7 +100,7 @@ class TestPredictWithViews:
 
     def test_chunked_prediction_matches_unchunked(self):
         rng = np.random.default_rng(5)
-        params = init_params("linear", 4, 3, rng)
+        params = init_params(4, 3, rng)
         x = rng.normal(size=(23, 4))
         np.testing.assert_allclose(
             predict_probs(params, None, ALPHA, x, batch_size=7),
@@ -205,10 +205,9 @@ def _outcome(train):
         return str(exc)
 
 
-def _reference(x, y, runs, cfg, variant, hidden):
+def _reference(x, y, runs, cfg):
     return [reference_run_fold(x[tr], y[tr], x[va], y[va],
-                               dataclasses.replace(cfg, refinement_enabled=refine), seed, k,
-                               variant, hidden)
+                               dataclasses.replace(cfg, refinement_enabled=refine), seed, k)
             for k, seed, tr, va, refine in runs]
 
 
@@ -223,8 +222,7 @@ def _with_workers(n, train):
 def lockstep_problems(draw):
     """Shared features and labels split into K = 2..5 folds of unequal sizes,
     with a batch size that gives unequal steps per epoch and ragged tails,
-    patience that may stop folds at different epochs, either predictor,
-    either loss, alpha 0.3 or 0.7, refinement on or off per run, and maybe a
+    patience that may stop folds at different epochs, either loss, alpha 0.3 or 0.7, refinement on or off per run, and maybe a
     NaN training row seen by one fold only, whose skipped steps put its Adam
     clock behind the others'."""
     K = draw(st.integers(2, 5))
@@ -255,8 +253,7 @@ def lockstep_problems(draw):
         if k == nan_fold:
             train = np.append(train, n)
         runs.append((k, cfg.seed + k, train, np.flatnonzero(fold_of == k), refine[k]))
-    variant = draw(st.sampled_from(["linear", "mlp1"]))
-    return x, y, runs, cfg, variant, draw(st.integers(2, 5))
+    return x, y, runs, cfg
 
 
 class TestLockstepMatchesReference:
@@ -268,24 +265,22 @@ class TestLockstepMatchesReference:
     @settings(max_examples=40, deadline=None)
     @given(lockstep_problems())
     def test_train_folds_bit_identical(self, problem):
-        x, y, runs, cfg, variant, hidden = problem
-        expected = _outcome(lambda: _reference(x, y, runs, cfg, variant, hidden))
+        x, y, runs, cfg = problem
+        expected = _outcome(lambda: _reference(x, y, runs, cfg))
         for workers in (1, 2):
             assert _with_workers(workers, lambda: _outcome(
-                lambda: train_folds(x, y, runs, cfg, variant, hidden))) == expected
+                lambda: train_folds(x, y, runs, cfg))) == expected
 
     @settings(max_examples=15, deadline=None)
     @given(lockstep_problems())
     def test_run_experiment_bit_identical(self, problem):
-        x, y, _, cfg, variant, hidden = problem
+        x, y, _, cfg = problem
         ds = Dataset(features=x[:-1], labels=y[:-1],
                      label_names=[f"y{i}" for i in range(y.shape[1])])
         assign = mis_split(ds.labels, cfg.K, cfg.seed)
         runs = fold_runs(assign, cfg.seed, cfg.refinement_enabled)
-        got = _outcome(lambda: run_experiment(ds, cfg, variant=variant,
-                                              hidden=hidden).fold_results)
-        assert got == _outcome(lambda: _reference(ds.features, ds.labels, runs, cfg,
-                                                  variant, hidden))
+        got = _outcome(lambda: run_experiment(ds, cfg).fold_results)
+        assert got == _outcome(lambda: _reference(ds.features, ds.labels, runs, cfg))
 
     def test_nan_fold_and_early_stops_exercised(self):
         # one fixed problem where the cases above really occur: a stacked
@@ -296,18 +291,18 @@ class TestLockstepMatchesReference:
         y = (rng.random((n + 1, 2)) < 0.4).astype(float)
         x[n, 1] = np.nan
         fold_of = rng.permutation(np.arange(n) % K)
+        # a short EMA horizon makes the folds stop at different epochs
         cfg = config_from_dict({"K": K, "epochs": 6, "patience": 1, "batch_size": 5,
-                                "lr": 0.05, "seed": 2})
+                                "lr": 0.05, "seed": 2, "ema_decay": 0.9})
         train = [np.flatnonzero(fold_of != k) for k in range(K)]
         train[1] = np.append(train[1], n)
         runs = [(k, cfg.seed + k, train[k], np.flatnonzero(fold_of == k), k != 2)
                 for k in range(K)]
-        results = _with_workers(1, lambda: train_folds(x, y, runs, cfg, variant="mlp1",
-                                                       hidden=4))
+        results = _with_workers(1, lambda: train_folds(x, y, runs, cfg))
         assert [fr.skipped_steps > 0 for fr in results] == [False, True, False, False]
         assert len({fr.epochs_run for fr in results}) > 1
         assert [fold_result_bits(fr) for fr in results] == [
-            fold_result_bits(fr) for fr in _reference(x, y, runs, cfg, "mlp1", 4)]
+            fold_result_bits(fr) for fr in _reference(x, y, runs, cfg)]
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_refinement_off_run_of_mixed_list_equals_couplings_free_build(self, workers):
@@ -454,7 +449,7 @@ class TestAblationExactness:
 
     def test_zero_coupling_probabilities_identical(self):
         rng = np.random.default_rng(7)
-        params = init_params("linear", 4, 3, rng)
+        params = init_params(4, 3, rng)
         from coupled_labels.coupling import new_coupling
 
         x = rng.normal(size=(9, 4))

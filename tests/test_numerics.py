@@ -13,8 +13,8 @@ from scipy.special import expit
 
 from coupled_labels.optim import OptimState, ParamBuffer, adamw_step
 
-# (M, B, D, L): the default 24-row batches, a ragged tail, an mlp1 hidden
-# layer, one-column and one-row edge cases
+# (M, B, D, L): the default 24-row batches, a ragged tail, a 32-wide input,
+# one-column and one-row edge cases
 SHAPES = [(3, 24, 20, 14), (1, 7, 20, 14), (3, 24, 32, 14), (2, 1, 5, 3), (4, 6, 1, 2),
           (2, 9, 4, 1), (5, 256, 20, 14)]
 

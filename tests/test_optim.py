@@ -164,11 +164,10 @@ class TestEma:
 
 def build_state(cfg, n_features=6, n_labels=3, seed=0, refinement=True):
     rng = np.random.default_rng(seed)
-    predictor = init_params("linear", n_features, n_labels, rng)
+    predictor = init_params(n_features, n_labels, rng)
     A = new_coupling(n_labels) if refinement else None
     schedule = Schedule(warmup_steps=5, total_steps=100)
-    return init_train_state(predictor, A, schedule, cfg,
-                            np.random.default_rng(seed + 1))
+    return init_train_state(predictor, A, schedule, cfg)
 
 
 class TestTrainStep:

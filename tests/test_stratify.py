@@ -62,6 +62,13 @@ class TestMisSplit:
         with pytest.raises(SplitError):
             mis_split(np.ones((3, 2)), 1, 0)
 
+    def test_negative_seed_rejected_by_every_splitter(self):
+        labels = np.ones((3, 2))
+        for split in (lambda: mis_split(labels, 2, -1), lambda: bucketed_kfold(labels, 2, -1),
+                      lambda: random_kfold(3, 2, -1)):
+            with pytest.raises(SplitError, match="seed"):
+                split()
+
     @settings(max_examples=40, deadline=None)
     @given(label_matrices, st.integers(0, 3))
     def test_partition_property(self, rows, seed):

@@ -8,13 +8,21 @@ whose names carry a ``label:`` prefix. Label cells are strict ``0``/``1``.
 
 from __future__ import annotations
 
+import bisect
+import contextlib
 import csv
 import dataclasses
+import functools
 import hashlib
 import io
 import itertools
 import json
+import mmap
+import multiprocessing
+import os
 import sys
+import tempfile
+import threading
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -115,6 +123,98 @@ class Dataset:
         return self.labels.shape[1]
 
 
+# ---------------------------------------------------------------------------
+# forked workers
+#
+# The CSV reader and writer and the training engine split their work across
+# processes forked from this one, which share its arrays copy-on-write and
+# answer through pipes read by the main thread.
+# ---------------------------------------------------------------------------
+
+
+def _usable_cpus() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def fork_cpus() -> int:
+    """How many processes a job may split across: the CPUs this process may
+    use, or 1 where it cannot fork safely. `fork` may be missing, and it is
+    unsafe while another thread runs: a child forked then can inherit a lock
+    that thread holds, and wait on it forever."""
+    if "fork" in multiprocessing.get_all_start_methods() and threading.active_count() == 1:
+        return _usable_cpus()
+    return 1
+
+
+@contextlib.contextmanager
+def forked(targets):
+    """Start one forked worker per target, which calls ``target(sender)``
+    with the sending end of its own pipe, and yield the (process,
+    receiving end) pairs in order. Leaving the block reaps every worker,
+    after terminating them if the block raised: no one reads their results."""
+    ctx = multiprocessing.get_context("fork")
+    workers = []
+    try:
+        for target in targets:
+            receiver, sender = ctx.Pipe(duplex=False)
+            proc = ctx.Process(target=target, args=(sender,))
+            proc.start()
+            sender.close()
+            workers.append((proc, receiver))
+        yield workers
+    except BaseException:
+        for proc, _ in workers:
+            proc.terminate()
+        raise
+    finally:
+        for proc, receiver in workers:
+            receiver.close()
+            proc.join()
+
+
+def split_work(work, n_parts: int) -> list:
+    """``[work(0), ..., work(n_parts - 1)]``, with part 0 done in this process
+    and each other part in a forked worker that sends its result back. A
+    worker that raises, or dies without its result, makes this raise."""
+    with forked([functools.partial(_part_worker, work, part)
+                 for part in range(1, n_parts)]) as workers:
+        results = [work(0)]
+        for part, (proc, receiver) in enumerate(workers, 1):
+            try:
+                ok, result = receiver.recv()
+            except EOFError:
+                proc.join()
+                raise CoupledLabelsError(f"worker for part {part} exited with code "
+                                         f"{proc.exitcode} without its result") from None
+            if not ok:
+                raise CoupledLabelsError(f"worker for part {part} failed: {result}")
+            results.append(result)
+    return results
+
+
+def _part_worker(work, part: int, sender) -> None:
+    try:
+        reply = (True, work(part))
+    except Exception as exc:  # the parent raises it
+        reply = (False, f"{type(exc).__name__}: {exc}")
+    sender.send(reply)
+    sender.close()
+
+
+def _row_ranges(n_rows: int, block_rows: int) -> list[int]:
+    """Bounds ``[0, ..., n_rows]`` of one contiguous row range per process
+    (`fork_cpus`), with at least one full block of rows in each range."""
+    n_ranges = max(1, min(fork_cpus(), n_rows // block_rows))
+    return [n_rows * w // n_ranges for w in range(n_ranges + 1)]
+
+
+# ---------------------------------------------------------------------------
+# CSV
+# ---------------------------------------------------------------------------
+
+
 def load_dataset(path) -> Dataset:
     """Load a Dataset from a CSV file.
 
@@ -144,7 +244,8 @@ def load_dataset(path) -> Dataset:
                     f"{path}: feature column {header[idx]!r} appears after label columns"
                 )
         label_names = [name[len(LABEL_PREFIX):] for name in header[label_start:]]
-        parsed = _read_plain_rows(fh, label_start, n_cols)
+        header_lines = reader.line_num
+    parsed = _read_plain(path, header_lines, label_start, n_cols)
     if parsed is None:
         # not plain, or not valid: read it again cell by cell, which names
         # the first bad row and column
@@ -187,6 +288,8 @@ def _read_csv_rows(reader, path: Path, header: list[str], label_start: int):
     return np.array(feats, dtype=np.float64), np.array(labs, dtype=np.float64)
 
 
+# Bytes read per step of the line count.
+_COUNT_CHUNK_BYTES = 1 << 20
 # Lines parsed per np.loadtxt call: bounds the text held in memory whatever N is.
 _LOAD_BLOCK_ROWS = 2048
 # Every character a plain block may hold: decimal float syntax, commas and
@@ -194,50 +297,99 @@ _LOAD_BLOCK_ROWS = 2048
 _PLAIN_BYTES = b"0123456789.,+-eE\r\n"
 
 
-def _read_plain_rows(fh, label_start: int, n_cols: int):
-    """Parse the rest of ``fh`` in C, block by block, if every line is plain.
+def _read_plain(path: Path, header_lines: int, label_start: int, n_cols: int):
+    """Parse the data lines of ``path`` in C, if every one is plain
+    (`_read_plain_rows`), and return ``(features, labels)``; else None.
 
-    A line is plain when it holds only ``_PLAIN_BYTES``, has ``n_cols``
-    cells, at least one of them a feature, and spells every label cell as a
-    bare ``0`` or ``1``. For such lines ``np.loadtxt`` splits cells exactly
-    as ``csv`` does and parses each feature cell with the same correctly
-    rounded ``PyOS_string_to_double`` as ``float``, so the result is
-    bit-identical to ``_read_csv_rows``. Returns ``(features, labels)``, or
-    None if any line is not plain or there are no lines.
+    One pass counts the line ends and cuts the lines into one range per
+    process (`_row_ranges`). Each range is parsed by its own process into
+    shared buffers made before the fork. A data line here ends at ``\\n``,
+    as a text line does wherever no ``\\r`` stands alone; a header holding
+    one goes to the row loop, and a data line holding one is not plain.
     """
-    n_labels = n_cols - label_start
-    offsets = np.arange(2 * n_labels, 0, -1)
-    blocks = []
-    while lines := list(itertools.islice(fh, _LOAD_BLOCK_ROWS)):
-        text = "".join(lines)
-        if not text.isascii():
+    chunk_offsets, ends_before = [], []
+    n_ends, offset, last = 0, 0, b""
+    with open(path, "rb", buffering=0) as fh:
+        while chunk := fh.read(_COUNT_CHUNK_BYTES):
+            chunk_offsets.append(offset)
+            ends_before.append(n_ends)
+            n_ends += chunk.count(b"\n")
+            offset += len(chunk)
+            last = chunk[-1:]
+
+        def line_start(line: int) -> int:
+            """Byte offset just after line end number `line` (from 1)."""
+            at = bisect.bisect_left(ends_before, line) - 1
+            chunk = os.pread(fh.fileno(), _COUNT_CHUNK_BYTES, chunk_offsets[at])
+            ends = np.flatnonzero(np.frombuffer(chunk, np.uint8) == ord("\n"))
+            return chunk_offsets[at] + int(ends[line - ends_before[at] - 1]) + 1
+
+        n_rows = n_ends - header_lines + (last != b"\n")
+        if n_rows < 1:
             return None
-        raw = text.encode("ascii")
-        if raw.translate(None, _PLAIN_BYTES):
-            return None
-        lengths = np.array([len(line) for line in lines])
-        content = np.array([len(line.rstrip("\r\n")) for line in lines])
-        if content.min() <= 2 * n_labels:
-            return None  # blank, or too short for a feature and the labels
-        # the last 2L characters of each line must read ",d,d,...,d", d in {0, 1}
-        tails = np.frombuffer(raw, dtype=np.uint8)[
-            (np.cumsum(lengths) - lengths + content)[:, None] - offsets]
-        digits = tails[:, 1::2]
-        if not ((tails[:, 0::2] == ord(",")).all()
-                and ((digits == ord("0")) | (digits == ord("1"))).all()):
-            return None
-        try:
-            values = np.loadtxt(io.BytesIO(raw), delimiter=",", comments=None,
-                                ndmin=2, encoding="ascii")
-        except ValueError:
-            return None
-        if values.shape != (len(lines), n_cols):
-            return None
-        blocks.append(values)
-    if not blocks:
+        rows = _row_ranges(n_rows, _LOAD_BLOCK_ROWS)
+        offsets = [line_start(header_lines + r) for r in rows[:-1]]
+        head = os.pread(fh.fileno(), offsets[0], 0)
+    if head.count(b"\r") != head.count(b"\r\n"):
         return None
-    return (np.concatenate([v[:, :label_start] for v in blocks]),
-            np.concatenate([v[:, label_start:] for v in blocks]))
+    buf = mmap.mmap(-1, 8 * n_rows * n_cols)
+    features = np.frombuffer(buf, np.float64, n_rows * label_start).reshape(n_rows, label_start)
+    labels = np.frombuffer(buf, np.float64, offset=8 * n_rows * label_start).reshape(
+        n_rows, n_cols - label_start)
+
+    def parse(w: int) -> bool:
+        lo, hi = rows[w], rows[w + 1]
+        return _read_plain_rows(path, offsets[w], features[lo:hi], labels[lo:hi])
+
+    return (features, labels) if all(split_work(parse, len(offsets))) else None
+
+
+def _read_plain_rows(path: Path, start: int, features, labels) -> bool:
+    """Parse one line per row of ``features``/``labels`` from byte ``start``
+    of ``path`` in C, block by block, into those arrays; return whether
+    every line was plain.
+
+    A line is plain when it holds only ``_PLAIN_BYTES``, with ``\\r`` only
+    in a final ``\\r\\n``, has as many cells as the two arrays have
+    columns, at least one of them a feature, and spells every label cell as
+    a bare ``0`` or ``1``. For such lines ``np.loadtxt`` splits cells
+    exactly as ``csv`` does and parses each feature cell with the same
+    correctly rounded ``PyOS_string_to_double`` as ``float``, so the result
+    is bit-identical to ``_read_csv_rows``.
+    """
+    n_rows, label_start = features.shape
+    n_labels = labels.shape[1]
+    offsets = np.arange(2 * n_labels, 0, -1)
+    with open(path, "rb") as fh:
+        fh.seek(start)
+        for lo in range(0, n_rows, _LOAD_BLOCK_ROWS):
+            lines = list(itertools.islice(fh, min(_LOAD_BLOCK_ROWS, n_rows - lo)))
+            raw = b"".join(lines)
+            if raw.translate(None, _PLAIN_BYTES):
+                return False
+            lengths = np.array([len(line) for line in lines])
+            content = np.array([len(line.rstrip(b"\r\n")) for line in lines])
+            if content.min() <= 2 * n_labels:
+                return False  # blank, or too short for a feature and the labels
+            if raw.count(b"\r") != np.count_nonzero(lengths - content == 2):
+                return False  # a \r that is not part of a final \r\n
+            # the last 2L characters of each line must read ",d,d,...,d", d in {0, 1}
+            tails = np.frombuffer(raw, dtype=np.uint8)[
+                (np.cumsum(lengths) - lengths + content)[:, None] - offsets]
+            digits = tails[:, 1::2]
+            if not ((tails[:, 0::2] == ord(",")).all()
+                    and ((digits == ord("0")) | (digits == ord("1"))).all()):
+                return False
+            try:
+                values = np.loadtxt(io.BytesIO(raw), delimiter=",", comments=None,
+                                    ndmin=2, encoding="ascii")
+            except ValueError:
+                return False
+            if values.shape != (len(lines), label_start + n_labels):
+                return False
+            features[lo:lo + len(lines)] = values[:, :label_start]
+            labels[lo:lo + len(lines)] = values[:, label_start:]
+    return True
 
 
 # Rows formatted per write: bounds the text held in memory whatever N is.
@@ -250,19 +402,35 @@ def save_dataset(ds: Dataset, path) -> None:
     The body bytes equal what ``csv.writer`` gives for the rows
     ``[repr(x) for x in features] + [str(int(y)) for y in labels]``: no such
     cell needs quoting, so each row is its cells joined by commas plus the
-    writer's ``\\r\\n``.
+    writer's ``\\r\\n``. The rows are cut into one range per process
+    (`_row_ranges`): this process writes range 0 straight into the file,
+    forked workers write the others into anonymous files made before the
+    fork, and those are appended in order.
     """
     path = Path(path)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
+    rows = _row_ranges(ds.n_examples, _SAVE_BLOCK_ROWS)
+    with open(path, "w", newline="") as fh, contextlib.ExitStack() as stack:
         header = [f"f{i}" for i in range(ds.n_features)]
         header += [LABEL_PREFIX + name for name in ds.label_names]
-        writer.writerow(header)
-        for lo in range(0, ds.n_examples, _SAVE_BLOCK_ROWS):
-            hi = lo + _SAVE_BLOCK_ROWS
-            rows = zip(ds.features[lo:hi].tolist(),
-                       ds.labels[lo:hi].astype(np.int64).tolist())
-            fh.write("".join([",".join(map(repr, f + y)) + "\r\n" for f, y in rows]))
+        csv.writer(fh).writerow(header)
+        sinks = [fh] + [
+            stack.enter_context(tempfile.TemporaryFile(
+                "w", newline="", encoding=fh.encoding, dir=path.parent))
+            for _ in range(len(rows) - 2)]
+
+        def write(w: int) -> None:
+            for lo in range(rows[w], rows[w + 1], _SAVE_BLOCK_ROWS):
+                hi = min(lo + _SAVE_BLOCK_ROWS, rows[w + 1])
+                block = zip(ds.features[lo:hi].tolist(),
+                            ds.labels[lo:hi].astype(np.int64).tolist())
+                sinks[w].write("".join([",".join(map(repr, f + y)) + "\r\n" for f, y in block]))
+            sinks[w].flush()
+
+        split_work(write, len(sinks))
+        for sink in sinks[1:]:
+            size, copied = os.fstat(sink.fileno()).st_size, 0
+            while copied < size:
+                copied += os.sendfile(fh.fileno(), sink.fileno(), copied, size - copied)
 
 
 # ---------------------------------------------------------------------------

@@ -16,11 +16,9 @@ timestamps, fixed key order, repr-exact floats.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
 import math
-import multiprocessing
-import os
-import threading
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -33,6 +31,8 @@ from .datamodel import (
     CoupledLabelsError,
     Dataset,
     ExperimentConfig,
+    fork_cpus,
+    forked,
     save_config,
     validate_config,
     write_json,
@@ -141,31 +141,22 @@ class _Run:
     epochs_without_improvement: int = 0
 
 
-def _usable_cpus() -> int:
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
 def _plan_shards(refine: list[bool]) -> tuple[list[list[int]], bool]:
     """Cut the run indices into shards of one refinement flag each, and say
     whether to train them in forked workers.
 
-    Forked shards are W of one size, for the largest W up to the usable
-    CPUs that the runs and their flag groups divide evenly: a worker with
-    more models than another would keep the others waiting. Without such a
-    W, each flag group trains as one shard in this process. So does every
-    shard where `fork` is missing, or unsafe: a child forked while another
-    thread runs can inherit a lock that thread holds, and wait on it forever.
+    Forked shards are W of one size, for the largest W up to `fork_cpus`
+    that the runs and their flag groups divide evenly: a worker with more
+    models than another would keep the others waiting. Without such a W,
+    each flag group trains as one shard in this process.
     """
     groups = [g for g in ([i for i, r in enumerate(refine) if r == flag]
                           for flag in (True, False)) if g]
     n = len(refine)
-    if "fork" in multiprocessing.get_all_start_methods() and threading.active_count() == 1:
-        for w in range(min(_usable_cpus(), n), 1, -1):
-            size = n // w
-            if n % w == 0 and all(len(g) % size == 0 for g in groups):
-                return [g[i:i + size] for g in groups for i in range(0, len(g), size)], True
+    for w in range(min(fork_cpus(), n), 1, -1):
+        size = n // w
+        if n % w == 0 and all(len(g) % size == 0 for g in groups):
+            return [g[i:i + size] for g in groups for i in range(0, len(g), size)], True
     return groups, False
 
 
@@ -242,16 +233,9 @@ def _train_forked(features, labels, shards: list[list[_Run]],
     """Train each shard in its own forked worker and gather the shards'
     (run index, result or error) pairs. The workers share the parent's
     arrays copy-on-write."""
-    ctx = multiprocessing.get_context("fork")
-    workers, outcomes = [], []
-    try:
-        for shard in shards:
-            receiver, sender = ctx.Pipe(duplex=False)
-            proc = ctx.Process(target=_shard_worker,
-                               args=(sender, features, labels, shard, cfg))
-            proc.start()
-            sender.close()
-            workers.append((proc, receiver))
+    outcomes = []
+    with forked([functools.partial(_shard_worker, features, labels, shard, cfg)
+                 for shard in shards]) as workers:
         for (proc, receiver), shard in zip(workers, shards):
             received = []
             try:
@@ -263,17 +247,11 @@ def _train_forked(features, labels, shards: list[list[_Run]],
                 proc.join()
                 received.append((shard[0].index, HarnessError(
                     f"training worker exited with code {proc.exitcode} without its results")))
-            outcomes.append(received)
-    finally:
-        for proc, receiver in workers:
-            receiver.close()
-            if len(outcomes) < len(workers):   # interrupted: no one reads its results
-                proc.terminate()
-            proc.join()
-    return [pair for received in outcomes for pair in received]
+            outcomes += received
+    return outcomes
 
 
-def _shard_worker(sender, features, labels, shard: list[_Run], cfg: ExperimentConfig) -> None:
+def _shard_worker(features, labels, shard: list[_Run], cfg: ExperimentConfig, sender) -> None:
     try:
         outcomes = _train_lockstep(features, labels, shard, cfg)
     except Exception as exc:

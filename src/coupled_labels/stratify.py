@@ -67,12 +67,21 @@ def load_folds(path) -> FoldAssignment:
         header = next(reader, None)
         if header != ["example_index", "fold"]:
             raise SplitError(f"{path}: expected header 'example_index,fold'")
-        rows = [(int(r[0]), int(r[1])) for r in reader]
+        rows = []
+        for row_idx, row in enumerate(reader):
+            try:
+                index, fold = map(int, row)
+            except ValueError:
+                raise SplitError(f"{path}: row {row_idx}: expected two integers "
+                                 f"'example_index,fold', got {row!r}") from None
+            rows.append((index, fold))
+    if not rows:
+        raise SplitError(f"{path}: no rows after the header")
     rows.sort()
     if [i for i, _ in rows] != list(range(len(rows))):
         raise SplitError(f"{path}: example indices must be 0..N-1 without gaps")
     folds = np.array([f for _, f in rows], dtype=np.int64)
-    return FoldAssignment(fold_of=folds, K=int(folds.max()) + 1 if folds.size else 0)
+    return FoldAssignment(fold_of=folds, K=int(folds.max()) + 1)
 
 
 def _check_split_args(n: int, K: int, seed: int):

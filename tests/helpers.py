@@ -5,9 +5,12 @@ for a single model, a training loop that never touches the coupling
 module, the identifiable planted-edge construction, row-loop references for
 the CSV data path, mis_split and bucketed_kfold, a reader for the
 coupling CSV, a one-fold-at-a-time training reference with a per-array
-optimizer, and generator spec files that `gen` must reject."""
+optimizer, generator spec files that `gen` must reject, and a time limit
+for tests that wait on forked workers."""
 
+import contextlib
 import math
+import signal
 from dataclasses import dataclass
 
 import numpy as np
@@ -629,3 +632,17 @@ BAD_SPEC_PATCHES = [
     ("planted_edges", [[0, 1]]),
     ("planted_edges", 5),
 ]
+
+
+@contextlib.contextmanager
+def time_limit(seconds):
+    """Raise TimeoutError in the main thread if the block runs too long."""
+    def expire(signum, frame):
+        raise TimeoutError(f"still waiting after {seconds} s")
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)

@@ -255,28 +255,31 @@ class TestImportWeight:
                 "print(sorted(m for m in sys.modules if m.startswith('scipy.stats')))")
         assert _python(code) == "[]"
 
-    def test_cli_import_and_sharded_training_leave_out_pools(self):
+    def test_cli_import_and_sharded_training_leave_out_pools(self, tmp_path):
         # multiprocessing.Pool and the concurrent.futures executors unpickle
         # results on helper threads, into a second malloc arena (+2.9 MiB
-        # peak RSS on the default workload); the training engine's forked
-        # workers answer through plain pipes read by the main thread. The
-        # concurrent.futures package itself comes with scipy's import of
-        # numpy.testing and starts nothing.
-        code = """
+        # peak RSS on the default workload); the training engine's and the
+        # CSV path's forked workers answer through plain pipes read by the
+        # main thread. The concurrent.futures package itself comes with
+        # scipy's import of numpy.testing and starts nothing.
+        code = f"""
 import sys
 import numpy as np
 import coupled_labels.cli
-from coupled_labels import harness
-from coupled_labels.datamodel import config_from_dict
+from coupled_labels import datamodel, harness
+from coupled_labels.datamodel import Dataset, config_from_dict, load_dataset, save_dataset
 
 POOLS = ("multiprocessing.pool", "concurrent.futures.thread", "concurrent.futures.process")
 print(sorted(m for m in sys.modules if m in POOLS))
-harness._usable_cpus = lambda: 2
+datamodel._usable_cpus = lambda: 2
+datamodel._SAVE_BLOCK_ROWS = datamodel._LOAD_BLOCK_ROWS = 8
 rng = np.random.default_rng(0)
 x, y = rng.normal(size=(40, 3)), np.tile([[0.0, 1.0], [1.0, 0.0]], (20, 1))
+save_dataset(Dataset(features=x, labels=y, label_names=["a", "b"]), {str(tmp_path / "d.csv")!r})
+assert load_dataset({str(tmp_path / "d.csv")!r}).features.tobytes() == x.tobytes()
 rows = np.arange(40)
 runs = [(k, k, np.roll(rows, 10 * k)[:30], np.roll(rows, 10 * k)[30:], True) for k in range(2)]
-harness.train_folds(x, y, runs, config_from_dict({"epochs": 2, "batch_size": 8}))
+harness.train_folds(x, y, runs, config_from_dict({{"epochs": 2, "batch_size": 8}}))
 print(sorted(m for m in sys.modules if m in POOLS))
 """
         assert _python(code).splitlines() == ["[]", "[]"]

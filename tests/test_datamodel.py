@@ -1,5 +1,8 @@
 import dataclasses
 import json
+import multiprocessing
+import os
+import threading
 
 import numpy as np
 import pytest
@@ -9,6 +12,7 @@ from hypothesis import strategies as st
 from coupled_labels import datamodel
 from coupled_labels.datamodel import (
     ConfigError,
+    CoupledLabelsError,
     DataFormatError,
     Dataset,
     ExperimentConfig,
@@ -19,7 +23,7 @@ from coupled_labels.datamodel import (
     save_dataset,
     validate_config,
 )
-from helpers import reference_load_dataset, reference_save_dataset
+from helpers import reference_load_dataset, reference_save_dataset, time_limit
 
 
 def write(tmp_path, text, name="data.csv"):
@@ -175,6 +179,42 @@ def near_plain_csv(draw):
     return text
 
 
+# Odd data rows under the header 'a,label:x,label:y', most of them not plain:
+# the loader must treat each as the row loop does.
+MALFORMED_BODIES = [
+    pytest.param("1.5,0,1\n2,1\n", id="ragged-row"),
+    pytest.param("1.5,0,1\n2,1,0,1\n", id="extra-cell"),
+    pytest.param("1.5,2.5,0,1\n", id="extra-cell-every-row"),
+    pytest.param("1.5,0,1\n\n2,1,0\n", id="blank-line"),
+    pytest.param("1.5,0,1\n2,1,0\n\n", id="trailing-blank-line"),
+    pytest.param("\n1.5,0,1\n", id="leading-blank-line"),
+    pytest.param('"1.5",0,1\n', id="quoted-numeric-cell"),
+    pytest.param('1.5,"1",0\n', id="quoted-label-cell"),
+    pytest.param("#1.5,0,1\n", id="hash-prefixed-cell"),
+    pytest.param("1.5,0,#1\n", id="hash-prefixed-label"),
+    pytest.param(" 1.5 ,0,1\n", id="whitespace-padded-feature"),
+    pytest.param("1.5, 0,1\n", id="whitespace-padded-label"),
+    pytest.param("1.5,1.0,0\n", id="label-1.0"),
+    pytest.param("1.5,0,2\n", id="label-2"),
+    pytest.param("1.5,,0\n", id="label-empty"),
+    pytest.param('1.5,"",0\n', id="label-quoted-empty"),
+    pytest.param("1.5,01,0\n", id="label-01"),
+    pytest.param("1.5,+1,0\n", id="label-plus-1"),
+    pytest.param(",0,1\n", id="feature-empty"),
+    pytest.param("1.5,0,1,\n", id="trailing-comma"),
+    pytest.param("inf,0,1\n", id="non-finite-feature-inf"),
+    pytest.param("nan,0,1\n", id="non-finite-feature-nan"),
+    pytest.param("1e999,0,1\n", id="overflowing-feature"),
+    pytest.param("1_000,0,1\n", id="underscore-feature"),
+    pytest.param("١,0,1\n", id="non-ascii-digit-feature"),
+    pytest.param("1.5,0,1\r2,1,0\r", id="lone-cr-line-ends"),
+    pytest.param("1.5,0,1\r\n2,1,0", id="crlf-no-final-newline"),
+    pytest.param("1.5,0,1\n2,1,0\r", id="final-lone-cr"),
+    pytest.param("", id="header-only"),
+    pytest.param("oops,0,1\n", id="bad-feature"),
+]
+
+
 class TestMatchesRowLoopReference:
     """save_dataset/load_dataset against the row loops in tests/helpers.py."""
 
@@ -222,38 +262,7 @@ class TestMatchesRowLoopReference:
         assert outcome == load_outcome(reference_load_dataset, path)
         assert f"row {n - 2}" in outcome[1]
 
-    @pytest.mark.parametrize("body", [
-        pytest.param("1.5,0,1\n2,1\n", id="ragged-row"),
-        pytest.param("1.5,0,1\n2,1,0,1\n", id="extra-cell"),
-        pytest.param("1.5,2.5,0,1\n", id="extra-cell-every-row"),
-        pytest.param("1.5,0,1\n\n2,1,0\n", id="blank-line"),
-        pytest.param("1.5,0,1\n2,1,0\n\n", id="trailing-blank-line"),
-        pytest.param("\n1.5,0,1\n", id="leading-blank-line"),
-        pytest.param('"1.5",0,1\n', id="quoted-numeric-cell"),
-        pytest.param('1.5,"1",0\n', id="quoted-label-cell"),
-        pytest.param("#1.5,0,1\n", id="hash-prefixed-cell"),
-        pytest.param("1.5,0,#1\n", id="hash-prefixed-label"),
-        pytest.param(" 1.5 ,0,1\n", id="whitespace-padded-feature"),
-        pytest.param("1.5, 0,1\n", id="whitespace-padded-label"),
-        pytest.param("1.5,1.0,0\n", id="label-1.0"),
-        pytest.param("1.5,0,2\n", id="label-2"),
-        pytest.param("1.5,,0\n", id="label-empty"),
-        pytest.param('1.5,"",0\n', id="label-quoted-empty"),
-        pytest.param("1.5,01,0\n", id="label-01"),
-        pytest.param("1.5,+1,0\n", id="label-plus-1"),
-        pytest.param(",0,1\n", id="feature-empty"),
-        pytest.param("1.5,0,1,\n", id="trailing-comma"),
-        pytest.param("inf,0,1\n", id="non-finite-feature-inf"),
-        pytest.param("nan,0,1\n", id="non-finite-feature-nan"),
-        pytest.param("1e999,0,1\n", id="overflowing-feature"),
-        pytest.param("1_000,0,1\n", id="underscore-feature"),
-        pytest.param("١,0,1\n", id="non-ascii-digit-feature"),
-        pytest.param("1.5,0,1\r2,1,0\r", id="lone-cr-line-ends"),
-        pytest.param("1.5,0,1\r\n2,1,0", id="crlf-no-final-newline"),
-        pytest.param("1.5,0,1\n2,1,0\r", id="final-lone-cr"),
-        pytest.param("", id="header-only"),
-        pytest.param("oops,0,1\n", id="bad-feature"),
-    ])
+    @pytest.mark.parametrize("body", MALFORMED_BODIES)
     def test_malformed_input_matches_reference(self, tmp_path, body):
         path = tmp_path / "bad.csv"
         path.write_bytes(("a,label:x,label:y\n" + body).encode())
@@ -268,6 +277,99 @@ class TestMatchesRowLoopReference:
         path = tmp_path / "shape.csv"
         path.write_bytes((header + "\n" + body).encode())
         assert load_outcome(load_dataset, path) == load_outcome(reference_load_dataset, path)
+
+
+def scaled_dataset(n, seed=0):
+    """n rows of 3 features spread over most float64 exponents, 2 labels."""
+    rng = np.random.default_rng(seed)
+    return Dataset(features=rng.normal(size=(n, 3)) * 10.0 ** rng.integers(-300, 300, (n, 3)),
+                   labels=(rng.random((n, 2)) < 0.5).astype(np.float64),
+                   label_names=["a", "b"])
+
+
+@pytest.fixture
+def tiny_blocks(monkeypatch):
+    """Blocks of 2 rows and line counts 7 bytes at a time, so that tiny
+    files cross range, block and chunk bounds; returns a setter for the
+    usable CPUs."""
+    monkeypatch.setattr(datamodel, "_SAVE_BLOCK_ROWS", 2)
+    monkeypatch.setattr(datamodel, "_LOAD_BLOCK_ROWS", 2)
+    monkeypatch.setattr(datamodel, "_COUNT_CHUNK_BYTES", 7)
+    return lambda cpus: monkeypatch.setattr(datamodel, "_usable_cpus", lambda: cpus)
+
+
+@pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
+                    reason="the CSV path splits across processes only where it can fork")
+class TestRangesAcrossProcesses:
+    """save_dataset/load_dataset with the rows cut into one range per
+    process: the same bytes, bits and errors as the row loops for W = 1, 2, 3."""
+
+    @pytest.mark.parametrize("cpus", [1, 2, 3])
+    @pytest.mark.parametrize("n", [5, 6, 13])
+    def test_same_bytes_and_bits_as_reference(self, tmp_path, tiny_blocks, cpus, n):
+        tiny_blocks(cpus)
+        ds = scaled_dataset(n, seed=n)
+        ref_path, path = tmp_path / "ref.csv", tmp_path / "new.csv"
+        reference_save_dataset(ds, ref_path)
+        save_dataset(ds, path)
+        assert path.read_bytes() == ref_path.read_bytes()
+        assert load_outcome(load_dataset, path) == load_outcome(reference_load_dataset, path)
+        path.write_bytes(ref_path.read_bytes().replace(b"\r\n", b"\n"))
+        assert load_outcome(load_dataset, path) == load_outcome(reference_load_dataset, path)
+
+    @pytest.mark.parametrize("body", MALFORMED_BODIES)
+    def test_malformed_last_range_named_as_in_one_process(self, tmp_path, tiny_blocks, body):
+        # 12 plain rows, then the odd ones: with 2 ranges of at most 15
+        # rows, the last range starts by row 7
+        path = tmp_path / "bad.csv"
+        path.write_bytes(("a,label:x,label:y\n" + "0.5,1,0\n" * 12 + body).encode())
+        outcomes = []
+        for cpus in (1, 2):
+            tiny_blocks(cpus)
+            outcomes.append(load_outcome(load_dataset, path))
+        assert outcomes[0] == outcomes[1] == load_outcome(reference_load_dataset, path)
+
+    def test_forks_only_with_a_block_per_worker(self, tmp_path, tiny_blocks, monkeypatch):
+        forks, forked = [], datamodel.forked
+
+        def counting(targets):
+            forks.append(len(targets))
+            return forked(targets)
+
+        monkeypatch.setattr(datamodel, "forked", counting)
+        path = tmp_path / "d.csv"
+        for cpus, n in [(4, 3), (1, 13), (3, 13)]:
+            tiny_blocks(cpus)
+            save_dataset(scaled_dataset(n), path)
+            load_dataset(path)
+        assert forks == [0, 0, 0, 0, 2, 2]
+
+    @pytest.mark.parametrize("fail, message", [
+        ("raise", "worker for part 2 failed: OSError: disk gone"),
+        ("exit", "worker for part 1 exited with code 3 without its result"),
+    ])
+    def test_worker_failure_raises_and_leaves_nothing(self, tmp_path, tiny_blocks, monkeypatch,
+                                                       fail, message):
+        tiny_blocks(3)
+        path = tmp_path / "d.csv"
+        save_dataset(scaled_dataset(13), path)
+        parent, read = os.getpid(), datamodel._read_plain_rows
+        half = path.stat().st_size // 2   # ranges 1 and 2 start before and after it
+
+        def failing(path, start, features, labels):
+            if os.getpid() != parent:
+                if fail == "exit":
+                    os._exit(3)
+                if start > half:
+                    raise OSError("disk gone")
+            return read(path, start, features, labels)
+
+        monkeypatch.setattr(datamodel, "_read_plain_rows", failing)
+        threads = threading.active_count()
+        with time_limit(60), pytest.raises(CoupledLabelsError, match=message):
+            load_dataset(path)
+        assert multiprocessing.active_children() == []
+        assert threading.active_count() == threads
 
 
 class TestDatasetInvariants:

@@ -1,9 +1,7 @@
-import contextlib
 import dataclasses
 import json
 import multiprocessing
 import os
-import signal
 import threading
 
 import numpy as np
@@ -12,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import expit
 
-from coupled_labels import harness
+from coupled_labels import datamodel, harness
 from coupled_labels.datamodel import Dataset, config_from_dict
 from coupled_labels.harness import (
     HarnessError,
@@ -35,6 +33,7 @@ from helpers import (
     identifiable_spec,
     reference_run_fold,
     run_fold,
+    time_limit,
 )
 
 
@@ -214,7 +213,7 @@ def _reference(x, y, runs, cfg):
 def _with_workers(n, train):
     """`train()` with the engine seeing `n` usable CPUs."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(harness, "_usable_cpus", lambda: n)
+        mp.setattr(datamodel, "_usable_cpus", lambda: n)
         return train()
 
 
@@ -325,20 +324,6 @@ class TestLockstepMatchesReference:
                                   getattr(best_params, name).view(np.uint64))
 
 
-@contextlib.contextmanager
-def _time_limit(seconds):
-    """Raise TimeoutError in the main thread if the block runs too long."""
-    def expire(signum, frame):
-        raise TimeoutError(f"still waiting after {seconds} s")
-    previous = signal.signal(signal.SIGALRM, expire)
-    signal.alarm(seconds)
-    try:
-        yield
-    finally:
-        signal.alarm(0)
-        signal.signal(signal.SIGALRM, previous)
-
-
 @pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
                     reason="the engine shards only where it can fork")
 class TestShardedEngine:
@@ -395,7 +380,7 @@ class TestShardedEngine:
     def test_worker_exiting_without_results_raises(self, monkeypatch):
         ds, runs = self._problem()
         monkeypatch.setattr(harness, "_train_lockstep", lambda *args: os._exit(3))
-        with _time_limit(60), pytest.raises(HarnessError, match="code 3 without its results"):
+        with time_limit(60), pytest.raises(HarnessError, match="code 3 without its results"):
             _with_workers(2, lambda: train_folds(ds.features, ds.labels, runs, fast_cfg()))
         assert multiprocessing.active_children() == []
 

@@ -1,4 +1,5 @@
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -240,6 +241,24 @@ class TestFoldsCsv:
         save_folds(assign, path)
         back = load_folds(path)
         np.testing.assert_array_equal(back.fold_of, assign.fold_of)
+
+    @pytest.mark.parametrize("body, row", [
+        pytest.param("0,0\r\n1,x\r\n", 1, id="non-integer-fold"),
+        pytest.param("0,0\r\n1\r\n", 1, id="one-cell"),
+        pytest.param("0,0,1\r\n", 0, id="three-cells"),
+        pytest.param("0,0\r\n\r\n1,1\r\n", 1, id="blank-line"),
+    ])
+    def test_bad_row_named(self, tmp_path, body, row):
+        path = tmp_path / "folds.csv"
+        path.write_bytes(("example_index,fold\r\n" + body).encode())
+        with pytest.raises(SplitError, match=re.escape(f"{path}: row {row}: ")):
+            load_folds(path)
+
+    def test_header_only_rejected(self, tmp_path):
+        path = tmp_path / "folds.csv"
+        path.write_bytes(b"example_index,fold\r\n")
+        with pytest.raises(SplitError, match=re.escape(f"{path}: no rows")):
+            load_folds(path)
 
     @settings(max_examples=25, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])

@@ -99,9 +99,10 @@ def _cmd_train(args) -> int:
     dataset = load_dataset(args.data)
     cfg = load_config(args.config)
     report = harness.run_experiment(dataset, cfg)
-    harness.write_run_report(report, outdir)
+    record = report.to_json_dict()
+    harness.write_run_report(report, outdir, record)
     print(f"run written to {args.out}")
-    _print_auc_table(report.to_json_dict())
+    _print_auc_table(record)
     return 0
 
 

@@ -224,12 +224,18 @@ def load_dataset(path) -> Dataset:
     path = Path(path)
     if not path.exists():
         raise DataFormatError(f"dataset file not found: {path}")
-    with open(path, newline="") as fh:
+    # A byte that is not text in the file's encoding decodes to a lone
+    # surrogate, so that the cell holding it fails to parse and is named.
+    with open(path, newline="", errors="surrogateescape") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
         except StopIteration:
             raise DataFormatError(f"{path}: empty file, expected a header row") from None
+        try:
+            ",".join(header).encode(fh.encoding)
+        except UnicodeEncodeError:
+            raise DataFormatError(f"{path}: header row is not {fh.encoding} text") from None
         n_cols = len(header)
         label_start = None
         for idx, name in enumerate(header):
@@ -249,7 +255,7 @@ def load_dataset(path) -> Dataset:
     if parsed is None:
         # not plain, or not valid: read it again cell by cell, which names
         # the first bad row and column
-        with open(path, newline="") as fh:
+        with open(path, newline="", errors="surrogateescape") as fh:
             reader = csv.reader(fh)
             next(reader)
             parsed = _read_csv_rows(reader, path, header, label_start)

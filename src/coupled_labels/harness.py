@@ -74,19 +74,21 @@ def identity_view(x):
 
 
 def predict_probs(params: PredictorParams, A: np.ndarray | None, alpha: float, x,
-                  batch_size: int | None = None) -> np.ndarray:
-    """Probabilities (post-refinement sigmoid), chunked; without a coupling
-    matrix `A` the logits are not refined."""
+                  batch_size: int | None = None, out: np.ndarray | None = None) -> np.ndarray:
+    """Probabilities (post-refinement sigmoid), chunked, written into the
+    (n, L) float64 `out` if one is given; without a coupling matrix `A` the
+    logits are not refined."""
     x = np.asarray(x, dtype=np.float64)
     n = x.shape[0]
     step = n if batch_size is None else max(1, batch_size)
-    out = np.empty((n, params.n_labels))
+    if out is None:
+        out = np.empty((n, params.n_labels))
     for lo in range(0, n, step):
         chunk = x[lo:lo + step]
         z, _ = predict_forward(chunk, params)
         if A is not None:
             z, _ = refine_forward(z, A, alpha)
-        out[lo:lo + step] = expit(z)
+        expit(z, out=out[lo:lo + step])
     return out
 
 
@@ -344,7 +346,7 @@ class RunReport:
     ensemble_source: str               # "test" | "oof"
     ensemble_auc: metrics.AucReport
     ensemble_probs: np.ndarray
-    fold_eval_probs: list[np.ndarray]  # each fold model on the common eval set
+    fold_eval_probs: np.ndarray        # (K, n, L): each fold model on the common eval set
     coupling_mean: np.ndarray | None
     agreement: metrics.FoldAgreement
     per_label_std: np.ndarray
@@ -421,29 +423,28 @@ def experiment_report(dataset: Dataset, cfg: ExperimentConfig, assign: FoldAssig
     Without one, the headline AUC, correlations and histograms come from
     out-of-fold predictions, while agreement/variability diagnostics use the
     fold models' predictions on the full feature matrix (they need common
-    inputs).
+    inputs). Each fold model predicts straight into its slot of one
+    (K, n, L) stack, which every diagnostic reads without copying.
     """
     eval_batch = cfg.batch_size * cfg.eval_batch_multiplier
     if test_dataset is not None:
         eval_x, eval_labels = test_dataset.features, test_dataset.labels
     else:
         eval_x, eval_labels = dataset.features, dataset.labels
-    fold_eval_probs = [
-        predict_with_views(fr.checkpoint_params, fr.checkpoint_coupling, cfg.alpha, eval_x,
-                           batch_size=eval_batch)
-        for fr in fold_results
-    ]
-    ensemble_probs = np.mean(np.stack(fold_eval_probs, axis=0), axis=0)
+    fold_eval_probs = np.empty((len(fold_results),) + eval_labels.shape)
+    for fr, out in zip(fold_results, fold_eval_probs):
+        predict_probs(fr.checkpoint_params, fr.checkpoint_coupling, cfg.alpha, eval_x,
+                      batch_size=eval_batch, out=out)
 
     if test_dataset is not None:
         source = "test"
-        headline_probs = ensemble_probs
+        headline_probs = np.mean(fold_eval_probs, axis=0)
     else:
         source = "oof"
-        headline_probs = np.empty_like(ensemble_probs)
+        headline_probs = np.empty(eval_labels.shape)
         for k in range(cfg.K):
             val_idx = assign.indices(k)
-            headline_probs[val_idx] = fold_eval_probs[k][val_idx]
+            headline_probs[val_idx] = fold_eval_probs[k, val_idx]
     ensemble_auc = metrics.macro_auc(headline_probs, eval_labels)
 
     coupling_mean = None
@@ -474,12 +475,13 @@ def experiment_report(dataset: Dataset, cfg: ExperimentConfig, assign: FoldAssig
 # ---------------------------------------------------------------------------
 
 
-def write_run_report(report: RunReport, outdir) -> Path:
+def write_run_report(report: RunReport, outdir, record: dict | None = None) -> Path:
     """Materialize a run directory: report.json, config snapshot, fold
-    assignment, per-fold logs and checkpoints, mean coupling CSV."""
+    assignment, per-fold logs and checkpoints, mean coupling CSV.
+    `record` is `report.to_json_dict()` if the caller has built it."""
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-    write_json(report.to_json_dict(), outdir / "report.json")
+    write_json(report.to_json_dict() if record is None else record, outdir / "report.json")
     save_config(report.config, outdir / "config.json")
     save_folds(report.assignment, outdir / "folds.csv")
     cfg_hash = report.config.hash()

@@ -21,6 +21,19 @@ class UndefinedAucError(MetricError):
     """AUC asked for a score set with only one class present."""
 
 
+# Cells of an (n, L) matrix that one block of a metric's work covers: a call
+# holds a few MiB of temporaries whatever n is. AUC blocks are whole labels,
+# the other metrics' blocks are whole rows.
+_BLOCK_CELLS = 1 << 16
+
+
+def _blocks(n_items: int, cells_per_item: int):
+    """Slices cutting `n_items` into runs of at most `_BLOCK_CELLS` cells,
+    and of at least one item."""
+    step = max(1, _BLOCK_CELLS // max(1, cells_per_item))
+    return (slice(lo, lo + step) for lo in range(0, n_items, step))
+
+
 def _column_aucs(scores, pos) -> list[float]:
     """ROC-AUC of every row of (L, n) scores against (L, n) positive flags,
     all rows ranked by one argsort.
@@ -93,12 +106,15 @@ def macro_auc(probs, labels) -> AucReport:
     y = np.asarray(labels, dtype=np.float64)
     if p.shape != y.shape or p.ndim != 2:
         raise MetricError(f"probs {p.shape} and labels {y.shape} must be equal 2-D shapes")
-    yT = np.ascontiguousarray(y.T)
     # a (0, 0) matrix has no column to reduce, and no label to keep
-    single = yT.min(axis=1) == yT.max(axis=1) if yT.shape[0] else np.ones(0, dtype=bool)
+    single = y.min(axis=0) == y.max(axis=0) if y.shape[1] else np.ones(0, dtype=bool)
     kept = np.flatnonzero(~single)
     skipped = np.flatnonzero(single).tolist()
-    present = _column_aucs(p.T[kept], (yT == 1.0)[kept]) if kept.size else []
+    # each block's labels are gathered into (labels, n) rows for the kernel
+    present = []
+    for block in _blocks(kept.size, y.shape[0]):
+        cols = kept[block]
+        present += _column_aucs(p.T[cols], y.T[cols] == 1.0)
     per_label: list[float | None] = [None] * len(single)
     for l, auc in zip(kept.tolist(), present):
         per_label[l] = auc
@@ -144,35 +160,42 @@ class FoldAgreement:
 
 
 def _stack_folds(fold_probs) -> np.ndarray:
-    mats = [np.asarray(m, dtype=np.float64) for m in fold_probs]
+    """The fold models' (n, L) predictions as one (K, n, L) float64 array:
+    a float64 (K, n, L) array as it is, a list of matrices stacked."""
+    if isinstance(fold_probs, np.ndarray):
+        mats = fold_probs.astype(np.float64, copy=False)
+    else:
+        mats = [np.asarray(m, dtype=np.float64) for m in fold_probs]
     if len(mats) < 2:
         raise MetricError("need at least two fold prediction matrices")
     shape = mats[0].shape
-    if any(m.shape != shape for m in mats) or mats[0].ndim != 2:
+    if len(shape) != 2 or any(m.shape != shape for m in mats):
         raise MetricError("fold prediction matrices must share one 2-D shape")
-    return np.stack(mats, axis=0)
+    return mats if isinstance(mats, np.ndarray) else np.stack(mats, axis=0)
 
 
 def fold_agreement(fold_probs, threshold: float = 0.5) -> FoldAgreement:
     """Binarize each fold's probabilities at the threshold (p >= t -> 1) and
     count, per cell, how many folds voted with the majority."""
     stack = _stack_folds(fold_probs)
-    K = stack.shape[0]
-    binary = (stack >= threshold).astype(np.int64)
-    ones = binary.sum(axis=0)
-    majority = np.maximum(ones, K - ones)
-    levels, counts = np.unique(majority, return_counts=True)
-    majority_counts = {int(lv): int(c) for lv, c in zip(levels, counts)}
-    unanimous = int((majority == K).sum())
-    pair = np.ones((K, K))
-    for a in range(K):
-        for b in range(a + 1, K):
-            rate = float((binary[a] == binary[b]).mean())
-            pair[a, b] = pair[b, a] = rate
+    K, n, L = stack.shape
+    levels = np.zeros(K + 1, dtype=np.int64)   # majority size -> cells
+    agree = np.zeros((K, K), dtype=np.int64)   # cells on which folds a < b agree
+    for rows in _blocks(n, L):
+        votes = stack[:, rows] >= threshold
+        ones = np.count_nonzero(votes, axis=0)
+        levels += np.bincount(np.maximum(ones, K - ones).ravel(), minlength=K + 1)
+        for a in range(K):
+            for b in range(a + 1, K):
+                agree[a, b] += np.count_nonzero(votes[a] == votes[b])
+    pair = agree / (n * L)
+    pair += pair.T
+    np.fill_diagonal(pair, 1.0)
+    unanimous = int(levels[K])
     return FoldAgreement(
-        majority_counts=majority_counts,
+        majority_counts={lv: c for lv, c in enumerate(levels.tolist()) if c},
         unanimous_cells=unanimous,
-        split_cells=int(majority.size - unanimous),
+        split_cells=n * L - unanimous,
         pair_agreement=pair,
     )
 
@@ -180,7 +203,11 @@ def fold_agreement(fold_probs, threshold: float = 0.5) -> FoldAgreement:
 def per_label_fold_std(fold_probs) -> np.ndarray:
     """Population std across folds per cell, then mean over examples."""
     stack = _stack_folds(fold_probs)
-    return stack.std(axis=0, ddof=0).mean(axis=0)
+    _, n, L = stack.shape
+    cell_std = np.empty((n, L))
+    for rows in _blocks(n, L):
+        stack[:, rows].std(axis=0, ddof=0, out=cell_std[rows])
+    return cell_std.mean(axis=0)
 
 
 def probability_histograms(probs, bins: int = 20) -> np.ndarray:
@@ -195,9 +222,12 @@ def probability_histograms(probs, bins: int = 20) -> np.ndarray:
     p = np.asarray(probs, dtype=np.float64)
     if p.ndim != 2:
         raise MetricError(f"expected 2-D probabilities, got shape {p.shape}")
-    idx = np.minimum((p * bins).astype(np.int64), bins - 1)
-    L = p.shape[1]
-    # label l counts into bins l*bins .. l*bins + bins - 1; a negative index
-    # (p < 0 or NaN) stays negative so bincount rejects it
-    flat = np.where(idx >= 0, idx + np.arange(L) * bins, -1)
-    return np.bincount(flat.ravel(), minlength=L * bins).reshape(L, bins)
+    n, L = p.shape
+    counts = np.zeros(L * bins, dtype=np.intp)
+    for rows in _blocks(n, L):
+        idx = np.minimum((p[rows] * bins).astype(np.int64), bins - 1)
+        # label l counts into bins l*bins .. l*bins + bins - 1; a negative
+        # index (p < 0 or NaN) stays negative so bincount rejects it
+        flat = np.where(idx >= 0, idx + np.arange(L) * bins, -1)
+        counts += np.bincount(flat.ravel(), minlength=L * bins)
+    return counts.reshape(L, bins)

@@ -330,7 +330,7 @@ def train_step(x, y, state: TrainState, cfg: ExperimentConfig):
                 grad_A = grad_A + l1_grad
             else:
                 grad_z = sup.grad_logits
-            grads, _ = predict_backward(grad_z, pcache, state.predictor)
+            grads = predict_backward(grad_z, pcache, state.predictor)
             if state.A is not None:
                 grads["A"] = grad_A
             grads = state.params.like(np.concatenate(

@@ -74,16 +74,15 @@ def predict_forward(x, params: PredictorParams) -> tuple[np.ndarray, dict]:
     return z, {"x": x}
 
 
-def predict_backward(grad_z, cache: dict, params: PredictorParams) -> tuple[dict, np.ndarray]:
-    """Exact parameter gradients plus grad_x for the cached forward pass."""
+def predict_backward(grad_z, cache: dict, params: PredictorParams) -> dict:
+    """Exact parameter gradients for the cached forward pass."""
     g = np.asarray(grad_z, dtype=np.float64)
     x = cache["x"]
     if g.shape != x.shape[:-1] + (params.n_labels,):
         raise PredictorShapeError(
             f"grad_z shape {g.shape} does not match {x.shape[:-1] + (params.n_labels,)}"
         )
-    grads = {"W2": x.swapaxes(-1, -2) @ g, "b2": g.sum(axis=-2)}
-    return grads, g @ params.W2.swapaxes(-1, -2)
+    return {"W2": x.swapaxes(-1, -2) @ g, "b2": g.sum(axis=-2)}
 
 
 # ---------------------------------------------------------------------------

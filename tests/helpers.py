@@ -1,6 +1,7 @@
 """Shared oracles for the test suite: central finite differences, a
 relative-error reducer, the pair-count AUC reference, per-column
-references for roc_auc, macro_auc and the label histograms, `train_folds`
+references for roc_auc, macro_auc and the label histograms, whole-matrix
+references for the cross-fold agreement and std, `train_folds`
 for a single model, a training loop that never touches the coupling
 module, the identifiable planted-edge construction, row-loop references for
 the CSV data path, mis_split and bucketed_kfold, a reader for the
@@ -115,6 +116,36 @@ def reference_probability_histograms(probs, bins=20):
     return counts
 
 
+def reference_fold_agreement(fold_probs, threshold=0.5):
+    """fold_agreement on the stacked matrices at once: int64 votes, levels
+    from np.unique, pair rates as means of the equality masks."""
+    from coupled_labels.metrics import FoldAgreement
+
+    stack = np.stack([np.asarray(m, dtype=np.float64) for m in fold_probs])
+    K = stack.shape[0]
+    binary = (stack >= threshold).astype(np.int64)
+    ones = binary.sum(axis=0)
+    majority = np.maximum(ones, K - ones)
+    levels, counts = np.unique(majority, return_counts=True)
+    unanimous = int((majority == K).sum())
+    pair = np.ones((K, K))
+    for a in range(K):
+        for b in range(a + 1, K):
+            pair[a, b] = pair[b, a] = float((binary[a] == binary[b]).mean())
+    return FoldAgreement(
+        majority_counts={int(lv): int(c) for lv, c in zip(levels, counts)},
+        unanimous_cells=unanimous,
+        split_cells=int(majority.size - unanimous),
+        pair_agreement=pair,
+    )
+
+
+def reference_per_label_fold_std(fold_probs):
+    """per_label_fold_std as one std over the whole stacked matrices."""
+    stack = np.stack([np.asarray(m, dtype=np.float64) for m in fold_probs])
+    return stack.std(axis=0, ddof=0).mean(axis=0)
+
+
 def run_fold(train_x, train_y, val_x, val_y, cfg, seed, fold_index=0):
     """`train_folds` for one model on its own train and validation arrays,
     with the refinement flag of `cfg`."""
@@ -167,7 +198,7 @@ def couplings_free_fold(train_x, train_y, val_x, val_y, cfg, seed):
             z, cache = predict_forward(train_x[idx], pred)
             sup = asl_loss(z, train_y[idx], cfg.asl.gamma_pos, cfg.asl.gamma_neg,
                            cfg.asl.clip)
-            grads, _ = predict_backward(sup.grad_logits, cache, pred)
+            grads = predict_backward(sup.grad_logits, cache, pred)
             grads, _ = clip_global_norm(grads, cfg.grad_clip_norm)
             adamw_step(params, grads, opt, lr)
             ema_update(ema, params)
@@ -533,7 +564,7 @@ def reference_run_fold(train_x, train_y, val_x, val_y, cfg, seed, fold_index=0):
                 grad_A = grad_A + l1_grad
             else:
                 grad_z = sup.grad_logits
-            grads, _ = predict_backward(grad_z, pcache, predictor)
+            grads = predict_backward(grad_z, pcache, predictor)
             if A is not None:
                 grads["A"] = grad_A
             grad_norm = _reference_clip(grads, cfg.grad_clip_norm)

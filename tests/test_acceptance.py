@@ -92,7 +92,7 @@ def _e2e_total_and_grads(x, y, params, A, lam=1e-3):
     sup = asl_loss(z_ref, y, gamma_pos=0.0, gamma_neg=4.0, clip=0.05)
     l1_val, l1_grad = l1_penalty(A, lam)
     grad_z, grad_A = refine_backward(sup.grad_logits, ccache, A, ALPHA)
-    pgrads, _ = predict_backward(grad_z, pcache, params)
+    pgrads = predict_backward(grad_z, pcache, params)
     pgrads["A"] = grad_A + l1_grad
     return sup.value + l1_val, pgrads
 

@@ -114,6 +114,20 @@ class TestSplit:
         assert "seed" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("text,named", [
+        (b"a,label:x,label:y\n1.5,0,1\n\xff2,1,0\n", "row 1: bad feature value"),
+        (b"a,label:x,label:y\n1.5,0,1\n2,\xff,0\n", "row 1, column 'label:x'"),
+        (b"a,label:\xffx,label:y\n1.5,0,1\n2,1,0\n", "header row is not"),
+    ], ids=["feature", "label", "header"])
+    def test_undecodable_byte_exit_1_naming_row(self, tmp_path, capsys, text, named):
+        data = tmp_path / "data.csv"
+        data.write_bytes(text)
+        out = tmp_path / "f.csv"
+        assert cli_main(["split", "--data", str(data), "--k", "2", "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert named in err and "Traceback" not in err
+        assert not out.exists()
+
 
 class TestTrainAndReport:
     def test_full_pipeline(self, tiny_data, tiny_config, tmp_path, capsys):

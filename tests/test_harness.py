@@ -3,6 +3,7 @@ import json
 import multiprocessing
 import os
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,7 +14,9 @@ from scipy.special import expit
 from coupled_labels import datamodel, harness
 from coupled_labels.datamodel import Dataset, config_from_dict
 from coupled_labels.harness import (
+    FoldResult,
     HarnessError,
+    experiment_report,
     fold_runs,
     identity_view,
     predict_probs,
@@ -25,7 +28,7 @@ from coupled_labels.harness import (
     write_run_report,
 )
 from coupled_labels.predictor import init_params, load_checkpoint
-from coupled_labels.stratify import mis_split
+from coupled_labels.stratify import FoldAssignment, mis_split
 from helpers import (
     IDENTIFIABLE_TRAINING,
     couplings_free_fold,
@@ -106,6 +109,18 @@ class TestPredictWithViews:
             predict_probs(params, None, ALPHA, x),
             atol=1e-15,
         )
+
+    def test_out_slot_filled_with_same_bits(self):
+        rng = np.random.default_rng(6)
+        params = init_params(4, 3, rng)
+        A = rng.normal(scale=0.2, size=(3, 3))
+        x = rng.normal(size=(23, 4))
+        stack = np.full((2, 23, 3), np.nan)
+        filled = predict_probs(params, A, ALPHA, x, batch_size=7, out=stack[1])
+        assert np.shares_memory(filled, stack[1])
+        assert np.isnan(stack[0]).all()
+        fresh = predict_probs(params, A, ALPHA, x, batch_size=7)
+        assert stack[1].view(np.int64).tolist() == fresh.view(np.int64).tolist()
 
 
 class TestRunFold:
@@ -188,6 +203,37 @@ class TestRunExperiment:
             np.testing.assert_array_equal(
                 report.ensemble_probs[idx], report.fold_eval_probs[k][idx]
             )
+
+    def test_report_memory_peak_bounded(self):
+        """The report holds its (K, n, L) prediction stack and the (n, L)
+        out-of-fold matrix; everything else it allocates is block-sized,
+        so its traced peak stays within 8 (n, L) float64 matrices (the
+        per-fold list, its two re-stackings and whole-matrix metrics
+        peaked at 14)."""
+        n, d, l, K = 30000, 20, 14, 3
+        rng = np.random.default_rng(7)
+        ds = Dataset(features=rng.normal(size=(n, d)),
+                     labels=(rng.random((n, l)) < 0.3).astype(float),
+                     label_names=[f"y{i}" for i in range(l)])
+        results = []
+        for k in range(K):
+            A = rng.normal(scale=0.1, size=(l, l))
+            np.fill_diagonal(A, 0.0)
+            results.append(FoldResult(
+                fold=k, best_epoch=1, best_val_macro_auc=0.5, epochs_run=1, skipped_steps=0,
+                checkpoint_params=init_params(d, l, rng), checkpoint_coupling=A,
+                val_auc=None, train_log=[]))
+        assign = FoldAssignment(fold_of=np.arange(n) % K, K=K)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            report = experiment_report(ds, fast_cfg(K=K), assign, results)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert report.fold_eval_probs.shape == (K, n, l)
+        assert peak <= 8 * n * l * 8, peak / (n * l * 8)
 
     def test_refinement_disabled_has_no_coupling(self):
         ds = toy_dataset()
@@ -505,6 +551,8 @@ class TestRunDirectory:
             assert ckpt_hash == report.config.hash()
         back = read_report_json(outdir)
         assert back == report.to_json_dict()
+        record = report.to_json_dict()
+        assert read_report_json(write_run_report(report, tmp_path / "again", record)) == record
 
     def test_missing_report(self, tmp_path):
         with pytest.raises(HarnessError):

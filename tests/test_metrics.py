@@ -1,8 +1,11 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from coupled_labels import metrics
 from coupled_labels.metrics import (
     MetricError,
     UndefinedAucError,
@@ -15,7 +18,9 @@ from coupled_labels.metrics import (
 )
 from helpers import (
     brute_force_auc,
+    reference_fold_agreement,
     reference_macro_auc,
+    reference_per_label_fold_std,
     reference_probability_histograms,
     reference_roc_auc,
 )
@@ -336,3 +341,110 @@ class TestHistograms:
                 reference_probability_histograms(probs, bins=4)
             with pytest.raises(ValueError):
                 probability_histograms(probs, bins=4)
+
+
+def _bits(arr):
+    return np.asarray(arr, dtype=np.float64).view(np.int64).tolist()
+
+
+def _agreement_outcome(agreement):
+    return (agreement.majority_counts, list(agreement.majority_counts),
+            agreement.unanimous_cells, agreement.split_cells,
+            _bits(agreement.pair_agreement))
+
+
+def _fold_stack(rng, K, n, L):
+    """K fold prediction matrices on a coarse grid that holds the threshold
+    0.5 itself, so votes tie at the boundary and majorities split."""
+    return rng.integers(0, 9, size=(K, n, L)) / 8.0
+
+
+class TestBlockwiseMetrics:
+    """Metrics that work block by block give the bits of the whole-matrix
+    code, for blocks of any size and inputs spanning many blocks."""
+
+    @pytest.mark.parametrize("labels_per_block", [1, 2, 3, 5, 64])
+    def test_macro_auc_blocks_match_reference(self, labels_per_block):
+        rng = np.random.default_rng(20)
+        n, L = 400, 13
+        probs = np.round(rng.random((n, L)), 2)       # ties between rows
+        labels = (rng.random((n, L)) < rng.uniform(0.05, 0.6, size=L)).astype(float)
+        probs[17, 4] = np.nan                          # NaN score in one label
+        probs[:, 6] = 0.5                              # all tied
+        labels[rng.random((n, L)) < 0.05] = 2.0        # targets outside {0, 1}
+        labels[:, [0, 7, 12]] = [0.0, 1.0, 0.0]        # skipped labels in several blocks
+        with mock.patch.object(metrics, "_BLOCK_CELLS", labels_per_block * n):
+            got = _outcome(macro_auc, probs, labels)
+        assert got == _outcome(reference_macro_auc, probs, labels)
+        assert np.isnan(macro_auc(probs, labels).per_label_auc[4])
+        assert got[3] == [0, 7, 12]
+
+    @settings(max_examples=60, deadline=None)
+    @given(auc_cases(), st.integers(1, 4))
+    def test_macro_auc_blocks_match_reference_on_drawn_cases(self, case, labels_per_block):
+        probs, labels = case
+        with mock.patch.object(metrics, "_BLOCK_CELLS", labels_per_block * probs.shape[0]):
+            got = _outcome(macro_auc, probs, labels)
+        assert got == _outcome(reference_macro_auc, probs, labels)
+
+    def test_default_blocks_span_several_labels_at_validation_size(self):
+        rng = np.random.default_rng(21)
+        n, L = 30000, 14
+        assert 1 < metrics._BLOCK_CELLS // n < L
+        probs = np.round(rng.random((n, L)), 3)
+        labels = (rng.random((n, L)) < rng.random(L)).astype(float)
+        labels[:, 5] = 1.0
+        probs[3, 9] = np.nan
+        assert _outcome(macro_auc, probs, labels) == _outcome(reference_macro_auc, probs, labels)
+
+    @pytest.mark.parametrize("K", [2, 3, 4, 5])
+    @pytest.mark.parametrize("rows_per_block", [1, 3, 1000])
+    def test_fold_agreement_matches_unique_formulation(self, K, rows_per_block):
+        rng = np.random.default_rng(22 + K)
+        n, L = 37, 4
+        stack = _fold_stack(rng, K, n, L)
+        with mock.patch.object(metrics, "_BLOCK_CELLS", rows_per_block * L):
+            got_array = _agreement_outcome(fold_agreement(stack))
+            got_list = _agreement_outcome(fold_agreement(list(stack)))
+        assert got_array == got_list == _agreement_outcome(reference_fold_agreement(stack))
+        assert sum(got_array[0].values()) == n * L
+
+    @pytest.mark.parametrize("K", [2, 3, 4, 5])
+    def test_fold_agreement_absent_majority_levels(self, K):
+        # unanimous folds: only level K; one fold flipped: only level K - 1
+        # (for K = 2 that is level 1, a tie every cell)
+        base = np.random.default_rng(23).random((9, 3)) * 0.4
+        folds = [base.copy() for _ in range(K)]
+        for stack in (folds, folds[:-1] + [base + 0.6]):
+            with mock.patch.object(metrics, "_BLOCK_CELLS", 2 * 3):
+                got = _agreement_outcome(fold_agreement(np.stack(stack)))
+            assert got == _agreement_outcome(reference_fold_agreement(stack))
+            assert len(got[0]) == 1
+
+    @pytest.mark.parametrize("K", [2, 3, 5])
+    @pytest.mark.parametrize("rows_per_block", [1, 4, 1000])
+    def test_per_label_fold_std_array_and_list_same_bits(self, K, rows_per_block):
+        rng = np.random.default_rng(24 + K)
+        stack = rng.random((K, 53, 6))
+        stack[:, ::4] = np.round(stack[:, ::4], 1)
+        with mock.patch.object(metrics, "_BLOCK_CELLS", rows_per_block * 6):
+            from_array = per_label_fold_std(stack)
+            from_list = per_label_fold_std(list(stack))
+        assert _bits(from_array) == _bits(from_list) == _bits(reference_per_label_fold_std(stack))
+
+    def test_fold_stack_shape_errors(self):
+        with pytest.raises(MetricError, match="at least two"):
+            per_label_fold_std(np.zeros((1, 4, 3)))
+        with pytest.raises(MetricError, match="one 2-D shape"):
+            fold_agreement(np.zeros((3, 4)))
+        with pytest.raises(MetricError, match="one 2-D shape"):
+            fold_agreement([np.zeros(4), np.zeros(4)])
+
+    @pytest.mark.parametrize("rows_per_block", [1, 7])
+    def test_histograms_blocks_match_per_label_loop(self, rows_per_block):
+        rng = np.random.default_rng(25)
+        probs = rng.random((50, 5))
+        probs[rng.random((50, 5)) < 0.1] = 1.0
+        with mock.patch.object(metrics, "_BLOCK_CELLS", rows_per_block * 5):
+            got = probability_histograms(probs, bins=7)
+        np.testing.assert_array_equal(got, reference_probability_histograms(probs, bins=7))

@@ -9,15 +9,19 @@ from __future__ import annotations
 
 import argparse
 import csv
-import json
 import sys
 import traceback
 from pathlib import Path
 
-import numpy as np
-
 from . import harness, stratify, synthgen
-from .datamodel import CoupledLabelsError, load_config, load_dataset, save_dataset, write_json
+from .datamodel import (
+    CoupledLabelsError,
+    load_config,
+    load_dataset,
+    read_json,
+    save_dataset,
+    write_json,
+)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -42,7 +46,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_split.add_argument("--data", required=True, help="dataset CSV")
     p_split.add_argument("--k", type=int, default=3, help="fold count")
     p_split.add_argument("--seed", type=int, default=0)
-    p_split.add_argument("--method", choices=("mis", "bucketed"), default="mis")
+    p_split.add_argument("--method", choices=("mis",), default="mis")
     p_split.add_argument("--out", required=True, help="output folds CSV")
 
     p_train = sub.add_parser("train", help="run the K-fold experiment")
@@ -73,8 +77,7 @@ def _cmd_gen(args) -> int:
 
 def _cmd_split(args) -> int:
     dataset = load_dataset(args.data)
-    splitter = stratify.mis_split if args.method == "mis" else stratify.bucketed_kfold
-    assign = splitter(dataset.labels, args.k, args.seed)
+    assign = stratify.mis_split(dataset.labels, args.k, args.seed)
     stratify.save_folds(assign, args.out)
     write_json({"data": str(args.data), "k": args.k, "seed": args.seed,
                 "method": args.method}, str(args.out) + ".meta.json")
@@ -182,8 +185,7 @@ def _cmd_report(args) -> int:
     rundir = Path(args.run)
     # an ablation directory holds two sub-runs; report each arm
     if (rundir / "ablation.json").exists():
-        with open(rundir / "ablation.json") as fh:
-            _print_ablation(json.load(fh))
+        _print_ablation(read_json(rundir / "ablation.json"))
         for arm in ("with_refinement", "no_refinement"):
             sub = rundir / arm
             report = harness.read_report_json(sub)
@@ -215,10 +217,7 @@ def cli_main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return _COMMANDS[args.command](args)
-    except CoupledLabelsError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (OSError, json.JSONDecodeError) as exc:
+    except (CoupledLabelsError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except Exception:

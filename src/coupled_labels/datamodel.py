@@ -506,11 +506,20 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
 
 
 def load_config(path) -> ExperimentConfig:
-    with open(path) as fh:
-        raw = json.load(fh)
+    raw = read_json(path)
     if not isinstance(raw, dict):
         raise ConfigError(f"{path}: config JSON must be an object")
     return config_from_dict(raw)
+
+
+def read_json(path):
+    """The value a JSON file holds; a file that is not UTF-8 JSON raises a
+    CoupledLabelsError naming it."""
+    raw = Path(path).read_bytes()
+    try:
+        return json.loads(raw.decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise CoupledLabelsError(f"{path}: not a UTF-8 JSON file ({exc})") from None
 
 
 def write_json(obj, path) -> None:

@@ -1,13 +1,13 @@
 """Experiment orchestration: K-fold stratified training with early stopping
-and best-checkpoint selection, view-averaged prediction, cross-fold
-ensembling, ablation, and report assembly.
+and best-checkpoint selection, cross-fold ensembling, ablation, and report
+assembly.
 
 All training goes through `train_folds`: a list of runs (fold, seed, rows,
 refinement on or off) cut into shards of one refinement flag, each shard
-in lockstep, in a forked worker per CPU where the runs divide evenly. One
-`train_step` per batch position advances every model of a shard that has
-a full batch there, and each model computes bit for bit what it would
-compute trained alone.
+in lockstep, one shard per CPU through `datamodel.split_work` where the
+runs divide evenly. One `train_step` per batch position advances every
+model of a shard that has a full batch there, and each model computes bit
+for bit what it would compute trained alone.
 
 Reports are fully deterministic for a given (dataset, config, seed): no
 timestamps, fixed key order, repr-exact floats.
@@ -16,8 +16,6 @@ timestamps, fixed key order, repr-exact floats.
 from __future__ import annotations
 
 import dataclasses
-import functools
-import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -32,8 +30,9 @@ from .datamodel import (
     Dataset,
     ExperimentConfig,
     fork_cpus,
-    forked,
+    read_json,
     save_config,
+    split_work,
     validate_config,
     write_json,
 )
@@ -62,15 +61,8 @@ NEAR_ZERO = 0.05
 
 
 # ---------------------------------------------------------------------------
-# prediction views (TTA hook)
-#
-# A view is an input transform; an image-backed predictor passes its "flip"
-# after the identity. Training and reports predict with the identity view only.
+# prediction
 # ---------------------------------------------------------------------------
-
-
-def identity_view(x):
-    return x
 
 
 def predict_probs(params: PredictorParams, A: np.ndarray | None, alpha: float, x,
@@ -90,24 +82,6 @@ def predict_probs(params: PredictorParams, A: np.ndarray | None, alpha: float, x
             z, _ = refine_forward(z, A, alpha)
         expit(z, out=out[lo:lo + step])
     return out
-
-
-def predict_with_views(params: PredictorParams, A: np.ndarray | None, alpha: float, x,
-                       views=(identity_view,), batch_size: int | None = None) -> np.ndarray:
-    """Average of predictions over the input views, identity first."""
-    views = tuple(views)
-    if not views:
-        raise HarnessError("views must be non-empty")
-    if views[0] is not identity_view:
-        raise HarnessError("the first view must be identity_view")
-    if not all(callable(v) for v in views):
-        raise HarnessError("every view must be a callable on the feature matrix")
-    x = np.asarray(x, dtype=np.float64)
-    acc = None
-    for view in views:
-        probs = predict_probs(params, A, alpha, view(x), batch_size=batch_size)
-        acc = probs if acc is None else acc + probs
-    return acc / len(views)
 
 
 # ---------------------------------------------------------------------------
@@ -145,10 +119,10 @@ class _Run:
 
 def _plan_shards(refine: list[bool]) -> tuple[list[list[int]], bool]:
     """Cut the run indices into shards of one refinement flag each, and say
-    whether to train them in forked workers.
+    whether to split them across processes with `split_work`.
 
-    Forked shards are W of one size, for the largest W up to `fork_cpus`
-    that the runs and their flag groups divide evenly: a worker with more
+    Split shards are W of one size, for the largest W up to `fork_cpus`
+    that the runs and their flag groups divide evenly: a process with more
     models than another would keep the others waiting. Without such a W,
     each flag group trains as one shard in this process.
     """
@@ -182,10 +156,10 @@ def train_folds(features, labels, runs, cfg: ExperimentConfig) -> list[FoldResul
     improvement.
 
     The models of one refinement flag train in lockstep, in even shards
-    across forked workers that send their results back through pipes, or
-    as one shard per flag in this process (`_plan_shards`). Every model
-    computes the same bits either way, and a failure names the first
-    failing run in the order of `runs`.
+    split across processes by `split_work`, or as one shard per flag in
+    this process (`_plan_shards`). Every model computes the same bits
+    either way, and a failure names the first failing run in the order of
+    `runs`.
     """
     cfg = validate_config(cfg)
     if not runs:
@@ -193,12 +167,12 @@ def train_folds(features, labels, runs, cfg: ExperimentConfig) -> list[FoldResul
     models = [_new_run(features, labels, i, run, cfg) for i, run in enumerate(runs)]
     plan, forked = _plan_shards([run[4] for run in runs])
     shards = [[models[i] for i in shard] for shard in plan]
-    if forked:
-        outcomes = _train_forked(features, labels, shards, cfg)
-    else:
-        outcomes = [pair for shard in shards
-                    for pair in _train_lockstep(features, labels, shard, cfg)]
-    outcomes.sort(key=lambda pair: pair[0])
+
+    def train(s: int) -> list[tuple]:
+        return _train_lockstep(features, labels, shards[s], cfg)
+
+    trained = split_work(train, len(shards)) if forked else map(train, range(len(shards)))
+    outcomes = sorted((pair for shard in trained for pair in shard), key=lambda pair: pair[0])
     for _, outcome in outcomes:
         if isinstance(outcome, Exception):
             raise outcome
@@ -228,40 +202,6 @@ def _new_run(features, labels, index: int, run: tuple, cfg: ExperimentConfig) ->
                   if cfg.loss_kind == "WeightedBCE" else None)
     state = init_train_state(predictor, A, schedule, cfg, pos_weight=pos_weight)
     return _Run(index, fold, train_idx, val_idx, rng_shuffle, state)
-
-
-def _train_forked(features, labels, shards: list[list[_Run]],
-                  cfg: ExperimentConfig) -> list[tuple]:
-    """Train each shard in its own forked worker and gather the shards'
-    (run index, result or error) pairs. The workers share the parent's
-    arrays copy-on-write."""
-    outcomes = []
-    with forked([functools.partial(_shard_worker, features, labels, shard, cfg)
-                 for shard in shards]) as workers:
-        for (proc, receiver), shard in zip(workers, shards):
-            received = []
-            try:
-                while len(received) < len(shard):
-                    received.append(receiver.recv())
-                    if isinstance(received[-1][1], Exception):
-                        break
-            except EOFError:
-                proc.join()
-                received.append((shard[0].index, HarnessError(
-                    f"training worker exited with code {proc.exitcode} without its results")))
-            outcomes += received
-    return outcomes
-
-
-def _shard_worker(features, labels, shard: list[_Run], cfg: ExperimentConfig, sender) -> None:
-    try:
-        outcomes = _train_lockstep(features, labels, shard, cfg)
-    except Exception as exc:
-        outcomes = [(shard[0].index, exc)]
-    # one message per model: the parent never holds a whole shard's bytes
-    for outcome in outcomes:
-        sender.send(outcome)
-    sender.close()
 
 
 def _train_lockstep(features, labels, runs: list[_Run], cfg: ExperimentConfig) -> list[tuple]:
@@ -301,8 +241,8 @@ def _train_lockstep(features, labels, runs: list[_Run], cfg: ExperimentConfig) -
         for i in sorted(range(len(runs)), key=lambda i: runs[i].index):
             run = runs[i]
             params, A = state.ema_snapshot(i)
-            val_probs = predict_with_views(params, A, cfg.alpha, features[run.val_idx],
-                                           batch_size=eval_batch)
+            val_probs = predict_probs(params, A, cfg.alpha, features[run.val_idx],
+                                      batch_size=eval_batch)
             try:
                 report = metrics.macro_auc(val_probs, labels[run.val_idx])
             except metrics.UndefinedAucError as exc:
@@ -345,8 +285,6 @@ class RunReport:
     fold_results: list[FoldResult]
     ensemble_source: str               # "test" | "oof"
     ensemble_auc: metrics.AucReport
-    ensemble_probs: np.ndarray
-    fold_eval_probs: np.ndarray        # (K, n, L): each fold model on the common eval set
     coupling_mean: np.ndarray | None
     agreement: metrics.FoldAgreement
     per_label_std: np.ndarray
@@ -424,27 +362,28 @@ def experiment_report(dataset: Dataset, cfg: ExperimentConfig, assign: FoldAssig
     out-of-fold predictions, while agreement/variability diagnostics use the
     fold models' predictions on the full feature matrix (they need common
     inputs). Each fold model predicts straight into its slot of one
-    (K, n, L) stack, which every diagnostic reads without copying.
+    (K, n, L) stack, which every diagnostic reads without copying; the
+    report keeps what is computed from the stack, not the stack.
     """
     eval_batch = cfg.batch_size * cfg.eval_batch_multiplier
     if test_dataset is not None:
         eval_x, eval_labels = test_dataset.features, test_dataset.labels
     else:
         eval_x, eval_labels = dataset.features, dataset.labels
-    fold_eval_probs = np.empty((len(fold_results),) + eval_labels.shape)
-    for fr, out in zip(fold_results, fold_eval_probs):
+    stack = np.empty((len(fold_results),) + eval_labels.shape)
+    for fr, out in zip(fold_results, stack):
         predict_probs(fr.checkpoint_params, fr.checkpoint_coupling, cfg.alpha, eval_x,
                       batch_size=eval_batch, out=out)
 
     if test_dataset is not None:
         source = "test"
-        headline_probs = np.mean(fold_eval_probs, axis=0)
+        headline_probs = np.mean(stack, axis=0)
     else:
         source = "oof"
         headline_probs = np.empty(eval_labels.shape)
         for k in range(cfg.K):
             val_idx = assign.indices(k)
-            headline_probs[val_idx] = fold_eval_probs[k, val_idx]
+            headline_probs[val_idx] = stack[k, val_idx]
     ensemble_auc = metrics.macro_auc(headline_probs, eval_labels)
 
     coupling_mean = None
@@ -460,11 +399,9 @@ def experiment_report(dataset: Dataset, cfg: ExperimentConfig, assign: FoldAssig
         fold_results=fold_results,
         ensemble_source=source,
         ensemble_auc=ensemble_auc,
-        ensemble_probs=headline_probs,
-        fold_eval_probs=fold_eval_probs,
         coupling_mean=coupling_mean,
-        agreement=metrics.fold_agreement(fold_eval_probs),
-        per_label_std=metrics.per_label_fold_std(fold_eval_probs),
+        agreement=metrics.fold_agreement(stack),
+        per_label_std=metrics.per_label_fold_std(stack),
         correlation=metrics.pearson_label_correlation(headline_probs),
         histograms=metrics.probability_histograms(headline_probs, bins=HISTOGRAM_BINS),
     )
@@ -499,8 +436,7 @@ def read_report_json(rundir) -> dict:
     path = Path(rundir) / "report.json"
     if not path.exists():
         raise HarnessError(f"no report.json under {rundir}")
-    with open(path) as fh:
-        return json.load(fh)
+    return read_json(path)
 
 
 # ---------------------------------------------------------------------------

@@ -47,14 +47,14 @@ class Schedule:
             )
 
 
-def lr_at(sched: Schedule, t: int, base_lr: float) -> float:
-    """Linear ramp to base_lr over the warm-up, then cosine decay to zero."""
+def lr_at(sched: Schedule, t: int, peak_lr: float) -> float:
+    """Linear ramp to peak_lr over the warm-up, then cosine decay to zero."""
     if not 0 <= t <= sched.total_steps:
         raise ScheduleError(f"step {t} outside [0, {sched.total_steps}]")
     if t < sched.warmup_steps:
-        return base_lr * (t + 1) / sched.warmup_steps
+        return peak_lr * (t + 1) / sched.warmup_steps
     progress = (t - sched.warmup_steps) / (sched.total_steps - sched.warmup_steps)
-    return base_lr * 0.5 * (1.0 + math.cos(math.pi * progress))
+    return peak_lr * 0.5 * (1.0 + math.cos(math.pi * progress))
 
 
 class ParamBuffer(Mapping):
@@ -124,20 +124,18 @@ class OptimState:
     t: np.ndarray              # Adam clock, one per model
     m: ParamBuffer
     v: ParamBuffer
-    base_lr: float
     weight_decay: float
     beta1: float = 0.9
     beta2: float = 0.999
     eps: float = 1e-8
 
 
-def init_optim(params: Mapping, base_lr: float, weight_decay: float) -> OptimState:
+def init_optim(params: Mapping, weight_decay: float) -> OptimState:
     params = ParamBuffer.of(params)
     return OptimState(
         t=np.zeros(params.data.shape[:-1], dtype=np.int64),
         m=params.like(np.zeros_like(params.data)),
         v=params.like(np.zeros_like(params.data)),
-        base_lr=base_lr,
         weight_decay=weight_decay,
     )
 
@@ -281,7 +279,7 @@ def init_train_state(predictor: PredictorParams, A: np.ndarray | None,
         params=params,
         predictor=_bind(params),
         A=params.get("A"),
-        opt=init_optim(params, cfg.lr, cfg.weight_decay),
+        opt=init_optim(params, cfg.weight_decay),
         ema=init_ema(params, cfg.ema_decay),
         schedules=[schedule],
         pos_weight=None if pos_weight is None else np.asarray(pos_weight)[None],

@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .datamodel import CoupledLabelsError
+from .datamodel import CoupledLabelsError, read_json
 
 
 class PredictorShapeError(CoupledLabelsError):
@@ -108,8 +108,7 @@ def save_checkpoint(path, params: PredictorParams, coupling_A: np.ndarray | None
 def load_checkpoint(path) -> tuple[PredictorParams, np.ndarray | None, str]:
     """Returns (params, coupling matrix or None, config hash). The record
     must hold the arrays W2 and b2, and A for a refined model, and no other."""
-    with open(path) as fh:
-        record = json.load(fh)
+    record = read_json(path)
     arrays = {name: np.array(v, dtype=np.float64) for name, v in record["arrays"].items()}
     if not {"W2", "b2"} <= arrays.keys() <= {"W2", "b2", "A"}:
         raise PredictorShapeError(

@@ -1,9 +1,8 @@
-"""K-fold assignment builders that keep per-label positive counts balanced.
+"""K-fold assignment that keeps per-label positive counts balanced.
 
 ``mis_split`` is the greedy iterative-stratification procedure (rarest label
-first); ``bucketed_kfold`` deals exact label combinations round-robin; both
-are pure functions of (labels, K, seed). ``random_kfold`` is the uniform
-baseline the stratifiers are measured against.
+first), a pure function of (labels, K, seed). ``random_kfold`` is the
+uniform baseline it is measured against.
 """
 
 from __future__ import annotations
@@ -158,40 +157,6 @@ def mis_split(labels, K: int, seed: int) -> FoldAssignment:
         example_quota[f] -= 1.0
 
     return FoldAssignment(fold_of=np.array(fold_of, dtype=np.int64), K=K)
-
-
-def bucketed_kfold(labels, K: int, seed: int) -> FoldAssignment:
-    """Group examples by their exact label combination and deal each bucket
-    round-robin across folds.
-
-    A single fold counter runs across buckets (bucket order and within-bucket
-    order both seeded), so singleton buckets degrade to a seeded random
-    K-fold of near-equal sizes.
-    """
-    y = check_label_matrix(labels)
-    n, _ = y.shape
-    _check_split_args(n, K, seed)
-    rng = np.random.default_rng(seed)
-
-    # bit-packed rows sort bytewise in the order of their "0110..." strings
-    packed = np.packbits(y == 1.0, axis=1)
-    keys = packed.view(np.dtype((np.void, packed.shape[1]))).ravel()
-    _, bucket_of, sizes = np.unique(keys, return_inverse=True, return_counts=True)
-    order = np.arange(sizes.size)
-    rng.shuffle(order)
-    members = np.argsort(bucket_of, kind="stable")  # bucket by bucket
-    starts = np.cumsum(sizes) - sizes
-    for b in order[sizes[order] > 1].tolist():  # a one-member shuffle draws nothing
-        rng.shuffle(members[starts[b]:starts[b] + sizes[b]])
-    # the fold counter runs over the buckets in shuffled order
-    rank = np.empty_like(order)
-    rank[order] = np.arange(order.size)
-    dealt_before = np.cumsum(sizes[order]) - sizes[order]
-    bucket = np.repeat(np.arange(sizes.size), sizes)
-    position = dealt_before[rank[bucket]] + np.arange(n) - starts[bucket]
-    fold_of = np.empty(n, dtype=np.int64)
-    fold_of[members] = position % K
-    return FoldAssignment(fold_of=fold_of, K=K)
 
 
 def random_kfold(n: int, K: int, seed: int) -> FoldAssignment:

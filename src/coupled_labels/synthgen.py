@@ -12,14 +12,13 @@ against.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from graphlib import CycleError, TopologicalSorter
 
 import numpy as np
 from scipy.special import expit
 
-from .datamodel import CoupledLabelsError, Dataset, _number, write_json
+from .datamodel import CoupledLabelsError, Dataset, _number, read_json, write_json
 
 
 class GenSpecError(CoupledLabelsError):
@@ -141,8 +140,7 @@ def spec_from_dict(raw: dict) -> GenSpec:
 
 
 def load_spec(path) -> GenSpec:
-    with open(path) as fh:
-        raw = json.load(fh)
+    raw = read_json(path)
     if not isinstance(raw, dict):
         raise GenSpecError(f"{path}: generator spec JSON must be an object")
     return spec_from_dict(raw)

@@ -4,7 +4,7 @@ references for roc_auc, macro_auc and the label histograms, whole-matrix
 references for the cross-fold agreement and std, `train_folds`
 for a single model, a training loop that never touches the coupling
 module, the identifiable planted-edge construction, row-loop references for
-the CSV data path, mis_split and bucketed_kfold, a reader for the
+the CSV data path and mis_split, a reader for the
 coupling CSV, a one-fold-at-a-time training reference with a per-array
 optimizer, generator spec files that `gen` must reject, and a time limit
 for tests that wait on forked workers."""
@@ -185,7 +185,7 @@ def couplings_free_fold(train_x, train_y, val_x, val_y, cfg, seed):
     sched = Schedule(warmup_steps=min(steps_per_epoch, total - 1), total_steps=total)
     params = ParamBuffer.of(pred.trainable())
     pred = PredictorParams(W2=params["W2"], b2=params["b2"])
-    opt = init_optim(params, cfg.lr, cfg.weight_decay)
+    opt = init_optim(params, cfg.weight_decay)
     ema = init_ema(params, cfg.ema_decay)
     step = 0
     best_auc, best_params, best_epoch = -np.inf, None, 0
@@ -423,38 +423,6 @@ def reference_mis_split(labels, K, seed):
             MisStats(label_order=label_order, pre_assigned=pre_assigned))
 
 
-def reference_bucketed_kfold(labels, K, seed):
-    """bucketed_kfold with a string key per row and one fold assignment per
-    example."""
-    from coupled_labels.datamodel import check_label_matrix
-    from coupled_labels.stratify import FoldAssignment, SplitError
-
-    y = check_label_matrix(labels)
-    n = y.shape[0]
-    if K < 2:
-        raise SplitError(f"K must be >= 2, got {K}")
-    if K > n:
-        raise SplitError(f"cannot split {n} examples into {K} folds")
-    rng = np.random.default_rng(seed)
-
-    buckets = {}
-    for i in range(n):
-        key = "".join("1" if v else "0" for v in y[i])
-        buckets.setdefault(key, []).append(i)
-
-    order = sorted(buckets)
-    rng.shuffle(order)
-    fold_of = np.full(n, -1, dtype=np.int64)
-    counter = 0
-    for key in order:
-        members = np.array(buckets[key], dtype=np.int64)
-        rng.shuffle(members)
-        for i in members:
-            fold_of[i] = counter % K
-            counter += 1
-    return FoldAssignment(fold_of=fold_of, K=K)
-
-
 # ---------------------------------------------------------------------------
 # One-fold-at-a-time training reference: the fold loop, training step and
 # optimizer as they were before the fold models shared one parameter
@@ -507,7 +475,7 @@ def reference_run_fold(train_x, train_y, val_x, val_y, cfg, seed, fold_index=0):
     """run_fold for one fold on its own, with a per-array optimizer loop."""
     from coupled_labels import losses, metrics
     from coupled_labels.coupling import new_coupling, refine_backward, refine_forward, zero_diag
-    from coupled_labels.harness import FoldResult, HarnessError, predict_with_views
+    from coupled_labels.harness import FoldResult, HarnessError, predict_probs
     from coupled_labels.optim import Schedule, StepLog, lr_at
     from coupled_labels.predictor import (
         PredictorParams, init_params, predict_backward, predict_forward,
@@ -591,8 +559,7 @@ def reference_run_fold(train_x, train_y, val_x, val_y, cfg, seed, fold_index=0):
         epochs_run = epoch
         ema_params = PredictorParams(W2=shadow["W2"].copy(), b2=shadow["b2"].copy())
         ema_A = None if A is None else shadow["A"].copy()
-        val_probs = predict_with_views(ema_params, ema_A, cfg.alpha, val_x,
-                                       batch_size=eval_batch)
+        val_probs = predict_probs(ema_params, ema_A, cfg.alpha, val_x, batch_size=eval_batch)
         try:
             report = metrics.macro_auc(val_probs, val_y)
         except metrics.UndefinedAucError as exc:

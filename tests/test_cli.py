@@ -84,12 +84,6 @@ class TestSplit:
         assign = load_folds(out1)
         assert assign.n_examples == 60
 
-    def test_bucketed_method(self, tiny_data, tmp_path):
-        out = tmp_path / "fb.csv"
-        assert cli_main(["split", "--data", str(tiny_data), "--k", "2",
-                         "--seed", "1", "--method", "bucketed", "--out", str(out)]) == 0
-        assert (tmp_path / "fb.csv.meta.json").exists()
-
     def test_missing_data_flag_exit_1(self, tmp_path, capsys):
         code = cli_main(["split", "--k", "2", "--seed", "0",
                          "--out", str(tmp_path / "f.csv")])
@@ -196,6 +190,34 @@ class TestTrainAndReport:
         code = cli_main(["train", "--data", str(tiny_data), "--config",
                          str(tiny_config), "--out", str(tmp_path / "r")])
         assert code == 2
+
+
+class TestUnreadableJson:
+    """A JSON input that is not UTF-8 JSON exits 1 naming the file."""
+
+    @pytest.mark.parametrize("content", [b'{"K": 2, "epochs": 1\xff}', b'{"K": 2,'],
+                             ids=["byte-0xff", "truncated"])
+    def test_train_config(self, tiny_data, tmp_path, capsys, content):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_bytes(content)
+        assert cli_main(["train", "--data", str(tiny_data), "--config", str(cfg),
+                         "--out", str(tmp_path / "r")]) == 1
+        assert str(cfg) in capsys.readouterr().err
+
+    def test_gen_spec(self, tmp_path, capsys):
+        spec = tmp_path / "spec.json"
+        spec.write_bytes(json.dumps(GOOD_SPEC).encode() + b"\xff")
+        out = tmp_path / "x.csv"
+        assert cli_main(["gen", "--spec", str(spec), "--out", str(out)]) == 1
+        assert str(spec) in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("name", ["report.json", "ablation.json"])
+    def test_report_run(self, tmp_path, capsys, name):
+        path = tmp_path / name
+        path.write_bytes(b'{"folds": []}\xff')
+        assert cli_main(["report", "--run", str(tmp_path)]) == 1
+        assert str(path) in capsys.readouterr().err
 
 
 class TestAblate:

@@ -11,16 +11,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import expit
 
-from coupled_labels import datamodel, harness
-from coupled_labels.datamodel import Dataset, config_from_dict
+from coupled_labels import datamodel, harness, metrics
+from coupled_labels.datamodel import CoupledLabelsError, Dataset, config_from_dict
 from coupled_labels.harness import (
     FoldResult,
     HarnessError,
     experiment_report,
     fold_runs,
-    identity_view,
     predict_probs,
-    predict_with_views,
     read_report_json,
     run_ablation,
     run_experiment,
@@ -60,46 +58,16 @@ def fast_cfg(**over):
     return config_from_dict(base)
 
 
-class TestPredictWithViews:
-    def test_identity_only_equals_plain(self):
-        rng = np.random.default_rng(1)
-        params = init_params(4, 3, rng)
-        x = rng.normal(size=(7, 4))
-        np.testing.assert_array_equal(
-            predict_with_views(params, None, ALPHA, x), predict_probs(params, None, ALPHA, x)
-        )
+def fold_probs(report, x):
+    """Each fold model's probabilities on `x`, predicted again from its
+    checkpoint in the report's chunks."""
+    cfg = report.config
+    return [predict_probs(fr.checkpoint_params, fr.checkpoint_coupling, cfg.alpha, x,
+                          batch_size=cfg.batch_size * cfg.eval_batch_multiplier)
+            for fr in report.fold_results]
 
-    def test_duplicate_identity_idempotent(self):
-        rng = np.random.default_rng(2)
-        params = init_params(4, 3, rng)
-        x = rng.normal(size=(5, 4))
-        plain = predict_probs(params, None, ALPHA, x)
-        averaged = predict_with_views(params, None, ALPHA, x,
-                                      views=(identity_view, identity_view))
-        np.testing.assert_allclose(averaged, plain, atol=1e-16)
 
-    def test_two_views_elementwise_mean(self):
-        rng = np.random.default_rng(3)
-        params = init_params(4, 2, rng)
-        x = rng.normal(size=(6, 4))
-        combined = predict_with_views(params, None, ALPHA, x,
-                                      views=(identity_view, lambda x: 0.5 * x))
-        oracle = 0.5 * (
-            predict_probs(params, None, ALPHA, x) + predict_probs(params, None, ALPHA, 0.5 * x)
-        )
-        np.testing.assert_allclose(combined, oracle, atol=1e-16)
-
-    def test_view_validation(self):
-        rng = np.random.default_rng(4)
-        params = init_params(3, 2, rng)
-        x = np.zeros((2, 3))
-        with pytest.raises(HarnessError):
-            predict_with_views(params, None, ALPHA, x, views=())
-        with pytest.raises(HarnessError):
-            predict_with_views(params, None, ALPHA, x, views=(np.fliplr,))
-        with pytest.raises(HarnessError):
-            predict_with_views(params, None, ALPHA, x, views=(identity_view, "no_such_view"))
-
+class TestPredictProbs:
     def test_chunked_prediction_matches_unchunked(self):
         rng = np.random.default_rng(5)
         params = init_params(4, 3, rng)
@@ -182,8 +150,9 @@ class TestRunExperiment:
         test_ds = toy_dataset(n=30, seed=2)
         report = run_experiment(ds, fast_cfg(), test_dataset=test_ds)
         assert report.ensemble_source == "test"
-        oracle = sum(report.fold_eval_probs) / len(report.fold_eval_probs)
-        assert np.max(np.abs(report.ensemble_probs - oracle)) <= 1e-15
+        folds = fold_probs(report, test_ds.features)
+        oracle = sum(folds) / len(folds)
+        assert report.ensemble_auc == metrics.macro_auc(oracle, test_ds.labels)
 
     def test_fold_isolation(self):
         ds = toy_dataset()
@@ -198,14 +167,14 @@ class TestRunExperiment:
     def test_oof_rows_come_from_holdout_fold(self):
         ds = toy_dataset()
         report = run_experiment(ds, fast_cfg())
-        for k in range(report.config.K):
+        oof = np.full(ds.labels.shape, np.nan)
+        for k, probs in enumerate(fold_probs(report, ds.features)):
             idx = report.assignment.indices(k)
-            np.testing.assert_array_equal(
-                report.ensemble_probs[idx], report.fold_eval_probs[k][idx]
-            )
+            oof[idx] = probs[idx]
+        assert report.ensemble_auc == metrics.macro_auc(oof, ds.labels)
 
     def test_report_memory_peak_bounded(self):
-        """The report holds its (K, n, L) prediction stack and the (n, L)
+        """The report builds its (K, n, L) prediction stack and the (n, L)
         out-of-fold matrix; everything else it allocates is block-sized,
         so its traced peak stays within 8 (n, L) float64 matrices (the
         per-fold list, its two re-stackings and whole-matrix metrics
@@ -228,11 +197,10 @@ class TestRunExperiment:
         try:
             before = tracemalloc.get_traced_memory()[0]
             tracemalloc.reset_peak()
-            report = experiment_report(ds, fast_cfg(K=K), assign, results)
+            experiment_report(ds, fast_cfg(K=K), assign, results)
             peak = tracemalloc.get_traced_memory()[1] - before
         finally:
             tracemalloc.stop()
-        assert report.fold_eval_probs.shape == (K, n, l)
         assert peak <= 8 * n * l * 8, peak / (n * l * 8)
 
     def test_refinement_disabled_has_no_coupling(self):
@@ -424,16 +392,20 @@ class TestShardedEngine:
         assert texts[0].startswith("fold 5: ")
 
     def test_worker_exiting_without_results_raises(self, monkeypatch):
+        # shard 0 trains in this process; the worker of shard 1 exits
         ds, runs = self._problem()
-        monkeypatch.setattr(harness, "_train_lockstep", lambda *args: os._exit(3))
-        with time_limit(60), pytest.raises(HarnessError, match="code 3 without its results"):
+        parent, train = os.getpid(), harness._train_lockstep
+        monkeypatch.setattr(harness, "_train_lockstep",
+                            lambda *args: train(*args) if os.getpid() == parent else os._exit(3))
+        with time_limit(60), pytest.raises(CoupledLabelsError,
+                                           match="code 3 without its result"):
             _with_workers(2, lambda: train_folds(ds.features, ds.labels, runs, fast_cfg()))
         assert multiprocessing.active_children() == []
 
     def test_trains_in_process_while_another_thread_runs(self, monkeypatch):
         # a child forked now could inherit a lock the other thread holds
         ds, runs = self._problem()
-        monkeypatch.setattr(harness, "_train_forked",
+        monkeypatch.setattr(harness, "split_work",
                             lambda *args: pytest.fail("forked while another thread ran"))
         release = threading.Event()
         thread = threading.Thread(target=release.wait)
@@ -446,6 +418,19 @@ class TestShardedEngine:
             thread.join(timeout=10)
         assert not thread.is_alive()
         assert len(results) == len(runs)
+
+    def test_ablation_forks_one_worker_for_two_shards(self, monkeypatch):
+        # the two arms are two shards at W = 2, and shard 0 trains in this
+        # process
+        forks, forked = [], datamodel.forked
+
+        def counting(targets):
+            forks.append(len(targets))
+            return forked(targets)
+
+        monkeypatch.setattr(datamodel, "forked", counting)
+        _with_workers(2, lambda: run_ablation(toy_dataset(), fast_cfg()))
+        assert forks == [1]
 
     def test_no_process_or_thread_left_behind(self):
         ds, runs = self._problem()

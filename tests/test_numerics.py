@@ -86,7 +86,7 @@ def test_bias_correction_uses_python_float_powers():
     v = np.abs(v)
     params = ParamBuffer(p.copy(), {"w": (6,)})
     state = OptimState(t=np.array([odd1 - 1, odd2 - 1]), m=params.like(m.copy()),
-                       v=params.like(v.copy()), base_lr=0.1, weight_decay=0.0)
+                       v=params.like(v.copy()), weight_decay=0.0)
     adamw_step(params, params.like(g), state, np.array([0.1, 0.2]))
     for i, (t_i, lr) in enumerate(zip((odd1, odd2), (0.1, 0.2))):
         m_i = m[i] * beta1 + (1.0 - beta1) * g[i]

@@ -103,7 +103,7 @@ class TestClip:
 class TestAdamW:
     def test_zero_grad_zero_decay_is_identity(self):
         params = ParamBuffer.of({"w": np.array([1.0, -2.0])})
-        state = init_optim(params, base_lr=1e-3, weight_decay=0.0)
+        state = init_optim(params, weight_decay=0.0)
         adamw_step(params, {"w": np.zeros(2)}, state, lr=1e-3)
         np.testing.assert_array_equal(params["w"], [1.0, -2.0])
 
@@ -112,7 +112,7 @@ class TestAdamW:
         # -lr * g/(|g| + eps) ~ -lr * sign(g)
         g = np.array([2.0, -3.0, 0.5])
         params = ParamBuffer.of({"w": np.zeros(3)})
-        state = init_optim(params, base_lr=0.01, weight_decay=0.0)
+        state = init_optim(params, weight_decay=0.0)
         adamw_step(params, {"w": g.copy()}, state, lr=0.01)
         np.testing.assert_allclose(params["w"], -0.01 * np.sign(g), rtol=1e-6)
 
@@ -120,7 +120,7 @@ class TestAdamW:
         # weight matrices (2-D arrays) are decayed
         params = ParamBuffer.of({"w": np.array([[4.0, -8.0]])})
         initial = params["w"].copy()
-        state = init_optim(params, base_lr=0.05, weight_decay=0.1)
+        state = init_optim(params, weight_decay=0.1)
         for _ in range(5):
             adamw_step(params, {"w": np.zeros((1, 2))}, state, lr=0.05)
         np.testing.assert_allclose(
@@ -129,7 +129,7 @@ class TestAdamW:
 
     def test_biases_not_decayed(self):
         params = ParamBuffer.of({"w": np.array([[1.0]]), "b2": np.array([1.0])})
-        state = init_optim(params, base_lr=0.1, weight_decay=0.5)
+        state = init_optim(params, weight_decay=0.5)
         adamw_step(params, {"w": np.zeros((1, 1)), "b2": np.zeros(1)}, state, lr=0.1)
         assert params["w"][0, 0] == pytest.approx(1.0 - 0.1 * 0.5)
         assert params["b2"][0] == 1.0

@@ -10,7 +10,7 @@ from pathlib import Path
 TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
 
 # Targets whose functions are already gone; the next benchmark change drops them.
-STALE = {"optim.enforce_zero_diag", "harness.run_fold"}
+STALE = {"optim.enforce_zero_diag", "harness.run_fold", "harness.predict_with_views"}
 
 
 def _load_tracer():

@@ -4,6 +4,7 @@ import json
 import numpy as np
 import pytest
 
+from coupled_labels.datamodel import CoupledLabelsError
 from coupled_labels.predictor import (
     PredictorParams,
     PredictorShapeError,
@@ -125,6 +126,12 @@ class TestCheckpoint:
             "config_hash": "ab", "dropout_p": 0.4, "variant": "mlp1",
         }))
         with pytest.raises(PredictorShapeError, match="W1"):
+            load_checkpoint(path)
+
+    def test_undecodable_byte_names_file(self, tmp_path):
+        path = tmp_path / "ckpt.json"
+        path.write_bytes(b'{"arrays": {}}\xff')
+        with pytest.raises(CoupledLabelsError, match="ckpt.json"):
             load_checkpoint(path)
 
 

@@ -9,14 +9,13 @@ from hypothesis import strategies as st
 from coupled_labels.stratify import (
     FoldAssignment,
     SplitError,
-    bucketed_kfold,
     load_folds,
     mis_split,
     random_kfold,
     save_folds,
     split_quality,
 )
-from helpers import reference_bucketed_kfold, reference_mis_split, reference_save_folds
+from helpers import reference_mis_split, reference_save_folds
 
 label_matrices = st.integers(2, 12).flatmap(
     lambda n: st.integers(1, 4).flatmap(
@@ -65,8 +64,7 @@ class TestMisSplit:
 
     def test_negative_seed_rejected_by_every_splitter(self):
         labels = np.ones((3, 2))
-        for split in (lambda: mis_split(labels, 2, -1), lambda: bucketed_kfold(labels, 2, -1),
-                      lambda: random_kfold(3, 2, -1)):
+        for split in (lambda: mis_split(labels, 2, -1), lambda: random_kfold(3, 2, -1)):
             with pytest.raises(SplitError, match="seed"):
                 split()
 
@@ -135,59 +133,6 @@ class TestMisSplitMatchesReference:
         assign = mis_split(labels, K, seed)
         ref_assign, _ = reference_mis_split(labels, K, seed)
         np.testing.assert_array_equal(assign.fold_of, ref_assign.fold_of)
-
-
-class TestBucketedKfold:
-    def test_round_robin_combinations(self):
-        labels = np.array([[1.0, 0.0]] * 4 + [[0.0, 1.0]] * 4)
-        assign = bucketed_kfold(labels, 2, seed=1)
-        for combo in ([1.0, 0.0], [0.0, 1.0]):
-            members = np.all(labels == combo, axis=1)
-            counts = np.bincount(assign.fold_of[members], minlength=2)
-            assert counts.tolist() == [2, 2]
-
-    def test_unique_combinations_near_equal(self):
-        # 8 distinct singleton buckets reduce to a seeded random K-fold
-        labels = np.array([[int(b) for b in f"{i:03b}"] for i in range(8)], dtype=float)
-        assign = bucketed_kfold(labels, 3, seed=4)
-        sizes = assign.fold_sizes()
-        assert sizes.max() - sizes.min() <= 1
-
-    def test_deterministic(self):
-        rng = np.random.default_rng(8)
-        labels = (rng.random((30, 3)) < 0.4).astype(float)
-        a = bucketed_kfold(labels, 3, seed=7)
-        b = bucketed_kfold(labels, 3, seed=7)
-        np.testing.assert_array_equal(a.fold_of, b.fold_of)
-
-    @settings(max_examples=40, deadline=None)
-    @given(label_matrices, st.integers(0, 3))
-    def test_partition_property(self, rows, seed):
-        labels = np.array(rows)
-        assign = bucketed_kfold(labels, 2, seed)
-        assert assign.fold_sizes().sum() == labels.shape[0]
-
-
-class TestBucketedMatchesReference:
-    """bucketed_kfold against the string-key row loop in tests/helpers.py."""
-
-    @settings(max_examples=150, deadline=None)
-    @given(tie_heavy_splits(), st.integers(0, 2**32 - 1))
-    def test_same_folds(self, split, seed):
-        labels, K = split
-        np.testing.assert_array_equal(bucketed_kfold(labels, K, seed).fold_of,
-                                      reference_bucketed_kfold(labels, K, seed).fold_of)
-
-    @pytest.mark.parametrize("n_labels", [1, 8, 9, 17])
-    def test_same_folds_at_scale(self, n_labels):
-        # label counts on both sides of a byte of the bit-packed bucket keys,
-        # with repeated rows so most buckets hold several examples
-        rng = np.random.default_rng(n_labels)
-        base = (rng.random((60, n_labels)) < 0.3).astype(float)
-        labels = base[rng.integers(0, 60, size=2000)]
-        for K, seed in [(2, 0), (3, 5), (5, 9)]:
-            np.testing.assert_array_equal(bucketed_kfold(labels, K, seed).fold_of,
-                                          reference_bucketed_kfold(labels, K, seed).fold_of)
 
 
 class TestSplitQuality:

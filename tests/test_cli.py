@@ -84,6 +84,16 @@ class TestSplit:
         assign = load_folds(out1)
         assert assign.n_examples == 60
 
+    def test_mis_is_the_only_method(self, tiny_data, tmp_path, capsys):
+        out = tmp_path / "f.csv"
+        code = cli_main(["split", "--data", str(tiny_data), "--method", "bucketed",
+                         "--out", str(out)])
+        assert code == 1
+        assert "invalid choice: 'bucketed'" in capsys.readouterr().err
+        assert not out.exists()
+        assert cli_main(["split", "--data", str(tiny_data), "--out", str(out)]) == 0
+        assert json.loads(Path(str(out) + ".meta.json").read_text())["method"] == "mis"
+
     def test_missing_data_flag_exit_1(self, tmp_path, capsys):
         code = cli_main(["split", "--k", "2", "--seed", "0",
                          "--out", str(tmp_path / "f.csv")])

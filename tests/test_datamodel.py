@@ -372,6 +372,23 @@ class TestRangesAcrossProcesses:
         assert threading.active_count() == threads
 
 
+class TestJsonFiles:
+    def test_write_then_read(self, tmp_path):
+        path = tmp_path / "x.json"
+        obj = {"b": [1, 2.5], "a": {"d": None, "c": "\u00e9"}}
+        datamodel.write_json(obj, path)
+        assert path.read_text() == json.dumps(obj, indent=2, sort_keys=True) + "\n"
+        assert datamodel.read_json(path) == obj
+
+    @pytest.mark.parametrize("content", [b'{"K": 2\xff}', b'{"K": 2', b""],
+                             ids=["byte-0xff", "truncated", "empty"])
+    def test_unreadable_names_file(self, tmp_path, content):
+        path = tmp_path / "bad.json"
+        path.write_bytes(content)
+        with pytest.raises(CoupledLabelsError, match="bad.json: not a UTF-8 JSON file"):
+            datamodel.read_json(path)
+
+
 class TestDatasetInvariants:
     def test_row_mismatch(self):
         with pytest.raises(DataFormatError):

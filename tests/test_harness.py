@@ -114,6 +114,16 @@ class TestRunFold:
         assert result.epochs_run == 3
         assert 1 <= result.best_epoch <= 3
 
+    def test_best_auc_is_that_of_checkpoint_predictions(self):
+        # the per-epoch validation scores the EMA checkpoint's predict_probs
+        ds = toy_dataset()
+        cfg = fast_cfg(epochs=3)
+        val_x, val_y = ds.features[40:], ds.labels[40:]
+        result = run_fold(ds.features[:40], ds.labels[:40], val_x, val_y, cfg, seed=2)
+        probs = predict_probs(result.checkpoint_params, result.checkpoint_coupling, cfg.alpha,
+                              val_x, batch_size=cfg.batch_size * cfg.eval_batch_multiplier)
+        assert metrics.macro_auc(probs, val_y).macro_auc == result.best_val_macro_auc
+
     def test_single_class_validation_names_fold(self):
         ds = toy_dataset()
         val_y = np.zeros((10, 3))
@@ -402,6 +412,38 @@ class TestShardedEngine:
             _with_workers(2, lambda: train_folds(ds.features, ds.labels, runs, fast_cfg()))
         assert multiprocessing.active_children() == []
 
+    def test_worker_exception_names_its_part(self, monkeypatch):
+        ds, runs = self._problem()
+        parent, train = os.getpid(), harness._train_lockstep
+
+        def failing(*args):
+            if os.getpid() != parent:
+                raise RuntimeError("out of luck")
+            return train(*args)
+
+        monkeypatch.setattr(harness, "_train_lockstep", failing)
+        with time_limit(60), pytest.raises(
+                CoupledLabelsError, match="worker for part 1 failed: RuntimeError: out of luck"):
+            _with_workers(2, lambda: train_folds(ds.features, ds.labels, runs, fast_cfg()))
+        assert multiprocessing.active_children() == []
+
+    def test_exception_in_this_process_reaps_the_workers(self, monkeypatch):
+        # shard 0 fails in this process; the forked workers are stopped
+        ds, runs = self._problem(n_runs=3)
+        parent, train = os.getpid(), harness._train_lockstep
+
+        def failing(*args):
+            if os.getpid() == parent:
+                raise RuntimeError("out of luck")
+            return train(*args)
+
+        monkeypatch.setattr(harness, "_train_lockstep", failing)
+        threads = threading.active_count()
+        with time_limit(60), pytest.raises(RuntimeError, match="out of luck"):
+            _with_workers(3, lambda: train_folds(ds.features, ds.labels, runs, fast_cfg()))
+        assert multiprocessing.active_children() == []
+        assert threading.active_count() == threads
+
     def test_trains_in_process_while_another_thread_runs(self, monkeypatch):
         # a child forked now could inherit a lock the other thread holds
         ds, runs = self._problem()
@@ -431,6 +473,19 @@ class TestShardedEngine:
         monkeypatch.setattr(datamodel, "forked", counting)
         _with_workers(2, lambda: run_ablation(toy_dataset(), fast_cfg()))
         assert forks == [1]
+
+    def test_experiment_forks_one_worker_fewer_than_shards(self, monkeypatch):
+        # K = 3 folds are three shards at W = 3
+        forks, forked = [], datamodel.forked
+
+        def counting(targets):
+            forks.append(len(targets))
+            return forked(targets)
+
+        monkeypatch.setattr(datamodel, "forked", counting)
+        report = _with_workers(3, lambda: run_experiment(toy_dataset(), fast_cfg(K=3)))
+        assert forks == [2]
+        assert [fr.fold for fr in report.fold_results] == [0, 1, 2]
 
     def test_no_process_or_thread_left_behind(self):
         ds, runs = self._problem()

@@ -18,7 +18,6 @@ from .datamodel import (
     CoupledLabelsError,
     load_config,
     load_dataset,
-    read_json,
     save_dataset,
     write_json,
 )
@@ -183,15 +182,16 @@ def _write_plot_csvs(rundir: Path, report: dict) -> list[Path]:
 
 def _cmd_report(args) -> int:
     rundir = Path(args.run)
-    # an ablation directory holds two sub-runs; report each arm
+    # an ablation directory holds two sub-runs: read every file, then report
     if (rundir / "ablation.json").exists():
-        _print_ablation(read_json(rundir / "ablation.json"))
-        for arm in ("with_refinement", "no_refinement"):
-            sub = rundir / arm
-            report = harness.read_report_json(sub)
+        comparison = harness.read_json_keys(rundir / "ablation.json", harness.ABLATION_KEYS)
+        arms = {arm: harness.read_report_json(rundir / arm)
+                for arm in ("with_refinement", "no_refinement")}
+        _print_ablation(comparison)
+        for arm, report in arms.items():
             print(f"--- {arm}")
             _print_auc_table(report)
-            _write_plot_csvs(sub, report)
+            _write_plot_csvs(rundir / arm, report)
         return 0
     report = harness.read_report_json(rundir)
     _print_auc_table(report)

@@ -3,11 +3,12 @@ and best-checkpoint selection, cross-fold ensembling, ablation, and report
 assembly.
 
 All training goes through `train_folds`: a list of runs (fold, seed, rows,
-refinement on or off) cut into shards of one refinement flag, each shard
-in lockstep, one shard per CPU through `datamodel.split_work` where the
-runs divide evenly. One `train_step` per batch position advances every
-model of a shard that has a full batch there, and each model computes bit
-for bit what it would compute trained alone.
+config) cut into shards of runs whose configs are equal apart from `seed`,
+each shard in lockstep, one shard per CPU through `datamodel.split_work`
+where the runs divide evenly. One `train_step` per batch position advances
+every model of a shard that has a full batch there, and each model
+computes bit for bit what it would compute trained alone. Every experiment
+driver is `run_experiments`, which trains any list of configs in one call.
 
 Reports are fully deterministic for a given (dataset, config, seed): no
 timestamps, fixed key order, repr-exact floats.
@@ -104,11 +105,12 @@ class FoldResult:
 
 @dataclass
 class _Run:
-    """One model: its place in the caller's list, data rows, shuffle
-    stream, one-model starting state and early-stopping record."""
+    """One model: its place in the caller's list, config, data rows,
+    shuffle stream, one-model starting state and early-stopping record."""
 
     index: int
     fold: int
+    cfg: ExperimentConfig
     train_idx: np.ndarray
     val_idx: np.ndarray
     rng_shuffle: np.random.Generator
@@ -117,18 +119,19 @@ class _Run:
     epochs_without_improvement: int = 0
 
 
-def _plan_shards(refine: list[bool]) -> tuple[list[list[int]], bool]:
-    """Cut the run indices into shards of one refinement flag each, and say
-    whether to split them across processes with `split_work`.
+def _plan_shards(cfgs: list[ExperimentConfig]) -> tuple[list[list[int]], bool]:
+    """Cut the run indices into shards of runs whose configs are equal apart
+    from `seed`, which each run carries itself, and say whether to split
+    them across processes with `split_work`.
 
     Split shards are W of one size, for the largest W up to `fork_cpus`
-    that the runs and their flag groups divide evenly: a process with more
-    models than another would keep the others waiting. Without such a W,
-    each flag group trains as one shard in this process.
+    that the runs and their config groups divide evenly: a process with
+    more models than another would keep the others waiting. Without such a
+    W, each config group trains as one shard in this process.
     """
-    groups = [g for g in ([i for i, r in enumerate(refine) if r == flag]
-                          for flag in (True, False)) if g]
-    n = len(refine)
+    keys = [dataclasses.replace(cfg, seed=0) for cfg in cfgs]
+    groups = [[i for i, k in enumerate(keys) if k == key] for key in dict.fromkeys(keys)]
+    n = len(cfgs)
     for w in range(min(fork_cpus(), n), 1, -1):
         size = n // w
         if n % w == 0 and all(len(g) % size == 0 for g in groups):
@@ -136,40 +139,37 @@ def _plan_shards(refine: list[bool]) -> tuple[list[list[int]], bool]:
     return groups, False
 
 
-def fold_runs(assign: FoldAssignment, seed: int, refine: bool) -> list[tuple]:
+def fold_runs(assign: FoldAssignment, cfg: ExperimentConfig) -> list[tuple]:
     """The K runs of one experiment for `train_folds`: fold k validates on
-    its own rows, trains on the rest, and has seed `seed + k`."""
-    return [(k, seed + k, np.flatnonzero(assign.fold_of != k), assign.indices(k), refine)
+    its own rows, trains on the rest, and has seed `cfg.seed + k`."""
+    return [(k, cfg.seed + k, np.flatnonzero(assign.fold_of != k), assign.indices(k), cfg)
             for k in range(assign.K)]
 
 
-def train_folds(features, labels, runs, cfg: ExperimentConfig) -> list[FoldResult]:
+def train_folds(features, labels, runs) -> list[FoldResult]:
     """Train one model per run and return their results in the order of
     `runs`.
 
     `runs` holds (fold index, seed, train row indices, validation row
-    indices, refine) into the shared `features` and `labels`; `refine` says
-    whether the model has the coupling layer, whatever
-    `cfg.refinement_enabled` says. Each model has its own seed streams,
-    schedule, Adam clock and early stopping: per-epoch validation on EMA
-    weights, keep the best checkpoint, stop after `patience` epochs without
-    improvement.
+    indices, config) into the shared `features` and `labels`. Each model
+    has its own seed streams, schedule, Adam clock and early stopping:
+    per-epoch validation on EMA weights, keep the best checkpoint, stop
+    after `patience` epochs without improvement.
 
-    The models of one refinement flag train in lockstep, in even shards
-    split across processes by `split_work`, or as one shard per flag in
-    this process (`_plan_shards`). Every model computes the same bits
-    either way, and a failure names the first failing run in the order of
-    `runs`.
+    The models whose configs are equal apart from `seed` train in lockstep,
+    in even shards split across processes by `split_work`, or as one shard
+    per config in this process (`_plan_shards`). Every model computes the
+    same bits either way, and a failure names the first failing run in the
+    order of `runs`.
     """
-    cfg = validate_config(cfg)
     if not runs:
         raise HarnessError("no runs to train")
-    models = [_new_run(features, labels, i, run, cfg) for i, run in enumerate(runs)]
-    plan, forked = _plan_shards([run[4] for run in runs])
+    models = [_new_run(features, labels, i, run) for i, run in enumerate(runs)]
+    plan, forked = _plan_shards([model.cfg for model in models])
     shards = [[models[i] for i in shard] for shard in plan]
 
     def train(s: int) -> list[tuple]:
-        return _train_lockstep(features, labels, shards[s], cfg)
+        return _train_lockstep(features, labels, shards[s])
 
     trained = split_work(train, len(shards)) if forked else map(train, range(len(shards)))
     outcomes = sorted((pair for shard in trained for pair in shard), key=lambda pair: pair[0])
@@ -179,8 +179,9 @@ def train_folds(features, labels, runs, cfg: ExperimentConfig) -> list[FoldResul
     return [outcome for _, outcome in outcomes]
 
 
-def _new_run(features, labels, index: int, run: tuple, cfg: ExperimentConfig) -> _Run:
-    fold, seed, train_idx, val_idx, refine = run
+def _new_run(features, labels, index: int, run: tuple) -> _Run:
+    fold, seed, train_idx, val_idx, cfg = run
+    cfg = validate_config(cfg)
     n_train = train_idx.shape[0]
     if n_train < 1 or val_idx.shape[0] < 1:
         raise HarnessError(f"fold {fold}: empty train or validation subset")
@@ -189,7 +190,7 @@ def _new_run(features, labels, index: int, run: tuple, cfg: ExperimentConfig) ->
     init_seed, _, shuffle_seed = np.random.SeedSequence(seed).spawn(3)
     rng_shuffle = np.random.default_rng(shuffle_seed)
     predictor = init_params(features.shape[1], labels.shape[1], np.random.default_rng(init_seed))
-    A = new_coupling(labels.shape[1]) if refine else None
+    A = new_coupling(labels.shape[1]) if cfg.refinement_enabled else None
     steps_per_epoch = math.ceil(n_train / cfg.batch_size)
     total_steps = steps_per_epoch * cfg.epochs
     if total_steps < 2:
@@ -201,14 +202,16 @@ def _new_run(features, labels, index: int, run: tuple, cfg: ExperimentConfig) ->
     pos_weight = (compute_pos_weights(labels[train_idx])
                   if cfg.loss_kind == "WeightedBCE" else None)
     state = init_train_state(predictor, A, schedule, cfg, pos_weight=pos_weight)
-    return _Run(index, fold, train_idx, val_idx, rng_shuffle, state)
+    return _Run(index, fold, cfg, train_idx, val_idx, rng_shuffle, state)
 
 
-def _train_lockstep(features, labels, runs: list[_Run], cfg: ExperimentConfig) -> list[tuple]:
-    """Train the runs' models together and return (run index, result)
-    pairs in run order, or the first failing run's (run index, error).
-    One `train_step` per batch position advances every model that has a
-    full batch there; ragged tails step alone."""
+def _train_lockstep(features, labels, runs: list[_Run]) -> list[tuple]:
+    """Train the runs' models, whose configs are equal apart from `seed`,
+    together and return (run index, result) pairs in run order, or the
+    first failing run's (run index, error). One `train_step` per batch
+    position advances every model that has a full batch there; ragged tails
+    step alone."""
+    cfg = runs[0].cfg
     bs = cfg.batch_size
     # Buffer rows go in falling order of full batches per epoch, so the
     # models with a full batch at a position are always a leading slice.
@@ -335,21 +338,26 @@ def _jsonify(obj):
     return obj
 
 
+def run_experiments(dataset: Dataset, cfgs: list[ExperimentConfig],
+                    test_dataset: Dataset | None = None) -> list[RunReport]:
+    """Each config's stratified K-fold experiment report, in order: one
+    `mis_split` per distinct (K, seed), one `train_folds` call for all."""
+    cfgs = [validate_config(cfg) for cfg in cfgs]
+    if test_dataset is not None and test_dataset.n_labels != dataset.n_labels:
+        raise HarnessError("train and test datasets disagree on label count")
+    keys = [(cfg.K, cfg.seed) for cfg in cfgs]
+    splits = {key: mis_split(dataset.labels, *key) for key in dict.fromkeys(keys)}
+    # the runs' row indices are freed before the reports are built
+    results = iter(train_folds(dataset.features, dataset.labels, [
+        run for cfg, key in zip(cfgs, keys) for run in fold_runs(splits[key], cfg)]))
+    return [experiment_report(dataset, cfg, splits[key], [next(results) for _ in range(cfg.K)],
+                              test_dataset=test_dataset) for cfg, key in zip(cfgs, keys)]
+
+
 def run_experiment(dataset: Dataset, cfg: ExperimentConfig,
                    test_dataset: Dataset | None = None) -> RunReport:
     """Stratified K-fold training plus fold-ensemble evaluation."""
-    cfg, assign = _split(dataset, cfg, test_dataset)
-    fold_results = train_folds(dataset.features, dataset.labels,
-                               fold_runs(assign, cfg.seed, cfg.refinement_enabled), cfg)
-    return experiment_report(dataset, cfg, assign, fold_results, test_dataset=test_dataset)
-
-
-def _split(dataset: Dataset, cfg: ExperimentConfig,
-           test_dataset: Dataset | None) -> tuple[ExperimentConfig, FoldAssignment]:
-    cfg = validate_config(cfg)
-    if test_dataset is not None and test_dataset.n_labels != dataset.n_labels:
-        raise HarnessError("train and test datasets disagree on label count")
-    return cfg, mis_split(dataset.labels, cfg.K, cfg.seed)
+    return run_experiments(dataset, [cfg], test_dataset)[0]
 
 
 def experiment_report(dataset: Dataset, cfg: ExperimentConfig, assign: FoldAssignment,
@@ -432,11 +440,26 @@ def write_run_report(report: RunReport, outdir, record: dict | None = None) -> P
     return outdir
 
 
+# The keys `report` reads from a run's report.json and from ablation.json.
+REPORT_KEYS = ("folds", "ensemble", "label_names", "diagnostics")
+ABLATION_KEYS = ("macro_auc_refined", "macro_auc_baseline", "delta")
+
+
+def read_json_keys(path, keys) -> dict:
+    """The JSON object in `path`, which must hold each of `keys`: if not, a
+    HarnessError names the file and the first key it lacks."""
+    doc = read_json(path)
+    for key in keys:
+        if not isinstance(doc, dict) or key not in doc:
+            raise HarnessError(f"{path}: expected a JSON object with key {key!r}")
+    return doc
+
+
 def read_report_json(rundir) -> dict:
     path = Path(rundir) / "report.json"
     if not path.exists():
         raise HarnessError(f"no report.json under {rundir}")
-    return read_json(path)
+    return read_json_keys(path, REPORT_KEYS)
 
 
 # ---------------------------------------------------------------------------
@@ -471,15 +494,7 @@ def run_ablation(dataset: Dataset, cfg: ExperimentConfig,
                  test_dataset: Dataset | None = None) -> AblationResult:
     """Same data, folds and seeds, refinement on vs off: both arms' 2K
     models train in one `train_folds` call."""
-    cfg, assign = _split(dataset, cfg, test_dataset)
-    cfg_on = dataclasses.replace(cfg, refinement_enabled=True)
-    cfg_off = dataclasses.replace(cfg, refinement_enabled=False)
-    results = train_folds(dataset.features, dataset.labels,
-                          fold_runs(assign, cfg.seed, True) + fold_runs(assign, cfg.seed, False),
-                          cfg)
-    return AblationResult(
-        refined=experiment_report(dataset, cfg_on, assign, results[:cfg.K],
-                                  test_dataset=test_dataset),
-        baseline=experiment_report(dataset, cfg_off, assign, results[cfg.K:],
-                                   test_dataset=test_dataset),
-    )
+    cfg = validate_config(cfg)
+    return AblationResult(*run_experiments(
+        dataset, [dataclasses.replace(cfg, refinement_enabled=flag) for flag in (True, False)],
+        test_dataset))

@@ -119,15 +119,15 @@ def clip_global_norm(grads: Mapping, max_norm: float) -> tuple[ParamBuffer, floa
     return grads, (float(norm) if norm.ndim == 0 else norm)
 
 
+BETA1, BETA2, EPS = 0.9, 0.999, 1e-8   # Adam's moment decays and denominator offset
+
+
 @dataclass
 class OptimState:
     t: np.ndarray              # Adam clock, one per model
     m: ParamBuffer
     v: ParamBuffer
     weight_decay: float
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
 
 
 def init_optim(params: Mapping, weight_decay: float) -> OptimState:
@@ -151,13 +151,13 @@ def adamw_step(params: ParamBuffer, grads: Mapping, state: OptimState, lr) -> No
     state.t += 1
     # Python float powers: np.power rounds beta ** t differently for some t.
     clock = np.atleast_1d(state.t).tolist()
-    bc1 = np.reshape([1.0 - state.beta1 ** t for t in clock], column)
-    bc2 = np.reshape([1.0 - state.beta2 ** t for t in clock], column)
-    m *= state.beta1
-    m += (1.0 - state.beta1) * g
-    v *= state.beta2
-    v += (1.0 - state.beta2) * np.square(g)
-    update = (m / bc1) / (np.sqrt(v / bc2) + state.eps)
+    bc1 = np.reshape([1.0 - BETA1 ** t for t in clock], column)
+    bc2 = np.reshape([1.0 - BETA2 ** t for t in clock], column)
+    m *= BETA1
+    m += (1.0 - BETA1) * g
+    v *= BETA2
+    v += (1.0 - BETA2) * np.square(g)
+    update = (m / bc1) / (np.sqrt(v / bc2) + EPS)
     update += (state.weight_decay * params.decayed) * p
     p -= (np.reshape(lr, column) if np.ndim(lr) else lr) * update
 

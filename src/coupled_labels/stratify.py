@@ -174,20 +174,8 @@ class SplitQuality:
     """Exact arithmetic summary of how well a split preserves prevalences."""
 
     fold_sizes: np.ndarray          # (K,)
-    prevalence: np.ndarray          # (K, L) per-fold positive rate
-    global_prevalence: np.ndarray   # (L,)
-    deviation: np.ndarray           # (K, L) |fold - global|
+    deviation: np.ndarray           # (K, L) |fold prevalence - global prevalence|
     max_deviation: float
-
-    def rows(self) -> list[tuple[int, int, float, float, float]]:
-        """One row per (fold, label): (fold, label, prevalence, global, deviation)."""
-        K, L = self.prevalence.shape
-        return [
-            (f, l, float(self.prevalence[f, l]), float(self.global_prevalence[l]),
-             float(self.deviation[f, l]))
-            for f in range(K)
-            for l in range(L)
-        ]
 
 
 def split_quality(labels, assign: FoldAssignment) -> SplitQuality:
@@ -203,12 +191,9 @@ def split_quality(labels, assign: FoldAssignment) -> SplitQuality:
         pos[f] = y[assign.fold_of == f].sum(axis=0)
     with np.errstate(invalid="ignore", divide="ignore"):
         prevalence = np.where(sizes[:, None] > 0, pos / np.maximum(sizes[:, None], 1), np.nan)
-    global_prev = y.mean(axis=0)
-    deviation = np.abs(prevalence - global_prev[None, :])
+    deviation = np.abs(prevalence - y.mean(axis=0)[None, :])
     return SplitQuality(
         fold_sizes=sizes.astype(np.int64),
-        prevalence=prevalence,
-        global_prevalence=global_prev,
         deviation=deviation,
         max_deviation=float(np.nanmax(deviation)),
     )

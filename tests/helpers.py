@@ -148,14 +148,14 @@ def reference_per_label_fold_std(fold_probs):
 
 def run_fold(train_x, train_y, val_x, val_y, cfg, seed, fold_index=0):
     """`train_folds` for one model on its own train and validation arrays,
-    with the refinement flag of `cfg`."""
+    under `cfg` with seed `seed`."""
     from coupled_labels.harness import train_folds
 
     n_train = len(train_x)
     features, labels = np.concatenate([train_x, val_x]), np.concatenate([train_y, val_y])
     rows = np.arange(len(features))
-    run = (fold_index, seed, rows[:n_train], rows[n_train:], cfg.refinement_enabled)
-    return train_folds(features, labels, [run], cfg)[0]
+    run = (fold_index, seed, rows[:n_train], rows[n_train:], cfg)
+    return train_folds(features, labels, [run])[0]
 
 
 def couplings_free_fold(train_x, train_y, val_x, val_y, cfg, seed):

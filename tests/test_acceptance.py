@@ -28,7 +28,7 @@ from coupled_labels import metrics, synthgen
 from coupled_labels.cli import cli_main
 from coupled_labels.coupling import new_coupling, refine_backward, refine_forward
 from coupled_labels.datamodel import ExperimentConfig, config_from_dict
-from coupled_labels.harness import experiment_report, fold_runs, predict_probs, train_folds
+from coupled_labels.harness import predict_probs, run_experiments
 from coupled_labels.losses import asl_loss, l1_penalty
 from coupled_labels.optim import (
     EmaState,
@@ -270,25 +270,12 @@ def test_criterion_5_mis_quality_dominates_random():
 IDENTIFIABLE_NOTE = f" (identifiable_fits: identifiable_spec(), {IDENTIFIABLE_TRAINING})"
 
 
-def _experiments(dataset, cfgs):
-    """The RunReport of each config, all trained in one train_folds call;
-    the configs may differ only in seed and refinement."""
-    shared = {dataclasses.replace(cfg, seed=0, refinement_enabled=True) for cfg in cfgs}
-    assert len(shared) == 1, "one train_folds call takes one training config"
-    splits = [mis_split(dataset.labels, cfg.K, cfg.seed) for cfg in cfgs]
-    runs = [run for cfg, assign in zip(cfgs, splits)
-            for run in fold_runs(assign, cfg.seed, cfg.refinement_enabled)]
-    results = train_folds(dataset.features, dataset.labels, runs, cfgs[0])
-    return [experiment_report(dataset, cfg, assign, results[i * cfg.K:(i + 1) * cfg.K])
-            for i, (cfg, assign) in enumerate(zip(cfgs, splits))]
-
-
 @pytest.fixture(scope="module")
 def identifiable_fits():
     dataset = synthgen.generate(identifiable_spec())
     seeds = (0, 1, 2)
-    reports = _experiments(dataset, [config_from_dict({**IDENTIFIABLE_TRAINING, "seed": seed})
-                                     for seed in seeds])
+    reports = run_experiments(dataset, [config_from_dict({**IDENTIFIABLE_TRAINING, "seed": seed})
+                                        for seed in seeds])
     return {seed: report.coupling_mean for seed, report in zip(seeds, reports)}
 
 
@@ -301,7 +288,7 @@ def recovery_runs():
     for seed in seeds:
         cfg = dataclasses.replace(ExperimentConfig(), epochs=20, seed=seed)
         cfgs += [cfg, dataclasses.replace(cfg, refinement_enabled=False)]
-    reports = _experiments(dataset, cfgs)
+    reports = run_experiments(dataset, cfgs)
     elapsed = time.perf_counter() - start
     return {seed: (reports[2 * i], reports[2 * i + 1]) for i, seed in enumerate(seeds)}, elapsed
 

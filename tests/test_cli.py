@@ -230,6 +230,48 @@ class TestUnreadableJson:
         assert str(path) in capsys.readouterr().err
 
 
+class TestMisshapenReportJson:
+    """`report` on valid JSON that is not the object it reads exits 1,
+    naming the file and the first missing key, and prints and writes
+    nothing."""
+
+    @pytest.fixture
+    def ablation_dir(self, tiny_data, tiny_config, tmp_path, capsys):
+        rundir = tmp_path / "ab"
+        assert cli_main(["ablate", "--data", str(tiny_data), "--config", str(tiny_config),
+                         "--out", str(rundir)]) == 0
+        capsys.readouterr()
+        return rundir
+
+    def _rejected(self, run, path, key, capsys):
+        before = sorted(Path(run).rglob("*"))
+        assert cli_main(["report", "--run", str(run)]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert str(path) in err and repr(key) in err
+        assert sorted(Path(run).rglob("*")) == before
+
+    @pytest.mark.parametrize("drop", [None, "ensemble", "diagnostics"],
+                             ids=["list", "no-ensemble", "no-diagnostics"])
+    def test_report_json(self, ablation_dir, capsys, drop):
+        path = ablation_dir / "no_refinement" / "report.json"
+        if drop is None:
+            path.write_text("[]")
+        else:
+            record = json.loads(path.read_text())
+            del record[drop]
+            path.write_text(json.dumps(record))
+        for run in (path.parent, ablation_dir):
+            self._rejected(run, path, drop or "folds", capsys)
+
+    def test_ablation_json_without_delta(self, ablation_dir, capsys):
+        path = ablation_dir / "ablation.json"
+        record = json.loads(path.read_text())
+        del record["delta"]
+        path.write_text(json.dumps(record))
+        self._rejected(ablation_dir, path, "delta", capsys)
+
+
 class TestAblate:
     def test_ablate_writes_comparison(self, tiny_data, tiny_config, tmp_path, capsys):
         rundir = tmp_path / "ab"
@@ -324,8 +366,9 @@ x, y = rng.normal(size=(40, 3)), np.tile([[0.0, 1.0], [1.0, 0.0]], (20, 1))
 save_dataset(Dataset(features=x, labels=y, label_names=["a", "b"]), {str(tmp_path / "d.csv")!r})
 assert load_dataset({str(tmp_path / "d.csv")!r}).features.tobytes() == x.tobytes()
 rows = np.arange(40)
-runs = [(k, k, np.roll(rows, 10 * k)[:30], np.roll(rows, 10 * k)[30:], True) for k in range(2)]
-harness.train_folds(x, y, runs, config_from_dict({{"epochs": 2, "batch_size": 8}}))
+cfg = config_from_dict({{"epochs": 2, "batch_size": 8}})
+runs = [(k, k, np.roll(rows, 10 * k)[:30], np.roll(rows, 10 * k)[30:], cfg) for k in range(2)]
+harness.train_folds(x, y, runs)
 print(sorted(m for m in sys.modules if m in POOLS))
 """
         assert _python(code).splitlines() == ["[]", "[]"]

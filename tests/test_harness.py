@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from scipy.special import expit
 
 from coupled_labels import datamodel, harness, metrics
-from coupled_labels.datamodel import CoupledLabelsError, Dataset, config_from_dict
+from coupled_labels.datamodel import CoupledLabelsError, ConfigError, Dataset, config_from_dict
 from coupled_labels.harness import (
     FoldResult,
     HarnessError,
@@ -22,6 +22,7 @@ from coupled_labels.harness import (
     read_report_json,
     run_ablation,
     run_experiment,
+    run_experiments,
     train_folds,
     write_run_report,
 )
@@ -220,6 +221,37 @@ class TestRunExperiment:
         assert all(fr.checkpoint_coupling is None for fr in report.fold_results)
 
 
+class TestRunExperiments:
+    def test_each_config_as_trained_alone(self, monkeypatch):
+        # four configs in one engine call: each report and fold model has
+        # the bits of its config trained alone, and the two (K, seed) pairs
+        # are split once each
+        ds = toy_dataset()
+        cfgs = [fast_cfg(seed=seed, refinement_enabled=flag)
+                for seed in (0, 1) for flag in (True, False)]
+        alone = [run_experiment(ds, cfg) for cfg in cfgs]
+        splits, split = [], harness.mis_split
+
+        def counting(labels, K, seed):
+            splits.append((K, seed))
+            return split(labels, K, seed)
+
+        monkeypatch.setattr(harness, "mis_split", counting)
+        together = run_experiments(ds, cfgs)
+        assert splits == [(2, 0), (2, 1)]
+        assert [r.config for r in together] == cfgs
+        for got, want in zip(together, alone):
+            assert json.dumps(got.to_json_dict()) == json.dumps(want.to_json_dict())
+            assert ([fold_result_bits(fr) for fr in got.fold_results]
+                    == [fold_result_bits(fr) for fr in want.fold_results])
+        assert [r.coupling_mean is None for r in together] == [False, True, False, True]
+
+    def test_ablation_validates_before_setting_refinement(self):
+        cfg = dataclasses.replace(fast_cfg(), refinement_enabled="yes")
+        with pytest.raises(ConfigError, match="refinement_enabled"):
+            run_ablation(toy_dataset(), cfg)
+
+
 def _outcome(train):
     """The bits of every FoldResult, or the error a run stopped with."""
     try:
@@ -228,10 +260,9 @@ def _outcome(train):
         return str(exc)
 
 
-def _reference(x, y, runs, cfg):
-    return [reference_run_fold(x[tr], y[tr], x[va], y[va],
-                               dataclasses.replace(cfg, refinement_enabled=refine), seed, k)
-            for k, seed, tr, va, refine in runs]
+def _reference(x, y, runs):
+    return [reference_run_fold(x[tr], y[tr], x[va], y[va], cfg, seed, k)
+            for k, seed, tr, va, cfg in runs]
 
 
 def _with_workers(n, train):
@@ -245,9 +276,11 @@ def _with_workers(n, train):
 def lockstep_problems(draw):
     """Shared features and labels split into K = 2..5 folds of unequal sizes,
     with a batch size that gives unequal steps per epoch and ragged tails,
-    patience that may stop folds at different epochs, either loss, alpha 0.3 or 0.7, refinement on or off per run, and maybe a
-    NaN training row seen by one fold only, whose skipped steps put its Adam
-    clock behind the others'."""
+    patience that may stop folds at different epochs, either loss, alpha
+    0.3 or 0.7, a config per run with its own refinement flag and lr (2e-4
+    or 0.05), and maybe a NaN training row seen by one fold only, whose
+    skipped steps put its Adam clock behind the others'. The drawn `cfg` is
+    the one `run_experiment` would train under."""
     K = draw(st.integers(2, 5))
     sizes = draw(st.lists(st.integers(4, 13), min_size=K, max_size=K))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -261,6 +294,7 @@ def lockstep_problems(draw):
     x[n, 0] = np.nan
     nan_fold = draw(st.none() | st.integers(0, K - 1))
     refine = draw(st.lists(st.booleans(), min_size=K, max_size=K))
+    lrs = draw(st.lists(st.sampled_from([2e-4, 0.05]), min_size=K, max_size=K))
     epochs = draw(st.integers(1, 4))
     cfg = config_from_dict({
         "K": K, "epochs": epochs, "patience": draw(st.integers(1, epochs)),
@@ -275,24 +309,25 @@ def lockstep_problems(draw):
         train = np.flatnonzero(fold_of != k)
         if k == nan_fold:
             train = np.append(train, n)
-        runs.append((k, cfg.seed + k, train, np.flatnonzero(fold_of == k), refine[k]))
+        runs.append((k, cfg.seed + k, train, np.flatnonzero(fold_of == k),
+                     dataclasses.replace(cfg, refinement_enabled=refine[k], lr=lrs[k])))
     return x, y, runs, cfg
 
 
 class TestLockstepMatchesReference:
     """Runs trained in lockstep, in one process or sharded across forked
-    workers, against each run trained alone under its own refinement flag
-    with the per-array optimizer of tests/helpers.py: every FoldResult bit
-    for bit, or the same HarnessError text."""
+    workers, against each run trained alone under its own config with the
+    per-array optimizer of tests/helpers.py: every FoldResult bit for bit,
+    or the same HarnessError text."""
 
     @settings(max_examples=40, deadline=None)
     @given(lockstep_problems())
     def test_train_folds_bit_identical(self, problem):
-        x, y, runs, cfg = problem
-        expected = _outcome(lambda: _reference(x, y, runs, cfg))
+        x, y, runs, _ = problem
+        expected = _outcome(lambda: _reference(x, y, runs))
         for workers in (1, 2):
             assert _with_workers(workers, lambda: _outcome(
-                lambda: train_folds(x, y, runs, cfg))) == expected
+                lambda: train_folds(x, y, runs))) == expected
 
     @settings(max_examples=15, deadline=None)
     @given(lockstep_problems())
@@ -301,9 +336,9 @@ class TestLockstepMatchesReference:
         ds = Dataset(features=x[:-1], labels=y[:-1],
                      label_names=[f"y{i}" for i in range(y.shape[1])])
         assign = mis_split(ds.labels, cfg.K, cfg.seed)
-        runs = fold_runs(assign, cfg.seed, cfg.refinement_enabled)
+        runs = fold_runs(assign, cfg)
         got = _outcome(lambda: run_experiment(ds, cfg).fold_results)
-        assert got == _outcome(lambda: _reference(ds.features, ds.labels, runs, cfg))
+        assert got == _outcome(lambda: _reference(ds.features, ds.labels, runs))
 
     def test_nan_fold_and_early_stops_exercised(self):
         # one fixed problem where the cases above really occur: a stacked
@@ -319,13 +354,13 @@ class TestLockstepMatchesReference:
                                 "lr": 0.05, "seed": 2, "ema_decay": 0.9})
         train = [np.flatnonzero(fold_of != k) for k in range(K)]
         train[1] = np.append(train[1], n)
-        runs = [(k, cfg.seed + k, train[k], np.flatnonzero(fold_of == k), k != 2)
-                for k in range(K)]
-        results = _with_workers(1, lambda: train_folds(x, y, runs, cfg))
+        runs = [(k, cfg.seed + k, train[k], np.flatnonzero(fold_of == k),
+                 dataclasses.replace(cfg, refinement_enabled=k != 2)) for k in range(K)]
+        results = _with_workers(1, lambda: train_folds(x, y, runs))
         assert [fr.skipped_steps > 0 for fr in results] == [False, True, False, False]
         assert len({fr.epochs_run for fr in results}) > 1
         assert [fold_result_bits(fr) for fr in results] == [
-            fold_result_bits(fr) for fr in _reference(x, y, runs, cfg)]
+            fold_result_bits(fr) for fr in _reference(x, y, runs)]
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_refinement_off_run_of_mixed_list_equals_couplings_free_build(self, workers):
@@ -335,9 +370,10 @@ class TestLockstepMatchesReference:
         ds = toy_dataset(n=72, seed=4)
         cfg = fast_cfg(batch_size=24, epochs=2)
         rows = np.arange(72)
-        runs = [(0, 11, rows[:48], rows[48:], True), (0, 11, rows[:48], rows[48:], False)]
+        runs = [(0, 11, rows[:48], rows[48:], dataclasses.replace(cfg, refinement_enabled=flag))
+                for flag in (True, False)]
         refined, plain = _with_workers(workers,
-                                       lambda: train_folds(ds.features, ds.labels, runs, cfg))
+                                       lambda: train_folds(ds.features, ds.labels, runs))
         best_auc, best_epoch, best_params = couplings_free_fold(
             ds.features[:48], ds.labels[:48], ds.features[48:], ds.labels[48:], cfg, 11)
         assert refined.checkpoint_coupling is not None and plain.checkpoint_coupling is None
@@ -351,9 +387,9 @@ class TestLockstepMatchesReference:
 @pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
                     reason="the engine shards only where it can fork")
 class TestShardedEngine:
-    """The forked shards: planned even and of one refinement flag, same
-    results and errors as one process, no hang on a lost worker, nothing
-    left running."""
+    """The forked shards: planned even and of one config apart from seed,
+    same results and errors as one process, no hang on a lost worker,
+    nothing left running."""
 
     @pytest.mark.parametrize("cpus, refine, plan", [
         (1, [True] * 3, ([[0, 1, 2]], False)),
@@ -362,24 +398,35 @@ class TestShardedEngine:
         (2, [True] * 3 + [False] * 3, ([[0, 1, 2], [3, 4, 5]], True)),
         (4, [True] * 3 + [False] * 3, ([[0, 1, 2], [3, 4, 5]], True)),
         (1, [True, False, True, False], ([[0, 2], [1, 3]], False)),
-        (2, [False, True, True, False], ([[1, 2], [0, 3]], True)),
+        (2, [False, True, True, False], ([[0, 3], [1, 2]], True)),   # first-seen order
         (2, [True, True, False], ([[0, 1], [2]], False)),
     ])
     def test_shard_plan(self, cpus, refine, plan):
-        assert _with_workers(cpus, lambda: harness._plan_shards(refine)) == plan
+        cfgs = [fast_cfg(refinement_enabled=flag) for flag in refine]
+        assert _with_workers(cpus, lambda: harness._plan_shards(cfgs)) == plan
 
-    def _problem(self, n_runs=4):
+    @pytest.mark.parametrize("cpus, overrides, plan", [
+        (1, [{"seed": s} for s in (4, 0, 9)], ([[0, 1, 2]], False)),
+        (2, [{"seed": 1}, {"lr": 0.05}, {"seed": 2}, {"lr": 0.05, "seed": 2}],
+         ([[0, 2], [1, 3]], True)),
+    ])
+    def test_shard_plan_ignores_seed(self, cpus, overrides, plan):
+        # each run carries its own seed: configs that differ only in seed
+        # share one group, configs that differ in lr do not
+        cfgs = [fast_cfg(**over) for over in overrides]
+        assert _with_workers(cpus, lambda: harness._plan_shards(cfgs)) == plan
+
+    def _problem(self, n_runs=4, **over):
         ds = toy_dataset(n=80, seed=5)
         rows = np.arange(80)
-        runs = [(k, 20 + k, np.roll(rows, 20 * k)[:60], np.roll(rows, 20 * k)[60:], k % 2 == 0)
-                for k in range(n_runs)]
+        runs = [(k, 20 + k, np.roll(rows, 20 * k)[:60], np.roll(rows, 20 * k)[60:],
+                 fast_cfg(refinement_enabled=k % 2 == 0, **over)) for k in range(n_runs)]
         return ds, runs
 
     def test_worker_counts_give_same_bits(self):
-        ds, runs = self._problem()
-        cfg = fast_cfg(epochs=3, batch_size=7)
+        ds, runs = self._problem(epochs=3, batch_size=7)
         outcomes = [_with_workers(w, lambda: _outcome(
-            lambda: train_folds(ds.features, ds.labels, runs, cfg))) for w in (1, 2, 3)]
+            lambda: train_folds(ds.features, ds.labels, runs))) for w in (1, 2, 3)]
         assert outcomes[0] == outcomes[1] == outcomes[2]
         assert [r["fold"] for r in outcomes[0]] == [0, 1, 2, 3]
 
@@ -389,14 +436,14 @@ class TestShardedEngine:
         # the first failing run, as training them one by one does
         ds, runs = self._problem()
         labels = ds.labels.copy()
-        runs = [(fold, seed, tr, va, refine)
-                for fold, (_, seed, tr, va, refine) in zip((9, 5, 7, 3), runs)]
+        runs = [(fold, seed, tr, va, cfg)
+                for fold, (_, seed, tr, va, cfg) in zip((9, 5, 7, 3), runs)]
         for k in (1, 2):
             labels[runs[k][3]] = 0.0
         texts = []
         for workers in (1, 2):
             with pytest.raises(HarnessError) as exc:
-                _with_workers(workers, lambda: train_folds(ds.features, labels, runs, fast_cfg()))
+                _with_workers(workers, lambda: train_folds(ds.features, labels, runs))
             texts.append(str(exc.value))
         assert texts[0] == texts[1]
         assert texts[0].startswith("fold 5: ")
@@ -409,7 +456,7 @@ class TestShardedEngine:
                             lambda *args: train(*args) if os.getpid() == parent else os._exit(3))
         with time_limit(60), pytest.raises(CoupledLabelsError,
                                            match="code 3 without its result"):
-            _with_workers(2, lambda: train_folds(ds.features, ds.labels, runs, fast_cfg()))
+            _with_workers(2, lambda: train_folds(ds.features, ds.labels, runs))
         assert multiprocessing.active_children() == []
 
     def test_worker_exception_names_its_part(self, monkeypatch):
@@ -424,7 +471,7 @@ class TestShardedEngine:
         monkeypatch.setattr(harness, "_train_lockstep", failing)
         with time_limit(60), pytest.raises(
                 CoupledLabelsError, match="worker for part 1 failed: RuntimeError: out of luck"):
-            _with_workers(2, lambda: train_folds(ds.features, ds.labels, runs, fast_cfg()))
+            _with_workers(2, lambda: train_folds(ds.features, ds.labels, runs))
         assert multiprocessing.active_children() == []
 
     def test_exception_in_this_process_reaps_the_workers(self, monkeypatch):
@@ -440,7 +487,7 @@ class TestShardedEngine:
         monkeypatch.setattr(harness, "_train_lockstep", failing)
         threads = threading.active_count()
         with time_limit(60), pytest.raises(RuntimeError, match="out of luck"):
-            _with_workers(3, lambda: train_folds(ds.features, ds.labels, runs, fast_cfg()))
+            _with_workers(3, lambda: train_folds(ds.features, ds.labels, runs))
         assert multiprocessing.active_children() == []
         assert threading.active_count() == threads
 
@@ -453,8 +500,7 @@ class TestShardedEngine:
         thread = threading.Thread(target=release.wait)
         thread.start()
         try:
-            results = _with_workers(2, lambda: train_folds(ds.features, ds.labels, runs,
-                                                           fast_cfg()))
+            results = _with_workers(2, lambda: train_folds(ds.features, ds.labels, runs))
         finally:
             release.set()
             thread.join(timeout=10)
@@ -490,8 +536,7 @@ class TestShardedEngine:
     def test_no_process_or_thread_left_behind(self):
         ds, runs = self._problem()
         threads = threading.active_count()
-        results = _with_workers(2, lambda: train_folds(ds.features, ds.labels, runs,
-                                                       fast_cfg()))
+        results = _with_workers(2, lambda: train_folds(ds.features, ds.labels, runs))
         assert len(results) == len(runs)
         assert multiprocessing.active_children() == []
         assert threading.active_count() == threads

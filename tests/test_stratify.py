@@ -152,13 +152,6 @@ class TestSplitQuality:
         assert q.deviation[1, 0] == pytest.approx(0.25, abs=1e-15)
         assert q.max_deviation == pytest.approx(0.25, abs=1e-15)
 
-    def test_row_count(self):
-        rng = np.random.default_rng(3)
-        labels = (rng.random((20, 5)) < 0.5).astype(float)
-        assign = mis_split(labels, 4, 0)
-        q = split_quality(labels, assign)
-        assert len(q.rows()) == 4 * 5
-
     def test_length_mismatch(self):
         with pytest.raises(SplitError):
             split_quality(np.zeros((5, 2)), FoldAssignment(np.array([0, 1]), K=2))

@@ -464,7 +464,6 @@ class ExperimentConfig:
     lr: float = 2e-4
     weight_decay: float = 1e-4
     batch_size: int = 24
-    eval_batch_multiplier: int = 2
     epochs: int = 3
     patience: int = 3
     ema_decay: float = 0.999
@@ -565,10 +564,6 @@ def validate_config(cfg: ExperimentConfig) -> ExperimentConfig:
         problems.append(f"weight_decay: must be a finite number >= 0, got {cfg.weight_decay!r}")
     if not _number(cfg.batch_size, int) or cfg.batch_size < 1:
         problems.append(f"batch_size: must be a positive integer, got {cfg.batch_size!r}")
-    if not _number(cfg.eval_batch_multiplier, int) or cfg.eval_batch_multiplier < 1:
-        problems.append(
-            f"eval_batch_multiplier: must be a positive integer, got {cfg.eval_batch_multiplier!r}"
-        )
     if not _number(cfg.epochs, int) or cfg.epochs < 1:
         problems.append(f"epochs: must be a positive integer, got {cfg.epochs!r}")
     if not _number(cfg.patience, int) or cfg.patience < 1:

@@ -1,6 +1,7 @@
 """Experiment orchestration: K-fold stratified training with early stopping
-and best-checkpoint selection, cross-fold ensembling, ablation, and report
-assembly.
+and best-checkpoint selection, cross-fold ensembling, ablation, report
+assembly and run directories. A fold model is one mapping of named float64
+arrays (`predictor`), and its checkpoint file holds exactly those arrays.
 
 All training goes through `train_folds`: a list of runs (fold, seed, rows,
 config) cut into shards of runs whose configs are equal apart from `seed`,
@@ -17,7 +18,9 @@ timestamps, fixed key order, repr-exact floats.
 from __future__ import annotations
 
 import dataclasses
+import json
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -47,7 +50,7 @@ from .optim import (
     stack_states,
     train_step,
 )
-from .predictor import PredictorParams, init_params, predict_forward, save_checkpoint
+from .predictor import PredictorShapeError, init_params, predict_forward
 from .stratify import FoldAssignment, mis_split, save_folds
 
 
@@ -59,6 +62,8 @@ class HarnessError(CoupledLabelsError):
 HISTOGRAM_BINS = 20
 # |A| at or below this counts as a near-zero coupling in the ablation summary.
 NEAR_ZERO = 0.05
+# Rows per block in `predict_probs`: the output bits do not depend on it.
+PREDICT_ROWS = 512
 
 
 # ---------------------------------------------------------------------------
@@ -66,22 +71,18 @@ NEAR_ZERO = 0.05
 # ---------------------------------------------------------------------------
 
 
-def predict_probs(params: PredictorParams, A: np.ndarray | None, alpha: float, x,
-                  batch_size: int | None = None, out: np.ndarray | None = None) -> np.ndarray:
-    """Probabilities (post-refinement sigmoid), chunked, written into the
-    (n, L) float64 `out` if one is given; without a coupling matrix `A` the
-    logits are not refined."""
+def predict_probs(model: Mapping, alpha: float, x, out: np.ndarray | None = None) -> np.ndarray:
+    """Probabilities (post-refinement sigmoid) of one model, in blocks of
+    `PREDICT_ROWS` rows, written into the (n, L) float64 `out` if one is
+    given; the logits are refined exactly when the model holds `A`."""
     x = np.asarray(x, dtype=np.float64)
-    n = x.shape[0]
-    step = n if batch_size is None else max(1, batch_size)
     if out is None:
-        out = np.empty((n, params.n_labels))
-    for lo in range(0, n, step):
-        chunk = x[lo:lo + step]
-        z, _ = predict_forward(chunk, params)
-        if A is not None:
-            z, _ = refine_forward(z, A, alpha)
-        expit(z, out=out[lo:lo + step])
+        out = np.empty((x.shape[0], model["b2"].shape[-1]))
+    for lo in range(0, x.shape[0], PREDICT_ROWS):
+        z, _ = predict_forward(x[lo:lo + PREDICT_ROWS], model)
+        if "A" in model:
+            z, _ = refine_forward(z, model["A"], alpha)
+        expit(z, out=out[lo:lo + PREDICT_ROWS])
     return out
 
 
@@ -97,8 +98,7 @@ class FoldResult:
     best_val_macro_auc: float
     epochs_run: int
     skipped_steps: int
-    checkpoint_params: PredictorParams       # EMA weights at the best epoch
-    checkpoint_coupling: np.ndarray | None   # EMA coupling matrix, None without refinement
+    checkpoint: Mapping   # EMA weights at the best epoch: W2, b2 and, if refined, A
     val_auc: metrics.AucReport
     train_log: list[StepLog]
 
@@ -189,8 +189,9 @@ def _new_run(features, labels, index: int, run: tuple) -> _Run:
     # fewer than three would change the shuffles and every trained result.
     init_seed, _, shuffle_seed = np.random.SeedSequence(seed).spawn(3)
     rng_shuffle = np.random.default_rng(shuffle_seed)
-    predictor = init_params(features.shape[1], labels.shape[1], np.random.default_rng(init_seed))
-    A = new_coupling(labels.shape[1]) if cfg.refinement_enabled else None
+    model = init_params(features.shape[1], labels.shape[1], np.random.default_rng(init_seed))
+    if cfg.refinement_enabled:
+        model["A"] = new_coupling(labels.shape[1])
     steps_per_epoch = math.ceil(n_train / cfg.batch_size)
     total_steps = steps_per_epoch * cfg.epochs
     if total_steps < 2:
@@ -201,7 +202,7 @@ def _new_run(features, labels, index: int, run: tuple) -> _Run:
     )
     pos_weight = (compute_pos_weights(labels[train_idx])
                   if cfg.loss_kind == "WeightedBCE" else None)
-    state = init_train_state(predictor, A, schedule, cfg, pos_weight=pos_weight)
+    state = init_train_state(model, schedule, cfg, pos_weight=pos_weight)
     return _Run(index, fold, cfg, train_idx, val_idx, rng_shuffle, state)
 
 
@@ -217,7 +218,6 @@ def _train_lockstep(features, labels, runs: list[_Run]) -> list[tuple]:
     # models with a full batch at a position are always a leading slice.
     runs = sorted(runs, key=lambda run: -(run.train_idx.shape[0] // bs))
     state = stack_states([run.state for run in runs])
-    eval_batch = bs * cfg.eval_batch_multiplier
     results = []
 
     for epoch in range(1, cfg.epochs + 1):
@@ -243,9 +243,8 @@ def _train_lockstep(features, labels, runs: list[_Run]) -> list[tuple]:
         stopped = []
         for i in sorted(range(len(runs)), key=lambda i: runs[i].index):
             run = runs[i]
-            params, A = state.ema_snapshot(i)
-            val_probs = predict_probs(params, A, cfg.alpha, features[run.val_idx],
-                                      batch_size=eval_batch)
+            model = state.ema_snapshot(i)
+            val_probs = predict_probs(model, cfg.alpha, features[run.val_idx])
             try:
                 report = metrics.macro_auc(val_probs, labels[run.val_idx])
             except metrics.UndefinedAucError as exc:
@@ -253,8 +252,8 @@ def _train_lockstep(features, labels, runs: list[_Run]) -> list[tuple]:
             if run.best is None or report.macro_auc > run.best.best_val_macro_auc:
                 run.best = FoldResult(
                     fold=run.fold, best_epoch=epoch, best_val_macro_auc=report.macro_auc,
-                    epochs_run=0, skipped_steps=0, checkpoint_params=params,
-                    checkpoint_coupling=A, val_auc=report, train_log=state.logs[i],
+                    epochs_run=0, skipped_steps=0, checkpoint=model,
+                    val_auc=report, train_log=state.logs[i],
                 )
                 run.epochs_without_improvement = 0
             else:
@@ -373,15 +372,13 @@ def experiment_report(dataset: Dataset, cfg: ExperimentConfig, assign: FoldAssig
     (K, n, L) stack, which every diagnostic reads without copying; the
     report keeps what is computed from the stack, not the stack.
     """
-    eval_batch = cfg.batch_size * cfg.eval_batch_multiplier
     if test_dataset is not None:
         eval_x, eval_labels = test_dataset.features, test_dataset.labels
     else:
         eval_x, eval_labels = dataset.features, dataset.labels
     stack = np.empty((len(fold_results),) + eval_labels.shape)
     for fr, out in zip(fold_results, stack):
-        predict_probs(fr.checkpoint_params, fr.checkpoint_coupling, cfg.alpha, eval_x,
-                      batch_size=eval_batch, out=out)
+        predict_probs(fr.checkpoint, cfg.alpha, eval_x, out=out)
 
     if test_dataset is not None:
         source = "test"
@@ -394,11 +391,8 @@ def experiment_report(dataset: Dataset, cfg: ExperimentConfig, assign: FoldAssig
             headline_probs[val_idx] = stack[k, val_idx]
     ensemble_auc = metrics.macro_auc(headline_probs, eval_labels)
 
-    coupling_mean = None
-    if cfg.refinement_enabled:
-        coupling_mean = np.mean(
-            np.stack([fr.checkpoint_coupling for fr in fold_results], axis=0), axis=0
-        )
+    coupling_mean = (np.mean([fr.checkpoint["A"] for fr in fold_results], axis=0)
+                     if cfg.refinement_enabled else None)
 
     return RunReport(
         config=cfg,
@@ -432,26 +426,82 @@ def write_run_report(report: RunReport, outdir, record: dict | None = None) -> P
     cfg_hash = report.config.hash()
     for fr in report.fold_results:
         save_train_log(fr.train_log, outdir / f"fold{fr.fold}_train_log.csv")
-        save_checkpoint(outdir / "checkpoints" / f"fold{fr.fold}.json",
-                        fr.checkpoint_params, fr.checkpoint_coupling, cfg_hash)
+        save_checkpoint(outdir / "checkpoints" / f"fold{fr.fold}.json", fr.checkpoint, cfg_hash)
     if report.coupling_mean is not None:
         save_coupling_csv(report.coupling_mean, report.label_names,
                           outdir / "coupling_mean.csv")
     return outdir
 
 
-# The keys `report` reads from a run's report.json and from ablation.json.
-REPORT_KEYS = ("folds", "ensemble", "label_names", "diagnostics")
+def save_checkpoint(path, model: Mapping, config_hash: str) -> None:
+    """No alpha: a refined model's rate is its run config's, matched by hash."""
+    record = {"config_hash": config_hash,
+              "arrays": {name: np.asarray(arr).tolist() for name, arr in model.items()}}
+    Path(path).parent.mkdir(parents=True, exist_ok=True)
+    with open(path, "w") as fh:
+        json.dump(record, fh, sort_keys=True)
+        fh.write("\n")
+
+
+def load_checkpoint(path) -> tuple[dict[str, np.ndarray], str]:
+    """Returns (model, config hash). The record must hold a string config
+    hash and finite arrays W2 (D, L) and b2 (L,), plus A (L, L) for a
+    refined model, and no others."""
+    record = read_json(path)
+    if not (isinstance(record, dict) and isinstance(record.get("arrays"), dict)
+            and isinstance(record.get("config_hash"), str)):
+        raise PredictorShapeError(f"{path}: a checkpoint is an object with an 'arrays' "
+                                  f"object and a string 'config_hash'")
+    raw = record["arrays"]
+    if not {"W2", "b2"} <= raw.keys() <= {"W2", "b2", "A"}:
+        raise PredictorShapeError(f"{path}: checkpoint arrays {sorted(raw)} are not W2, b2 "
+                                  f"and an optional A")
+    model = {}
+    for name, value in raw.items():
+        try:
+            model[name] = np.array(value, dtype=np.float64)
+        except (TypeError, ValueError):
+            raise PredictorShapeError(f"{path}: {name} is not an array of numbers") from None
+        if not np.isfinite(model[name]).all():
+            raise PredictorShapeError(f"{path}: {name} contains non-finite entries")
+    d = model["W2"].shape[0] if model["W2"].ndim == 2 else "D"
+    n = model["b2"].shape[0] if model["b2"].ndim == 1 else "L"
+    for name, shape in (("b2", (n,)), ("W2", (d, n)), ("A", (n, n))):
+        if name in model and model[name].shape != shape:
+            raise PredictorShapeError(f"{path}: {name} has shape {model[name].shape}, "
+                                      f"expected {shape}")
+    return model, record["config_hash"]
+
+
+# The key paths `report` reads from a run's report.json and from
+# ablation.json; `*` stands for every entry of a list.
+REPORT_KEYS = ("folds.*.fold", "folds.*.best_epoch", "folds.*.best_val_macro_auc",
+               "ensemble.source", "ensemble.auc.macro_auc", "label_names",
+               "diagnostics.pearson_correlation", "diagnostics.per_label_fold_std",
+               "diagnostics.fold_agreement.majority_counts",
+               "diagnostics.fold_agreement.pair_agreement",
+               "diagnostics.probability_histograms.bins",
+               "diagnostics.probability_histograms.counts")
 ABLATION_KEYS = ("macro_auc_refined", "macro_auc_baseline", "delta")
 
 
 def read_json_keys(path, keys) -> dict:
-    """The JSON object in `path`, which must hold each of `keys`: if not, a
-    HarnessError names the file and the first key it lacks."""
+    """The JSON object in `path`, which must hold each dotted key path of
+    `keys`; if not, a HarnessError names the file and the first one missing,
+    with the index of the list entry that lacks it in place of `*`."""
     doc = read_json(path)
     for key in keys:
-        if not isinstance(doc, dict) or key not in doc:
-            raise HarnessError(f"{path}: expected a JSON object with key {key!r}")
+        nodes = {"": doc}   # the path walked so far -> the value there
+        for part in key.split("."):
+            found = {}
+            for at, node in nodes.items():
+                if part == "*" and isinstance(node, list):
+                    found.update((f"{at}{i}.", entry) for i, entry in enumerate(node))
+                elif isinstance(node, dict) and part in node:
+                    found[f"{at}{part}."] = node[part]
+                else:
+                    raise HarnessError(f"{path}: expected a JSON object with key {at + part!r}")
+            nodes = found
     return doc
 
 

@@ -28,7 +28,7 @@ import numpy as np
 from . import losses
 from .coupling import refine_backward, refine_forward, zero_diag
 from .datamodel import CoupledLabelsError, ExperimentConfig
-from .predictor import PredictorParams, predict_backward, predict_forward
+from .predictor import predict_backward, predict_forward
 
 
 class ScheduleError(CoupledLabelsError):
@@ -59,7 +59,8 @@ def lr_at(sched: Schedule, t: int, peak_lr: float) -> float:
 
 class ParamBuffer(Mapping):
     """Named views into a float64 buffer whose last axis holds one model's
-    arrays back to back, in insertion order; leading axes index models."""
+    arrays back to back, in insertion order; leading axes index models.
+    The views are made once per buffer and see in-place updates of `data`."""
 
     def __init__(self, data: np.ndarray, shapes: dict[str, tuple[int, ...]]):
         self.data = data
@@ -70,6 +71,7 @@ class ParamBuffer(Mapping):
         self.decayed = np.zeros(data.shape[-1], dtype=bool)
         for name, (lo, hi) in self.bounds.items():
             self.decayed[lo:hi] = len(shapes[name]) == 2
+        self._views = {}
 
     @classmethod
     def of(cls, arrays: Mapping) -> "ParamBuffer":
@@ -86,9 +88,20 @@ class ParamBuffer(Mapping):
         other.data = data
         return other
 
+    def __getstate__(self) -> dict:
+        # a copy or an unpickled buffer views its own data, not this one's
+        return {**self.__dict__, "_views": {}}
+
     def __getitem__(self, name: str) -> np.ndarray:
-        lo, hi = self.bounds[name]
-        return self.data[..., lo:hi].reshape(self.data.shape[:-1] + self.shapes[name])
+        view = self._views.get(name)
+        if view is None:
+            lo, hi = self.bounds[name]
+            view = self._views[name] = self.data[..., lo:hi].reshape(
+                self.data.shape[:-1] + self.shapes[name])
+        return view
+
+    def __contains__(self, name) -> bool:
+        return name in self.shapes
 
     def __iter__(self):
         return iter(self.shapes)
@@ -203,14 +216,11 @@ class StepLog:
 @dataclass
 class TrainState:
     """Everything the training of M models mutates, one buffer row or list
-    entry per model: the live trainables (`predictor` and the coupling
-    matrix `A`, None without refinement, are views into `params`), Adam
-    moments, EMA shadow, schedule, the schedule clock `step`, the skip
-    count and the step log."""
+    entry per model: the live trainables `params` (`W2`, `b2` and, for
+    refined models, `A`), Adam moments, EMA shadow, schedule, the schedule
+    clock `step`, the skip count and the step log."""
 
     params: ParamBuffer
-    predictor: PredictorParams
-    A: np.ndarray | None
     opt: OptimState
     ema: EmaState
     schedules: list[Schedule]
@@ -223,11 +233,10 @@ class TrainState:
         """The models at `rows`, sharing this state's buffers, clocks and logs."""
         return _assemble(self, *(None if f is None else f[rows] for f in _model_fields(self)))
 
-    def ema_snapshot(self, row: int) -> tuple[PredictorParams, np.ndarray | None]:
-        """A copy of model `row`'s EMA weights as a predictor and coupling."""
+    def ema_snapshot(self, row: int) -> ParamBuffer:
+        """A copy of model `row`'s EMA weights: one model."""
         shadow = self.ema.shadow
-        snapshot = shadow.like(shadow.data[row].copy())
-        return _bind(snapshot), snapshot.get("A")
+        return shadow.like(shadow.data[row].copy())
 
 
 def _model_fields(s: TrainState) -> tuple:
@@ -236,16 +245,11 @@ def _model_fields(s: TrainState) -> tuple:
             s.schedules, s.pos_weight, s.step, s.skips, s.logs)
 
 
-def _bind(params: ParamBuffer) -> PredictorParams:
-    """The predictor viewing `params`."""
-    return PredictorParams(W2=params["W2"], b2=params["b2"])
-
-
 def _assemble(proto: TrainState, params, t, m, v, shadow, schedules, pos_weight, step,
               skips, logs) -> TrainState:
     params = proto.params.like(params)
     return TrainState(
-        params=params, predictor=_bind(params), A=params.get("A"),
+        params=params,
         opt=dataclasses.replace(proto.opt, t=t, m=params.like(m), v=params.like(v)),
         ema=dataclasses.replace(proto.ema, shadow=params.like(shadow)),
         schedules=schedules, pos_weight=pos_weight, step=step, skips=skips, logs=logs,
@@ -265,20 +269,14 @@ def stack_states(states: list[TrainState]) -> TrainState:
     return _assemble(states[0], *map(merged, zip(*map(_model_fields, states))))
 
 
-def init_train_state(predictor: PredictorParams, A: np.ndarray | None,
-                     schedule: Schedule, cfg: ExperimentConfig,
+def init_train_state(model: Mapping, schedule: Schedule, cfg: ExperimentConfig,
                      pos_weight: np.ndarray | None = None) -> TrainState:
-    """A one-model state starting from copies of `predictor` and the
-    coupling matrix `A` (None: no refinement)."""
-    arrays = dict(predictor.trainable())
-    if A is not None:
-        arrays["A"] = A
-    row = ParamBuffer.of(arrays)
-    params = row.like(row.data[None])
+    """A one-model state starting from a copy of `model` (`W2`, `b2` and,
+    for refinement, `A`)."""
+    row = ParamBuffer.of(model)
+    params = row.like(row.data[None].copy())
     return TrainState(
         params=params,
-        predictor=_bind(params),
-        A=params.get("A"),
         opt=init_optim(params, cfg.weight_decay),
         ema=init_ema(params, cfg.ema_decay),
         schedules=[schedule],
@@ -307,10 +305,11 @@ def train_step(x, y, state: TrainState, cfg: ExperimentConfig):
         x, y = np.asarray(x)[None], np.asarray(y)[None]
     lr = np.array([lr_at(sched, t, cfg.lr)
                    for sched, t in zip(state.schedules, state.step.tolist())])
-    z, pcache = predict_forward(x, state.predictor)
-    if state.A is not None:
-        z_ref, ccache = refine_forward(z, state.A, cfg.alpha)
-        l1_value, l1_grad = losses.l1_penalty(state.A, cfg.lambda_l1)
+    A = state.params["A"] if "A" in state.params else None
+    z, pcache = predict_forward(x, state.params)
+    if A is not None:
+        z_ref, ccache = refine_forward(z, A, cfg.alpha)
+        l1_value, l1_grad = losses.l1_penalty(A, cfg.lambda_l1)
     else:
         z_ref, ccache = z, None
         l1_value, l1_grad = 0.0, None
@@ -323,13 +322,13 @@ def train_step(x, y, state: TrainState, cfg: ExperimentConfig):
     if ok.any():
         # models already skipping may hold non-finite values from here on
         with np.errstate(invalid="ignore", over="ignore"):
-            if state.A is not None:
-                grad_z, grad_A = refine_backward(sup.grad_logits, ccache, state.A, cfg.alpha)
+            if A is not None:
+                grad_z, grad_A = refine_backward(sup.grad_logits, ccache, A, cfg.alpha)
                 grad_A = grad_A + l1_grad
             else:
                 grad_z = sup.grad_logits
-            grads = predict_backward(grad_z, pcache, state.predictor)
-            if state.A is not None:
+            grads = predict_backward(grad_z, pcache, state.params)
+            if A is not None:
                 grads["A"] = grad_A
             grads = state.params.like(np.concatenate(
                 [grads[k].reshape(ok.shape + (-1,)) for k in state.params], axis=-1))
@@ -358,8 +357,8 @@ def train_step(x, y, state: TrainState, cfg: ExperimentConfig):
 
 def _update(state: TrainState, grads: ParamBuffer, lr: np.ndarray) -> None:
     adamw_step(state.params, grads, state.opt, lr)
-    if state.A is not None:
-        zero_diag(state.A)
+    if "A" in state.params:
+        zero_diag(state.params["A"])
     ema_update(state.ema, state.params)
 
 

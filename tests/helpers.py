@@ -172,9 +172,7 @@ def couplings_free_fold(train_x, train_y, val_x, val_y, cfg, seed):
         ParamBuffer, Schedule, adamw_step, clip_global_norm, ema_update, init_ema,
         init_optim, lr_at,
     )
-    from coupled_labels.predictor import (
-        PredictorParams, init_params, predict_backward, predict_forward,
-    )
+    from coupled_labels.predictor import init_params, predict_backward, predict_forward
 
     ss = np.random.SeedSequence(seed)
     rng_init, _, rng_shuffle = (np.random.default_rng(c) for c in ss.spawn(3))
@@ -183,8 +181,7 @@ def couplings_free_fold(train_x, train_y, val_x, val_y, cfg, seed):
     steps_per_epoch = math.ceil(n / cfg.batch_size)
     total = steps_per_epoch * cfg.epochs
     sched = Schedule(warmup_steps=min(steps_per_epoch, total - 1), total_steps=total)
-    params = ParamBuffer.of(pred.trainable())
-    pred = PredictorParams(W2=params["W2"], b2=params["b2"])
+    params = ParamBuffer.of(pred)
     opt = init_optim(params, cfg.weight_decay)
     ema = init_ema(params, cfg.ema_decay)
     step = 0
@@ -195,16 +192,17 @@ def couplings_free_fold(train_x, train_y, val_x, val_y, cfg, seed):
         for lo in range(0, n, cfg.batch_size):
             idx = order[lo:lo + cfg.batch_size]
             lr = lr_at(sched, step, cfg.lr)
-            z, cache = predict_forward(train_x[idx], pred)
+            z, cache = predict_forward(train_x[idx], params)
             sup = asl_loss(z, train_y[idx], cfg.asl.gamma_pos, cfg.asl.gamma_neg,
                            cfg.asl.clip)
-            grads = predict_backward(sup.grad_logits, cache, pred)
+            grads = predict_backward(sup.grad_logits, cache, params)
             grads, _ = clip_global_norm(grads, cfg.grad_clip_norm)
             adamw_step(params, grads, opt, lr)
             ema_update(ema, params)
             step += 1
-        eval_params = PredictorParams(W2=ema.shadow["W2"].copy(), b2=ema.shadow["b2"].copy())
-        eval_batch = cfg.batch_size * cfg.eval_batch_multiplier
+        eval_params = {"W2": ema.shadow["W2"].copy(), "b2": ema.shadow["b2"].copy()}
+        # chunks of its own, unlike predict_probs' blocks: the bits must not differ
+        eval_batch = 48
         probs = np.empty((val_x.shape[0], train_y.shape[1]))
         for lo in range(0, val_x.shape[0], eval_batch):
             chunk = val_x[lo:lo + eval_batch]
@@ -477,9 +475,7 @@ def reference_run_fold(train_x, train_y, val_x, val_y, cfg, seed, fold_index=0):
     from coupled_labels.coupling import new_coupling, refine_backward, refine_forward, zero_diag
     from coupled_labels.harness import FoldResult, HarnessError, predict_probs
     from coupled_labels.optim import Schedule, StepLog, lr_at
-    from coupled_labels.predictor import (
-        PredictorParams, init_params, predict_backward, predict_forward,
-    )
+    from coupled_labels.predictor import init_params, predict_backward, predict_forward
 
     train_x = np.asarray(train_x, dtype=np.float64)
     train_y = np.asarray(train_y, dtype=np.float64)
@@ -499,7 +495,7 @@ def reference_run_fold(train_x, train_y, val_x, val_y, cfg, seed, fold_index=0):
     pos_weight = (losses.compute_pos_weights(train_y)
                   if cfg.loss_kind == "WeightedBCE" else None)
 
-    params = predictor.trainable()
+    params = dict(predictor)
     if A is not None:
         params["A"] = A
     opt = {"t": 0, "m": {k: np.zeros_like(p) for k, p in params.items()},
@@ -548,7 +544,6 @@ def reference_run_fold(train_x, train_y, val_x, val_y, cfg, seed, fold_index=0):
         step += 1
         skips += skipped
 
-    eval_batch = cfg.batch_size * cfg.eval_batch_multiplier
     best_auc, best_epoch, best = -math.inf, 0, None
     bad = epochs_run = 0
     for epoch in range(1, cfg.epochs + 1):
@@ -557,16 +552,15 @@ def reference_run_fold(train_x, train_y, val_x, val_y, cfg, seed, fold_index=0):
             idx = order[lo:lo + cfg.batch_size]
             train_step(train_x[idx], train_y[idx])
         epochs_run = epoch
-        ema_params = PredictorParams(W2=shadow["W2"].copy(), b2=shadow["b2"].copy())
-        ema_A = None if A is None else shadow["A"].copy()
-        val_probs = predict_probs(ema_params, ema_A, cfg.alpha, val_x, batch_size=eval_batch)
+        ema_model = {k: p.copy() for k, p in shadow.items()}
+        val_probs = predict_probs(ema_model, cfg.alpha, val_x)
         try:
             report = metrics.macro_auc(val_probs, val_y)
         except metrics.UndefinedAucError as exc:
             raise HarnessError(f"fold {fold_index}: {exc}") from None
         if report.macro_auc > best_auc:
             best_auc, best_epoch = report.macro_auc, epoch
-            best = (ema_params, ema_A, report)
+            best = (ema_model, report)
             bad = 0
         else:
             bad += 1
@@ -574,16 +568,13 @@ def reference_run_fold(train_x, train_y, val_x, val_y, cfg, seed, fold_index=0):
                 break
     return FoldResult(
         fold=fold_index, best_epoch=best_epoch, best_val_macro_auc=best_auc,
-        epochs_run=epochs_run, skipped_steps=skips, checkpoint_params=best[0],
-        checkpoint_coupling=best[1], val_auc=best[2], train_log=log,
+        epochs_run=epochs_run, skipped_steps=skips, checkpoint=best[0],
+        val_auc=best[1], train_log=log,
     )
 
 
 def fold_result_bits(fr):
     """Everything a FoldResult holds, with every float as its exact bits."""
-    arrays = dict(fr.checkpoint_params.trainable())
-    if fr.checkpoint_coupling is not None:
-        arrays["A"] = fr.checkpoint_coupling
     return {
         "fold": fr.fold,
         "best_epoch": fr.best_epoch,
@@ -592,7 +583,7 @@ def fold_result_bits(fr):
         "skipped_steps": fr.skipped_steps,
         "val_auc": repr(fr.val_auc),
         "arrays": {k: (a.shape, np.asarray(a, dtype=np.float64).view(np.uint64).tolist())
-                   for k, a in arrays.items()},
+                   for k, a in fr.checkpoint.items()},
         "train_log": [(e.step, repr(e.lr), repr(e.loss), repr(e.grad_norm), e.skipped)
                       for e in fr.train_log],
     }

@@ -190,6 +190,14 @@ class TestTrainAndReport:
         assert code == 1
         assert "seed" in capsys.readouterr().err
 
+    def test_deleted_eval_batch_multiplier_exit_1_as_unknown(self, tiny_data, tmp_path, capsys):
+        cfg = tmp_path / "old_cfg.json"
+        cfg.write_text(json.dumps({"eval_batch_multiplier": 2}))
+        code = cli_main(["train", "--data", str(tiny_data), "--config", str(cfg),
+                         "--out", str(tmp_path / "r")])
+        assert code == 1
+        assert "unknown config field(s): ['eval_batch_multiplier']" in capsys.readouterr().err
+
     def test_runtime_failure_exit_2(self, tiny_data, tiny_config, tmp_path, monkeypatch):
         from coupled_labels import cli as cli_module
 
@@ -263,6 +271,25 @@ class TestMisshapenReportJson:
             path.write_text(json.dumps(record))
         for run in (path.parent, ablation_dir):
             self._rejected(run, path, drop or "folds", capsys)
+
+    @pytest.mark.parametrize("doc, key", [
+        ({"folds": [], "ensemble": {}, "label_names": [], "diagnostics": {}},
+         "ensemble.source"),
+        ({"folds": [{"fold": 0}], "ensemble": {"source": "oof", "auc": {"macro_auc": 0.5}},
+          "label_names": [], "diagnostics": {}}, "folds.0.best_epoch"),
+    ], ids=["empty-ensemble", "fold-without-best-epoch"])
+    def test_nested_key_missing(self, tmp_path, capsys, doc, key):
+        path = tmp_path / "report.json"
+        path.write_text(json.dumps(doc))
+        self._rejected(tmp_path, path, key, capsys)
+
+    def test_histogram_counts_missing(self, ablation_dir, capsys):
+        path = ablation_dir / "with_refinement" / "report.json"
+        record = json.loads(path.read_text())
+        del record["diagnostics"]["probability_histograms"]["counts"]
+        path.write_text(json.dumps(record))
+        for run in (path.parent, ablation_dir):
+            self._rejected(run, path, "diagnostics.probability_histograms.counts", capsys)
 
     def test_ablation_json_without_delta(self, ablation_dir, capsys):
         path = ablation_dir / "ablation.json"

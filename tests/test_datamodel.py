@@ -420,7 +420,6 @@ class TestConfig:
         assert cfg.lr == 2e-4
         assert cfg.weight_decay == 1e-4
         assert cfg.batch_size == 24
-        assert cfg.eval_batch_multiplier == 2
         assert cfg.epochs == 3
         assert cfg.patience == 3
         assert cfg.ema_decay == 0.999
@@ -473,7 +472,7 @@ class TestConfig:
         d = ExperimentConfig().to_json_dict()
         assert set(d) == {
             "K", "alpha", "lambda_l1", "loss_kind", "asl", "lr", "weight_decay",
-            "batch_size", "eval_batch_multiplier", "epochs", "patience",
+            "batch_size", "epochs", "patience",
             "ema_decay", "grad_clip_norm", "seed", "refinement_enabled",
         }
         assert set(d["asl"]) == {"gamma_pos", "gamma_neg", "clip"}

@@ -12,12 +12,14 @@ from hypothesis import strategies as st
 from scipy.special import expit
 
 from coupled_labels import datamodel, harness, metrics
+from coupled_labels.coupling import refine_forward
 from coupled_labels.datamodel import CoupledLabelsError, ConfigError, Dataset, config_from_dict
 from coupled_labels.harness import (
     FoldResult,
     HarnessError,
     experiment_report,
     fold_runs,
+    load_checkpoint,
     predict_probs,
     read_report_json,
     run_ablation,
@@ -26,7 +28,7 @@ from coupled_labels.harness import (
     train_folds,
     write_run_report,
 )
-from coupled_labels.predictor import init_params, load_checkpoint
+from coupled_labels.predictor import init_params
 from coupled_labels.stratify import FoldAssignment, mis_split
 from helpers import (
     IDENTIFIABLE_TRAINING,
@@ -61,34 +63,32 @@ def fast_cfg(**over):
 
 def fold_probs(report, x):
     """Each fold model's probabilities on `x`, predicted again from its
-    checkpoint in the report's chunks."""
-    cfg = report.config
-    return [predict_probs(fr.checkpoint_params, fr.checkpoint_coupling, cfg.alpha, x,
-                          batch_size=cfg.batch_size * cfg.eval_batch_multiplier)
+    checkpoint."""
+    return [predict_probs(fr.checkpoint, report.config.alpha, x)
             for fr in report.fold_results]
 
 
 class TestPredictProbs:
     def test_chunked_prediction_matches_unchunked(self):
+        # three full blocks and a ragged tail, against one unblocked pass
         rng = np.random.default_rng(5)
-        params = init_params(4, 3, rng)
-        x = rng.normal(size=(23, 4))
-        np.testing.assert_allclose(
-            predict_probs(params, None, ALPHA, x, batch_size=7),
-            predict_probs(params, None, ALPHA, x),
-            atol=1e-15,
-        )
+        plain = init_params(4, 3, rng)
+        refined = {**plain, "A": rng.normal(scale=0.2, size=(3, 3))}
+        x = rng.normal(size=(3 * harness.PREDICT_ROWS + 37, 4))
+        z = x @ plain["W2"] + plain["b2"]
+        for model, logits in ((plain, z), (refined, refine_forward(z, refined["A"], ALPHA)[0])):
+            got = predict_probs(model, ALPHA, x)
+            assert got.view(np.uint64).tolist() == expit(logits).view(np.uint64).tolist()
 
     def test_out_slot_filled_with_same_bits(self):
         rng = np.random.default_rng(6)
-        params = init_params(4, 3, rng)
-        A = rng.normal(scale=0.2, size=(3, 3))
+        model = {**init_params(4, 3, rng), "A": rng.normal(scale=0.2, size=(3, 3))}
         x = rng.normal(size=(23, 4))
         stack = np.full((2, 23, 3), np.nan)
-        filled = predict_probs(params, A, ALPHA, x, batch_size=7, out=stack[1])
+        filled = predict_probs(model, ALPHA, x, out=stack[1])
         assert np.shares_memory(filled, stack[1])
         assert np.isnan(stack[0]).all()
-        fresh = predict_probs(params, A, ALPHA, x, batch_size=7)
+        fresh = predict_probs(model, ALPHA, x)
         assert stack[1].view(np.int64).tolist() == fresh.view(np.int64).tolist()
 
 
@@ -102,8 +102,8 @@ class TestRunFold:
         b = run_fold(train_x, train_y, val_x, val_y, cfg, seed=7)
         assert a.best_val_macro_auc == b.best_val_macro_auc
         assert a.best_epoch == b.best_epoch
-        np.testing.assert_array_equal(a.checkpoint_params.W2, b.checkpoint_params.W2)
-        np.testing.assert_array_equal(a.checkpoint_coupling, b.checkpoint_coupling)
+        np.testing.assert_array_equal(a.checkpoint["W2"], b.checkpoint["W2"])
+        np.testing.assert_array_equal(a.checkpoint["A"], b.checkpoint["A"])
 
     def test_default_patience_never_stops_early(self):
         # patience 3 with 3 epochs cannot trigger: the first epoch always
@@ -121,8 +121,7 @@ class TestRunFold:
         cfg = fast_cfg(epochs=3)
         val_x, val_y = ds.features[40:], ds.labels[40:]
         result = run_fold(ds.features[:40], ds.labels[:40], val_x, val_y, cfg, seed=2)
-        probs = predict_probs(result.checkpoint_params, result.checkpoint_coupling, cfg.alpha,
-                              val_x, batch_size=cfg.batch_size * cfg.eval_batch_multiplier)
+        probs = predict_probs(result.checkpoint, cfg.alpha, val_x)
         assert metrics.macro_auc(probs, val_y).macro_auc == result.best_val_macro_auc
 
     def test_single_class_validation_names_fold(self):
@@ -201,7 +200,7 @@ class TestRunExperiment:
             np.fill_diagonal(A, 0.0)
             results.append(FoldResult(
                 fold=k, best_epoch=1, best_val_macro_auc=0.5, epochs_run=1, skipped_steps=0,
-                checkpoint_params=init_params(d, l, rng), checkpoint_coupling=A,
+                checkpoint={**init_params(d, l, rng), "A": A},
                 val_auc=None, train_log=[]))
         assign = FoldAssignment(fold_of=np.arange(n) % K, K=K)
         tracemalloc.start()
@@ -218,7 +217,7 @@ class TestRunExperiment:
         ds = toy_dataset()
         report = run_experiment(ds, fast_cfg(refinement_enabled=False))
         assert report.coupling_mean is None
-        assert all(fr.checkpoint_coupling is None for fr in report.fold_results)
+        assert all("A" not in fr.checkpoint for fr in report.fold_results)
 
 
 class TestRunExperiments:
@@ -376,12 +375,12 @@ class TestLockstepMatchesReference:
                                        lambda: train_folds(ds.features, ds.labels, runs))
         best_auc, best_epoch, best_params = couplings_free_fold(
             ds.features[:48], ds.labels[:48], ds.features[48:], ds.labels[48:], cfg, 11)
-        assert refined.checkpoint_coupling is not None and plain.checkpoint_coupling is None
+        assert "A" in refined.checkpoint and "A" not in plain.checkpoint
         assert repr(plain.best_val_macro_auc) == repr(best_auc)
         assert plain.best_epoch == best_epoch
         for name in ("W2", "b2"):
-            assert np.array_equal(getattr(plain.checkpoint_params, name).view(np.uint64),
-                                  getattr(best_params, name).view(np.uint64))
+            assert np.array_equal(plain.checkpoint[name].view(np.uint64),
+                                  best_params[name].view(np.uint64))
 
 
 @pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
@@ -560,8 +559,8 @@ class TestAblationExactness:
 
         assert result.best_val_macro_auc == best_auc
         assert result.best_epoch == best_epoch
-        np.testing.assert_array_equal(result.checkpoint_params.W2, best_params.W2)
-        np.testing.assert_array_equal(result.checkpoint_params.b2, best_params.b2)
+        np.testing.assert_array_equal(result.checkpoint["W2"], best_params["W2"])
+        np.testing.assert_array_equal(result.checkpoint["b2"], best_params["b2"])
 
     def test_zero_coupling_probabilities_identical(self):
         rng = np.random.default_rng(7)
@@ -569,8 +568,8 @@ class TestAblationExactness:
         from coupled_labels.coupling import new_coupling
 
         x = rng.normal(size=(9, 4))
-        with_zero = predict_probs(params, new_coupling(3), ALPHA, x)
-        without = predict_probs(params, None, ALPHA, x)
+        with_zero = predict_probs({**params, "A": new_coupling(3)}, ALPHA, x)
+        without = predict_probs(params, ALPHA, x)
         np.testing.assert_array_equal(with_zero, without)
 
 
@@ -626,12 +625,12 @@ class TestRunDirectory:
         assert (outdir / "coupling_mean.csv").exists()
         for k in range(2):
             assert (outdir / f"fold{k}_train_log.csv").exists()
-            params, A, ckpt_hash = load_checkpoint(outdir / "checkpoints" / f"fold{k}.json")
+            model, ckpt_hash = load_checkpoint(outdir / "checkpoints" / f"fold{k}.json")
             np.testing.assert_array_equal(
-                params.W2, report.fold_results[k].checkpoint_params.W2
+                model["W2"], report.fold_results[k].checkpoint["W2"]
             )
             np.testing.assert_array_equal(
-                A, report.fold_results[k].checkpoint_coupling
+                model["A"], report.fold_results[k].checkpoint["A"]
             )
             assert ckpt_hash == report.config.hash()
         back = read_report_json(outdir)

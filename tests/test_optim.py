@@ -1,4 +1,5 @@
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -100,6 +101,43 @@ class TestClip:
         assert not math.isfinite(norm)
 
 
+class TestParamBuffer:
+    """Named views are made once per buffer and always view its own data."""
+
+    def _buffer(self):
+        return ParamBuffer.of({"W2": np.zeros((2, 3)), "b2": np.zeros(3)})
+
+    def test_cached_views_see_in_place_updates(self):
+        buf = self._buffer()
+        stacked = buf.like(np.zeros((4, 9)))
+        w2 = stacked["W2"]
+        assert stacked["W2"] is w2 and w2.shape == (4, 2, 3)
+        stacked.data += 1.0
+        stacked.data[2, :6] = 5.0
+        np.testing.assert_array_equal(w2[[0, 1, 3]], np.ones((3, 2, 3)))
+        np.testing.assert_array_equal(w2[2], np.full((2, 3), 5.0))
+        np.testing.assert_array_equal(stacked["b2"], np.ones((4, 3)))
+
+    def test_like_and_pickle_view_the_new_data(self):
+        buf = self._buffer()
+        old = buf["W2"]
+        fresh = buf.like(np.arange(9.0))
+        assert np.shares_memory(fresh["W2"], fresh.data)
+        assert not np.shares_memory(fresh["W2"], buf.data)
+        np.testing.assert_array_equal(fresh["W2"], np.arange(6.0).reshape(2, 3))
+        assert buf["W2"] is old
+        back = pickle.loads(pickle.dumps(fresh))
+        back.data *= 2.0
+        np.testing.assert_array_equal(back["W2"], 2.0 * np.arange(6.0).reshape(2, 3))
+        np.testing.assert_array_equal(fresh["W2"], np.arange(6.0).reshape(2, 3))
+
+    def test_membership_tests_names(self):
+        buf = self._buffer()
+        assert "W2" in buf and "A" not in buf
+        assert buf.get("A") is None and buf.get("b2") is buf["b2"]
+        assert list(buf) == ["W2", "b2"] and len(buf) == 2
+
+
 class TestAdamW:
     def test_zero_grad_zero_decay_is_identity(self):
         params = ParamBuffer.of({"w": np.array([1.0, -2.0])})
@@ -164,10 +202,11 @@ class TestEma:
 
 def build_state(cfg, n_features=6, n_labels=3, seed=0, refinement=True):
     rng = np.random.default_rng(seed)
-    predictor = init_params(n_features, n_labels, rng)
-    A = new_coupling(n_labels) if refinement else None
+    model = init_params(n_features, n_labels, rng)
+    if refinement:
+        model["A"] = new_coupling(n_labels)
     schedule = Schedule(warmup_steps=5, total_steps=100)
-    return init_train_state(predictor, A, schedule, cfg)
+    return init_train_state(model, schedule, cfg)
 
 
 class TestTrainStep:
@@ -209,7 +248,7 @@ class TestTrainStep:
         assert entry.skipped is False
         assert math.isfinite(entry.loss) and math.isfinite(entry.grad_norm)
         assert not np.array_equal(state.params["W2"], before)
-        assert np.all(np.diag(state.A[0]) == 0.0)
+        assert np.all(np.diag(state.params["A"][0]) == 0.0)
         assert len(state.logs[0]) == 1
 
     def test_loss_halves_on_separable_batch(self):
@@ -252,5 +291,5 @@ class TestRefinementOffPath:
         cfg = config_from_dict({"refinement_enabled": False})
         state = build_state(cfg, refinement=False)
         assert "A" not in state.params
-        assert state.A is None
+        assert state.params.get("A") is None
         assert "A" not in state.ema.shadow

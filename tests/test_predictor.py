@@ -1,25 +1,22 @@
-import copy
 import json
 
 import numpy as np
 import pytest
 
 from coupled_labels.datamodel import CoupledLabelsError
+from coupled_labels.harness import load_checkpoint, save_checkpoint
 from coupled_labels.predictor import (
-    PredictorParams,
     PredictorShapeError,
     init_params,
-    load_checkpoint,
     predict_backward,
     predict_forward,
-    save_checkpoint,
 )
 from helpers import central_diff, max_rel_err
 
 
 class TestForward:
     def test_zero_weights_broadcast_bias(self):
-        params = PredictorParams(W2=np.zeros((3, 2)), b2=np.array([0.5, -1.0]))
+        params = {"W2": np.zeros((3, 2)), "b2": np.array([0.5, -1.0])}
         z, _ = predict_forward(np.random.default_rng(0).normal(size=(4, 3)), params)
         np.testing.assert_array_equal(z, np.tile([0.5, -1.0], (4, 1)))
 
@@ -62,21 +59,19 @@ class TestBackward:
         rng = np.random.default_rng(7)
         d, l, n = 5, 3, 4
         lead = () if models is None else (models,)
-        params = PredictorParams(W2=rng.uniform(-0.5, 0.5, size=lead + (d, l)),
-                                 b2=rng.normal(size=lead + (l,)))
+        params = {"W2": rng.uniform(-0.5, 0.5, size=lead + (d, l)),
+                  "b2": rng.normal(size=lead + (l,))}
         x = rng.normal(size=lead + (n, d))
         g = rng.normal(size=lead + (n, l))
         _, cache = predict_forward(x, params)
         grads = predict_backward(g, cache, params)
 
         def objective(name, arr):
-            trial = copy.deepcopy(params)
-            setattr(trial, name, arr)
-            z, _ = predict_forward(x, trial)
+            z, _ = predict_forward(x, {**params, name: arr})
             return float((z * g).sum())
 
         for name, grad in grads.items():
-            fd = central_diff(lambda arr, nm=name: objective(nm, arr), getattr(params, name))
+            fd = central_diff(lambda arr, nm=name: objective(nm, arr), params[name])
             assert max_rel_err(grad, fd) < 1e-5, name
 
 
@@ -87,23 +82,23 @@ class TestCheckpoint:
         A = rng.normal(size=(3, 3))
         np.fill_diagonal(A, 0.0)
         path = tmp_path / "ckpt.json"
-        save_checkpoint(path, params, A, "abc123")
-        back, back_A, h = load_checkpoint(path)
+        save_checkpoint(path, {**params, "A": A}, "abc123")
+        back, h = load_checkpoint(path)
         assert h == "abc123"
         # the rate lives in the run's config.json only
         assert json.loads(path.read_text()).keys() == {"arrays", "config_hash"}
-        np.testing.assert_array_equal(back.W2, params.W2)
-        np.testing.assert_array_equal(back.b2, params.b2)
-        np.testing.assert_array_equal(back_A, A)
+        np.testing.assert_array_equal(back["W2"], params["W2"])
+        np.testing.assert_array_equal(back["b2"], params["b2"])
+        np.testing.assert_array_equal(back["A"], A)
 
     def test_round_trip_without_coupling(self, tmp_path):
         rng = np.random.default_rng(10)
         params = init_params(4, 2, rng)
         path = tmp_path / "ckpt.json"
-        save_checkpoint(path, params, None, "ffff")
-        back, back_A, _ = load_checkpoint(path)
-        assert back_A is None
-        np.testing.assert_array_equal(back.W2, params.W2)
+        save_checkpoint(path, params, "ffff")
+        back, _ = load_checkpoint(path)
+        assert "A" not in back
+        np.testing.assert_array_equal(back["W2"], params["W2"])
 
     def test_loads_record_with_predictor_kind_keys(self, tmp_path):
         # records written before the linear predictor was the only one
@@ -113,9 +108,9 @@ class TestCheckpoint:
             "arrays": {"W2": [[1.0], [2.0]], "b2": [0.5]}, "config_hash": "ab",
             "dropout_p": 0.4, "variant": "linear",
         }))
-        back, back_A, _ = load_checkpoint(path)
-        np.testing.assert_array_equal(back.W2, [[1.0], [2.0]])
-        assert back_A is None
+        back, _ = load_checkpoint(path)
+        np.testing.assert_array_equal(back["W2"], [[1.0], [2.0]])
+        assert "A" not in back
 
     def test_rejects_hidden_layer_arrays(self, tmp_path):
         # a one-hidden-layer record: its W2 maps hidden units, not features
@@ -136,6 +131,36 @@ class TestCheckpoint:
 
 
 class TestValidation:
-    def test_nonfinite_rejected(self):
-        with pytest.raises(PredictorShapeError):
-            PredictorParams(W2=np.array([[np.nan, 0.0]]), b2=np.zeros(2))
+    """A checkpoint is the one model that arrives from outside: a record
+    it cannot use raises PredictorShapeError naming the file and array."""
+
+    def _load(self, tmp_path, record, match):
+        path = tmp_path / "ckpt.json"
+        path.write_text(json.dumps(record))
+        with pytest.raises(PredictorShapeError, match=match) as exc:
+            load_checkpoint(path)
+        assert str(path) in str(exc.value)
+
+    def test_nonfinite_rejected(self, tmp_path):
+        # Python's json writes and reads NaN
+        self._load(tmp_path, {"arrays": {"W2": [[float("nan"), 0.0]], "b2": [0.0, 0.0]},
+                              "config_hash": "ab"}, "W2 contains non-finite")
+
+    @pytest.mark.parametrize("record", [
+        [1, 2], {"config_hash": "ab"}, {"arrays": [], "config_hash": "ab"},
+        {"arrays": {"W2": [[1.0]], "b2": [0.0]}}, {"arrays": {"W2": [[1.0]], "b2": [0.0]},
+                                                   "config_hash": 7},
+    ], ids=["list", "no-arrays", "arrays-list", "no-hash", "hash-number"])
+    def test_record_not_a_checkpoint_object(self, tmp_path, record):
+        self._load(tmp_path, record, "'arrays' object")
+
+    @pytest.mark.parametrize("arrays, name", [
+        ({"W2": [[1.0]], "b2": [0.0], "A": [[0.0, 0.0, 0.0]]}, "A"),
+        ({"W2": [1.0, 2.0], "b2": [0.0]}, "W2"),
+        ({"W2": [[1.0, 2.0]], "b2": [0.0]}, "W2"),
+        ({"W2": [[1.0]], "b2": [[0.0]]}, "b2"),
+        ({"W2": [[1.0], [2.0, 3.0]], "b2": [0.0]}, "W2"),
+        ({"W2": [["x"]], "b2": [0.0]}, "W2"),
+    ], ids=["A-1x3", "W2-1d", "W2-width", "b2-2d", "W2-ragged", "W2-text"])
+    def test_misshapen_array_named(self, tmp_path, arrays, name):
+        self._load(tmp_path, {"arrays": arrays, "config_hash": "ab"}, f"{name} ")

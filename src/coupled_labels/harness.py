@@ -202,7 +202,7 @@ def _new_run(features, labels, index: int, run: tuple) -> _Run:
     )
     pos_weight = (compute_pos_weights(labels[train_idx])
                   if cfg.loss_kind == "WeightedBCE" else None)
-    state = init_train_state(model, schedule, cfg, pos_weight=pos_weight)
+    state = init_train_state(model, schedule, pos_weight=pos_weight)
     return _Run(index, fold, cfg, train_idx, val_idx, rng_shuffle, state)
 
 
@@ -474,23 +474,35 @@ def load_checkpoint(path) -> tuple[dict[str, np.ndarray], str]:
 
 
 # The key paths `report` reads from a run's report.json and from
-# ablation.json; `*` stands for every entry of a list.
-REPORT_KEYS = ("folds.*.fold", "folds.*.best_epoch", "folds.*.best_val_macro_auc",
-               "ensemble.source", "ensemble.auc.macro_auc", "label_names",
-               "diagnostics.pearson_correlation", "diagnostics.per_label_fold_std",
-               "diagnostics.fold_agreement.majority_counts",
-               "diagnostics.fold_agreement.pair_agreement",
-               "diagnostics.probability_histograms.bins",
-               "diagnostics.probability_histograms.counts")
-ABLATION_KEYS = ("macro_auc_refined", "macro_auc_baseline", "delta")
+# ablation.json, `*` standing for every entry of a list, each with the
+# (kind, test) of the value it formats, iterates or counts with.
+_NUMBER = ("a number", lambda v: isinstance(v, (int, float)) and not isinstance(v, bool))
+_LIST = ("a list", lambda v: isinstance(v, list))
+REPORT_KEYS = {
+    "folds.*.fold": _NUMBER,
+    "folds.*.best_epoch": _NUMBER,
+    "folds.*.best_val_macro_auc": _NUMBER,
+    "ensemble.source": ("a string", lambda v: isinstance(v, str)),
+    "ensemble.auc.macro_auc": _NUMBER,
+    "label_names": _LIST,
+    "diagnostics.pearson_correlation": _LIST,
+    "diagnostics.per_label_fold_std": _LIST,
+    "diagnostics.fold_agreement.majority_counts": ("an object", lambda v: isinstance(v, dict)),
+    "diagnostics.fold_agreement.pair_agreement": _LIST,
+    "diagnostics.probability_histograms.bins": (
+        "an integer >= 1", lambda v: type(v) is int and v >= 1),
+    "diagnostics.probability_histograms.counts": _LIST,
+}
+ABLATION_KEYS = dict.fromkeys(("macro_auc_refined", "macro_auc_baseline", "delta"), _NUMBER)
 
 
-def read_json_keys(path, keys) -> dict:
+def read_json_keys(path, keys: Mapping) -> dict:
     """The JSON object in `path`, which must hold each dotted key path of
-    `keys`; if not, a HarnessError names the file and the first one missing,
-    with the index of the list entry that lacks it in place of `*`."""
+    `keys` with a value of the kind given there; if not, a HarnessError
+    names the file and the first key missing or of another kind, with the
+    index of the list entry in place of `*`."""
     doc = read_json(path)
-    for key in keys:
+    for key, (kind, is_kind) in keys.items():
         nodes = {"": doc}   # the path walked so far -> the value there
         for part in key.split("."):
             found = {}
@@ -502,6 +514,10 @@ def read_json_keys(path, keys) -> dict:
                 else:
                     raise HarnessError(f"{path}: expected a JSON object with key {at + part!r}")
             nodes = found
+        for at, value in nodes.items():
+            if not is_kind(value):
+                raise HarnessError(f"{path}: expected {kind} at key {at[:-1]!r}, "
+                                   f"got {json.dumps(value)[:40]}")
     return doc
 
 

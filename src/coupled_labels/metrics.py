@@ -160,18 +160,15 @@ class FoldAgreement:
 
 
 def _stack_folds(fold_probs) -> np.ndarray:
-    """The fold models' (n, L) predictions as one (K, n, L) float64 array:
-    a float64 (K, n, L) array as it is, a list of matrices stacked."""
-    if isinstance(fold_probs, np.ndarray):
-        mats = fold_probs.astype(np.float64, copy=False)
-    else:
-        mats = [np.asarray(m, dtype=np.float64) for m in fold_probs]
-    if len(mats) < 2:
-        raise MetricError("need at least two fold prediction matrices")
-    shape = mats[0].shape
-    if len(shape) != 2 or any(m.shape != shape for m in mats):
-        raise MetricError("fold prediction matrices must share one 2-D shape")
-    return mats if isinstance(mats, np.ndarray) else np.stack(mats, axis=0)
+    """The fold models' (n, L) predictions as one (K, n, L) float64 array,
+    without a copy of a float64 stack."""
+    try:
+        stack = np.asarray(fold_probs, dtype=np.float64)
+    except ValueError:   # a ragged list
+        stack = None
+    if stack is None or stack.ndim != 3 or len(stack) < 2:
+        raise MetricError("need at least two fold prediction matrices of one 2-D shape")
+    return stack
 
 
 def fold_agreement(fold_probs, threshold: float = 0.5) -> FoldAgreement:

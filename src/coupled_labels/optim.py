@@ -4,11 +4,13 @@ of every trainable (coupling matrix included), and non-finite-step skipping.
 
 The trainables of M models live in one float64 (M, P) buffer, a row per
 model, with named views `W2`, `b2` and, for a refined model, `A`; the Adam
-moments and the EMA shadow are buffers of the same layout. Each update is
-then a few vector operations whatever M is, and `train_step` advances M
-models by one batch each with one pass through the layer functions. Every
-model computes exactly what it would compute alone: it keeps its own
-schedule, Adam clock and log.
+moments and the EMA shadow are plain (M, P) arrays of the same layout. Each
+update is then a few vector operations whatever M is, and `train_step`
+advances M models by one batch each with one pass through the layer
+functions. Every model computes exactly what it would compute alone: it
+keeps its own schedule, Adam clock and log. The state holds only what
+training mutates; every config scalar (`lr`, `weight_decay`, `ema_decay`,
+`alpha`, `lambda_l1`, `grad_clip_norm`) is read from the config at each step.
 
 A skipped step still advances the schedule clock so total_steps keeps its
 meaning; parameters, moments and EMA are left untouched.
@@ -135,31 +137,14 @@ def clip_global_norm(grads: Mapping, max_norm: float) -> tuple[ParamBuffer, floa
 BETA1, BETA2, EPS = 0.9, 0.999, 1e-8   # Adam's moment decays and denominator offset
 
 
-@dataclass
-class OptimState:
-    t: np.ndarray              # Adam clock, one per model
-    m: ParamBuffer
-    v: ParamBuffer
-    weight_decay: float
-
-
-def init_optim(params: Mapping, weight_decay: float) -> OptimState:
-    params = ParamBuffer.of(params)
-    return OptimState(
-        t=np.zeros(params.data.shape[:-1], dtype=np.int64),
-        m=params.like(np.zeros_like(params.data)),
-        v=params.like(np.zeros_like(params.data)),
-        weight_decay=weight_decay,
-    )
-
-
-def adamw_step(params: ParamBuffer, grads: Mapping, state: OptimState, lr) -> None:
-    """Standard decoupled update, in place on the live parameter buffer.
+def adamw_step(state: TrainState, grads: Mapping, lr, weight_decay: float) -> None:
+    """Standard decoupled update, in place on the state's parameters and
+    Adam moments.
 
     `lr` is one rate or one per model. Weight matrices decay, biases do not.
     """
     g = ParamBuffer.of(grads).data
-    p, m, v = params.data, state.m.data, state.v.data
+    p, m, v = state.params.data, state.m, state.v
     column = p.shape[:-1] + (1,)   # one value per model, broadcast along its row
     state.t += 1
     # Python float powers: np.power rounds beta ** t differently for some t.
@@ -171,32 +156,15 @@ def adamw_step(params: ParamBuffer, grads: Mapping, state: OptimState, lr) -> No
     v *= BETA2
     v += (1.0 - BETA2) * np.square(g)
     update = (m / bc1) / (np.sqrt(v / bc2) + EPS)
-    update += (state.weight_decay * params.decayed) * p
+    update += (weight_decay * state.params.decayed) * p
     p -= (np.reshape(lr, column) if np.ndim(lr) else lr) * update
 
 
-@dataclass
-class EmaState:
-    shadow: ParamBuffer
-    decay: float
-
-    def __post_init__(self):
-        # decay 0 is the degenerate "shadow tracks params exactly" case
-        if not 0.0 <= self.decay < 1.0:
-            raise ScheduleError(f"ema decay must lie in [0, 1), got {self.decay}")
-        self.shadow = ParamBuffer.of(self.shadow)
-
-
-def init_ema(params: Mapping, decay: float) -> EmaState:
-    params = ParamBuffer.of(params)
-    return EmaState(shadow=params.like(params.data.copy()), decay=decay)
-
-
-def ema_update(ema: EmaState, params: Mapping) -> EmaState:
-    s = ema.shadow.data
-    s *= ema.decay
-    s += (1.0 - ema.decay) * ParamBuffer.of(params).data
-    return ema
+def ema_update(state: TrainState, decay: float) -> None:
+    """Move the EMA shadow toward the live parameters, in place."""
+    s = state.shadow
+    s *= decay
+    s += (1.0 - decay) * state.params.data
 
 
 # ---------------------------------------------------------------------------
@@ -216,60 +184,56 @@ class StepLog:
 @dataclass
 class TrainState:
     """Everything the training of M models mutates, one buffer row or list
-    entry per model: the live trainables `params` (`W2`, `b2` and, for
-    refined models, `A`), Adam moments, EMA shadow, schedule, the schedule
-    clock `step`, the skip count and the step log."""
+    entry per model. Only `params` has named views (`W2`, `b2` and, for
+    refined models, `A`); the Adam moments `m`, `v` and the EMA `shadow` are
+    plain (M, P) arrays in its layout."""
 
     params: ParamBuffer
-    opt: OptimState
-    ema: EmaState
-    schedules: list[Schedule]
-    pos_weight: np.ndarray | None       # (M, L)
-    step: np.ndarray                    # (M,)
+    m: np.ndarray
+    v: np.ndarray
+    shadow: np.ndarray
+    t: np.ndarray                       # (M,) Adam clock
+    step: np.ndarray                    # (M,) schedule clock
     skips: np.ndarray                   # (M,)
+    pos_weight: np.ndarray | None       # (M, L)
+    schedules: list[Schedule]
     logs: list[list[StepLog]]
 
     def select(self, rows: slice) -> "TrainState":
         """The models at `rows`, sharing this state's buffers, clocks and logs."""
-        return _assemble(self, *(None if f is None else f[rows] for f in _model_fields(self)))
+        return TrainState(**{f.name: _rows(getattr(self, f.name), rows)
+                             for f in dataclasses.fields(TrainState)})
 
     def ema_snapshot(self, row: int) -> ParamBuffer:
         """A copy of model `row`'s EMA weights: one model."""
-        shadow = self.ema.shadow
-        return shadow.like(shadow.data[row].copy())
+        return self.params.like(self.shadow[row].copy())
 
 
-def _model_fields(s: TrainState) -> tuple:
-    """The per-model fields of a state, in `_assemble`'s argument order."""
-    return (s.params.data, s.opt.t, s.opt.m.data, s.opt.v.data, s.ema.shadow.data,
-            s.schedules, s.pos_weight, s.step, s.skips, s.logs)
+def _rows(value, rows: slice):
+    if isinstance(value, ParamBuffer):
+        return value.like(value.data[rows])
+    return None if value is None else value[rows]
 
 
-def _assemble(proto: TrainState, params, t, m, v, shadow, schedules, pos_weight, step,
-              skips, logs) -> TrainState:
-    params = proto.params.like(params)
-    return TrainState(
-        params=params,
-        opt=dataclasses.replace(proto.opt, t=t, m=params.like(m), v=params.like(v)),
-        ema=dataclasses.replace(proto.ema, shadow=params.like(shadow)),
-        schedules=schedules, pos_weight=pos_weight, step=step, skips=skips, logs=logs,
-    )
+def _joined(parts: list):
+    first = parts[0]
+    if first is None:
+        return None
+    if isinstance(first, ParamBuffer):
+        return first.like(np.concatenate([part.data for part in parts]))
+    if isinstance(first, np.ndarray):
+        return np.concatenate(parts)
+    return [x for part in parts for x in part]
 
 
 def stack_states(states: list[TrainState]) -> TrainState:
     """One state holding the models of `states` in order. Buffers and clocks
     are copied; schedules and logs are shared."""
-    def merged(parts):
-        if parts[0] is None:
-            return None
-        if isinstance(parts[0], np.ndarray):
-            return np.concatenate(parts)
-        return [x for part in parts for x in part]
-
-    return _assemble(states[0], *map(merged, zip(*map(_model_fields, states))))
+    return TrainState(**{f.name: _joined([getattr(s, f.name) for s in states])
+                         for f in dataclasses.fields(TrainState)})
 
 
-def init_train_state(model: Mapping, schedule: Schedule, cfg: ExperimentConfig,
+def init_train_state(model: Mapping, schedule: Schedule,
                      pos_weight: np.ndarray | None = None) -> TrainState:
     """A one-model state starting from a copy of `model` (`W2`, `b2` and,
     for refinement, `A`)."""
@@ -277,12 +241,14 @@ def init_train_state(model: Mapping, schedule: Schedule, cfg: ExperimentConfig,
     params = row.like(row.data[None].copy())
     return TrainState(
         params=params,
-        opt=init_optim(params, cfg.weight_decay),
-        ema=init_ema(params, cfg.ema_decay),
-        schedules=[schedule],
-        pos_weight=None if pos_weight is None else np.asarray(pos_weight)[None],
+        m=np.zeros_like(params.data),
+        v=np.zeros_like(params.data),
+        shadow=params.data.copy(),
+        t=np.zeros(1, dtype=np.int64),
         step=np.zeros(1, dtype=np.int64),
         skips=np.zeros(1, dtype=np.int64),
+        pos_weight=None if pos_weight is None else np.asarray(pos_weight)[None],
+        schedules=[schedule],
         logs=[[]],
     )
 
@@ -294,15 +260,11 @@ def _supervised_loss(z, y, cfg: ExperimentConfig, pos_weight) -> losses.LossOutp
     return losses.weighted_bce_loss(z, y, pos_weight)
 
 
-def train_step(x, y, state: TrainState, cfg: ExperimentConfig):
+def train_step(x, y, state: TrainState, cfg: ExperimentConfig) -> list[StepLog]:
     """One optimization step for each of the state's M models, each on its
-    own batch: x (M, B, D) and y (M, B, L), or x (B, D) and y (B, L) when
-    M = 1. A model whose loss or any gradient is non-finite skips its
-    update entirely. Returns one StepLog per model, or the StepLog itself
-    for 2-D input."""
-    single = np.ndim(x) == 2
-    if single:
-        x, y = np.asarray(x)[None], np.asarray(y)[None]
+    own batch: x (M, B, D) and y (M, B, L). A model whose loss or any
+    gradient is non-finite skips its update entirely. Returns one StepLog
+    per model."""
     lr = np.array([lr_at(sched, t, cfg.lr)
                    for sched, t in zip(state.schedules, state.step.tolist())])
     A = state.params["A"] if "A" in state.params else None
@@ -336,12 +298,12 @@ def train_step(x, y, state: TrainState, cfg: ExperimentConfig):
         grad_norm = np.where(ok, norm, math.nan)
         ok &= np.isfinite(norm)
         if ok.all():
-            _update(state, grads, lr)
+            _update(state, grads, lr, cfg)
         else:
             # a mix of stepping and skipping models: step them one at a time
             for r in np.flatnonzero(ok):
                 rows = slice(r, r + 1)
-                _update(state.select(rows), grads.like(grads.data[rows]), lr[rows])
+                _update(state.select(rows), grads.like(grads.data[rows]), lr[rows], cfg)
 
     entries = [
         StepLog(step=t, lr=r, loss=v, grad_norm=g, skipped=not k)
@@ -352,14 +314,15 @@ def train_step(x, y, state: TrainState, cfg: ExperimentConfig):
         log.append(entry)
     state.step += 1
     state.skips += ~ok
-    return entries[0] if single else entries
+    return entries
 
 
-def _update(state: TrainState, grads: ParamBuffer, lr: np.ndarray) -> None:
-    adamw_step(state.params, grads, state.opt, lr)
+def _update(state: TrainState, grads: ParamBuffer, lr: np.ndarray,
+            cfg: ExperimentConfig) -> None:
+    adamw_step(state, grads, lr, cfg.weight_decay)
     if "A" in state.params:
         zero_diag(state.params["A"])
-    ema_update(state.ema, state.params)
+    ema_update(state, cfg.ema_decay)
 
 
 def save_train_log(log: list[StepLog], path) -> None:

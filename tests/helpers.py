@@ -169,8 +169,7 @@ def couplings_free_fold(train_x, train_y, val_x, val_y, cfg, seed):
     from coupled_labels import metrics
     from coupled_labels.losses import asl_loss
     from coupled_labels.optim import (
-        ParamBuffer, Schedule, adamw_step, clip_global_norm, ema_update, init_ema,
-        init_optim, lr_at,
+        Schedule, adamw_step, clip_global_norm, ema_update, init_train_state, lr_at,
     )
     from coupled_labels.predictor import init_params, predict_backward, predict_forward
 
@@ -181,9 +180,8 @@ def couplings_free_fold(train_x, train_y, val_x, val_y, cfg, seed):
     steps_per_epoch = math.ceil(n / cfg.batch_size)
     total = steps_per_epoch * cfg.epochs
     sched = Schedule(warmup_steps=min(steps_per_epoch, total - 1), total_steps=total)
-    params = ParamBuffer.of(pred)
-    opt = init_optim(params, cfg.weight_decay)
-    ema = init_ema(params, cfg.ema_decay)
+    state = init_train_state(pred, sched)
+    params = state.params.like(state.params.data[0])   # the one model, unstacked
     step = 0
     best_auc, best_params, best_epoch = -np.inf, None, 0
     bad = 0
@@ -197,10 +195,11 @@ def couplings_free_fold(train_x, train_y, val_x, val_y, cfg, seed):
                            cfg.asl.clip)
             grads = predict_backward(sup.grad_logits, cache, params)
             grads, _ = clip_global_norm(grads, cfg.grad_clip_norm)
-            adamw_step(params, grads, opt, lr)
-            ema_update(ema, params)
+            adamw_step(state, grads, lr, cfg.weight_decay)
+            ema_update(state, cfg.ema_decay)
             step += 1
-        eval_params = {"W2": ema.shadow["W2"].copy(), "b2": ema.shadow["b2"].copy()}
+        shadow = params.like(state.shadow[0])
+        eval_params = {"W2": shadow["W2"].copy(), "b2": shadow["b2"].copy()}
         # chunks of its own, unlike predict_probs' blocks: the bits must not differ
         eval_batch = 48
         probs = np.empty((val_x.shape[0], train_y.shape[1]))

@@ -240,8 +240,8 @@ class TestUnreadableJson:
 
 class TestMisshapenReportJson:
     """`report` on valid JSON that is not the object it reads exits 1,
-    naming the file and the first missing key, and prints and writes
-    nothing."""
+    naming the file and the first key missing or holding a value of
+    another type, and prints and writes nothing."""
 
     @pytest.fixture
     def ablation_dir(self, tiny_data, tiny_config, tmp_path, capsys):
@@ -295,6 +295,31 @@ class TestMisshapenReportJson:
         path = ablation_dir / "ablation.json"
         record = json.loads(path.read_text())
         del record["delta"]
+        path.write_text(json.dumps(record))
+        self._rejected(ablation_dir, path, "delta", capsys)
+
+    @pytest.mark.parametrize("key, value", [
+        ("folds.1.best_val_macro_auc", None),
+        ("ensemble.auc.macro_auc", None),
+        ("diagnostics.probability_histograms.bins", "20"),
+        ("diagnostics.probability_histograms.counts", 5),
+    ], ids=["fold-auc-null", "ensemble-auc-null", "bins-string", "counts-number"])
+    def test_value_of_wrong_type(self, ablation_dir, capsys, key, value):
+        path = ablation_dir / "with_refinement" / "report.json"
+        record = json.loads(path.read_text())
+        *parents, last = key.split(".")
+        node = record
+        for part in parents:
+            node = node[int(part)] if isinstance(node, list) else node[part]
+        node[last] = value
+        path.write_text(json.dumps(record))
+        for run in (path.parent, ablation_dir):
+            self._rejected(run, path, key, capsys)
+
+    def test_ablation_json_delta_null(self, ablation_dir, capsys):
+        path = ablation_dir / "ablation.json"
+        record = json.loads(path.read_text())
+        record["delta"] = None
         path.write_text(json.dumps(record))
         self._rejected(ablation_dir, path, "delta", capsys)
 

@@ -439,6 +439,8 @@ class TestBlockwiseMetrics:
             fold_agreement(np.zeros((3, 4)))
         with pytest.raises(MetricError, match="one 2-D shape"):
             fold_agreement([np.zeros(4), np.zeros(4)])
+        with pytest.raises(MetricError, match="one 2-D shape"):
+            per_label_fold_std([np.zeros((4, 3)), np.zeros((5, 3))])
 
     @pytest.mark.parametrize("rows_per_block", [1, 7])
     def test_histograms_blocks_match_per_label_loop(self, rows_per_block):

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from scipy.special import expit
 
-from coupled_labels.optim import OptimState, ParamBuffer, adamw_step
+from coupled_labels.optim import Schedule, adamw_step, init_train_state, stack_states
 
 # (M, B, D, L): the default 24-row batches, a ragged tail, a 32-wide input,
 # one-column and one-row edge cases
@@ -84,14 +84,15 @@ def test_bias_correction_uses_python_float_powers():
     rng = np.random.default_rng(1)
     p, g, m, v = (rng.normal(size=(2, 6)) for _ in range(4))
     v = np.abs(v)
-    params = ParamBuffer(p.copy(), {"w": (6,)})
-    state = OptimState(t=np.array([odd1 - 1, odd2 - 1]), m=params.like(m.copy()),
-                       v=params.like(v.copy()), weight_decay=0.0)
-    adamw_step(params, params.like(g), state, np.array([0.1, 0.2]))
+    state = stack_states([init_train_state({"w": row}, Schedule(1, 2)) for row in p])
+    state.t[:] = [odd1 - 1, odd2 - 1]
+    state.m[:] = m
+    state.v[:] = v
+    adamw_step(state, state.params.like(g), np.array([0.1, 0.2]), 0.0)
     for i, (t_i, lr) in enumerate(zip((odd1, odd2), (0.1, 0.2))):
         m_i = m[i] * beta1 + (1.0 - beta1) * g[i]
         v_i = v[i] * beta2 + (1.0 - beta2) * np.square(g[i])
         update = (m_i / (1.0 - beta1 ** t_i)) / (np.sqrt(v_i / (1.0 - beta2 ** t_i)) + 1e-8)
         expected = p[i] - lr * update
-        assert np.array_equal(params.data[i].view(np.uint64), expected.view(np.uint64)), (
+        assert np.array_equal(state.params.data[i].view(np.uint64), expected.view(np.uint64)), (
             f"bias correction at t={t_i} does not match Python float powers")

@@ -1,3 +1,5 @@
+import copy
+import dataclasses
 import math
 import pickle
 
@@ -8,17 +10,17 @@ from coupled_labels.coupling import new_coupling
 from coupled_labels.datamodel import ExperimentConfig, config_from_dict
 from coupled_labels.losses import LossInputError
 from coupled_labels.optim import (
-    EmaState,
     ParamBuffer,
     Schedule,
     ScheduleError,
+    StepLog,
+    TrainState,
     adamw_step,
     clip_global_norm,
     ema_update,
-    init_ema,
-    init_optim,
     init_train_state,
     lr_at,
+    stack_states,
     train_step,
 )
 from coupled_labels.predictor import init_params
@@ -138,66 +140,126 @@ class TestParamBuffer:
         assert list(buf) == ["W2", "b2"] and len(buf) == 2
 
 
+def one_model(arrays):
+    return init_train_state(arrays, Schedule(warmup_steps=1, total_steps=2))
+
+
 class TestAdamW:
     def test_zero_grad_zero_decay_is_identity(self):
-        params = ParamBuffer.of({"w": np.array([1.0, -2.0])})
-        state = init_optim(params, weight_decay=0.0)
-        adamw_step(params, {"w": np.zeros(2)}, state, lr=1e-3)
-        np.testing.assert_array_equal(params["w"], [1.0, -2.0])
+        state = one_model({"w": np.array([1.0, -2.0])})
+        adamw_step(state, {"w": np.zeros(2)}, lr=1e-3, weight_decay=0.0)
+        np.testing.assert_array_equal(state.params["w"][0], [1.0, -2.0])
 
     def test_first_step_is_signed_lr(self):
         # from zero state, m_hat = g and v_hat = g^2, so the update is
         # -lr * g/(|g| + eps) ~ -lr * sign(g)
         g = np.array([2.0, -3.0, 0.5])
-        params = ParamBuffer.of({"w": np.zeros(3)})
-        state = init_optim(params, weight_decay=0.0)
-        adamw_step(params, {"w": g.copy()}, state, lr=0.01)
-        np.testing.assert_allclose(params["w"], -0.01 * np.sign(g), rtol=1e-6)
+        state = one_model({"w": np.zeros(3)})
+        adamw_step(state, {"w": g.copy()}, lr=0.01, weight_decay=0.0)
+        np.testing.assert_allclose(state.params["w"][0], -0.01 * np.sign(g), rtol=1e-6)
 
     def test_decay_only_closed_form(self):
         # weight matrices (2-D arrays) are decayed
-        params = ParamBuffer.of({"w": np.array([[4.0, -8.0]])})
-        initial = params["w"].copy()
-        state = init_optim(params, weight_decay=0.1)
+        state = one_model({"w": np.array([[4.0, -8.0]])})
+        initial = state.params["w"][0].copy()
         for _ in range(5):
-            adamw_step(params, {"w": np.zeros((1, 2))}, state, lr=0.05)
+            adamw_step(state, {"w": np.zeros((1, 2))}, lr=0.05, weight_decay=0.1)
         np.testing.assert_allclose(
-            params["w"], initial * (1.0 - 0.05 * 0.1) ** 5, rtol=1e-12
+            state.params["w"][0], initial * (1.0 - 0.05 * 0.1) ** 5, rtol=1e-12
         )
 
     def test_biases_not_decayed(self):
-        params = ParamBuffer.of({"w": np.array([[1.0]]), "b2": np.array([1.0])})
-        state = init_optim(params, weight_decay=0.5)
-        adamw_step(params, {"w": np.zeros((1, 1)), "b2": np.zeros(1)}, state, lr=0.1)
-        assert params["w"][0, 0] == pytest.approx(1.0 - 0.1 * 0.5)
-        assert params["b2"][0] == 1.0
+        state = one_model({"w": np.array([[1.0]]), "b2": np.array([1.0])})
+        adamw_step(state, {"w": np.zeros((1, 1)), "b2": np.zeros(1)}, lr=0.1,
+                   weight_decay=0.5)
+        assert state.params["w"][0][0, 0] == pytest.approx(1.0 - 0.1 * 0.5)
+        assert state.params["b2"][0][0] == 1.0
 
 
 class TestEma:
     def test_decay_zero_copies_params(self):
-        ema = EmaState(shadow={"w": np.zeros(2)}, decay=0.0)
-        ema_update(ema, {"w": np.array([3.0, -1.0])})
-        np.testing.assert_array_equal(ema.shadow["w"], [3.0, -1.0])
+        state = one_model({"w": np.array([3.0, -1.0])})
+        state.shadow[:] = 0.0
+        ema_update(state, 0.0)
+        np.testing.assert_array_equal(state.shadow[0], [3.0, -1.0])
 
     def test_geometric_closed_form_k10(self):
         rng = np.random.default_rng(1)
         shadow0 = rng.normal(size=4)
         param = rng.normal(size=4)
         d = 0.9
-        ema = EmaState(shadow={"w": shadow0.copy()}, decay=d)
+        state = one_model({"w": param})
+        state.shadow[0] = shadow0
         for _ in range(10):
-            ema_update(ema, {"w": param})
+            ema_update(state, d)
         expected = d ** 10 * shadow0 + (1.0 - d ** 10) * param
-        np.testing.assert_allclose(ema.shadow["w"], expected, atol=1e-12)
+        np.testing.assert_allclose(state.shadow[0], expected, atol=1e-12)
 
     def test_single_step_tiny_decay(self):
-        ema = EmaState(shadow={"w": np.zeros(1)}, decay=0.999)
-        ema_update(ema, {"w": np.ones(1)})
-        assert ema.shadow["w"][0] == pytest.approx(0.001, abs=1e-15)
+        state = one_model({"w": np.ones(1)})
+        state.shadow[:] = 0.0
+        ema_update(state, 0.999)
+        assert state.shadow[0, 0] == pytest.approx(0.001, abs=1e-15)
 
-    def test_decay_range(self):
-        with pytest.raises(ScheduleError):
-            EmaState(shadow={}, decay=1.0)
+
+def _same(a, b) -> bool:
+    if isinstance(a, ParamBuffer):
+        return a.shapes == b.shapes and _same(a.data, b.data)
+    if isinstance(a, np.ndarray):
+        return a.dtype == b.dtype and np.array_equal(a, b)
+    return a == b
+
+
+class TestStateStacking:
+    """`select` and `stack_states` act on every field of a TrainState."""
+
+    def _state(self, i):
+        model = {"W2": np.full((2, 3), 10.0 * i), "b2": np.full(3, 10.0 * i + 1.0),
+                 "A": np.full((3, 3), 10.0 * i + 2.0)}
+        state = init_train_state(model, Schedule(warmup_steps=i + 1, total_steps=i + 5),
+                                 pos_weight=np.full(3, i + 0.5))
+        state.m[:] = i + 0.1
+        state.v[:] = i + 0.2
+        state.shadow[:] = i + 0.3
+        state.t[:] = 100 + i
+        state.step[:] = 200 + i
+        state.skips[:] = 300 + i
+        state.logs[0].append(StepLog(step=i, lr=0.1 * i, loss=float(i), grad_norm=1.0,
+                                     skipped=bool(i % 2)))
+        return state
+
+    def test_select_and_stack_round_trip(self):
+        states = [self._state(i) for i in range(3)]
+        alone = copy.deepcopy(states)
+        stack = stack_states(states)
+        parts = [stack.select(slice(i, i + 1)) for i in range(3)]
+        back = stack_states(parts)
+        for f in dataclasses.fields(TrainState):
+            for i, part in enumerate(parts):
+                assert _same(getattr(part, f.name), getattr(alone[i], f.name)), (f.name, i)
+            assert _same(getattr(back, f.name), getattr(stack, f.name)), f.name
+
+    @staticmethod
+    def _arrays(state):
+        names = ("m", "v", "shadow", "t", "step", "skips", "pos_weight")
+        return {"params": state.params.data, **{n: getattr(state, n) for n in names}}
+
+    def test_selection_writes_reach_the_stack(self):
+        stack = stack_states([self._state(i) for i in range(3)])
+        before = self._arrays(copy.deepcopy(stack))
+        part = stack.select(slice(1, 2))
+        for name in part.params:   # through the named views
+            part.params[name][...] += 1.0
+        for name, value in self._arrays(part).items():
+            if name != "params":
+                value += 1
+        entry = StepLog(step=9, lr=0.0, loss=0.0, grad_norm=0.0, skipped=False)
+        part.logs[0].append(entry)
+        for name, value in self._arrays(stack).items():
+            np.testing.assert_array_equal(value[1], before[name][1] + 1, err_msg=name)
+            np.testing.assert_array_equal(value[[0, 2]], before[name][[0, 2]], err_msg=name)
+        assert stack.logs[1][-1] is entry and len(stack.logs[0]) == len(stack.logs[2]) == 1
+        assert part.schedules[0] is stack.schedules[1]
 
 
 def build_state(cfg, n_features=6, n_labels=3, seed=0, refinement=True):
@@ -206,7 +268,7 @@ def build_state(cfg, n_features=6, n_labels=3, seed=0, refinement=True):
     if refinement:
         model["A"] = new_coupling(n_labels)
     schedule = Schedule(warmup_steps=5, total_steps=100)
-    return init_train_state(model, schedule, cfg)
+    return init_train_state(model, schedule)
 
 
 class TestTrainStep:
@@ -218,23 +280,22 @@ class TestTrainStep:
         x[2, 1] = np.nan  # poisons the logits
         y = (rng.random((4, 3)) < 0.5).astype(float)
         params_before = {k: v.copy() for k, v in state.params.items()}
-        ema_before = {k: v.copy() for k, v in state.ema.shadow.items()}
-        entry = train_step(x, y, state, cfg)
+        ema_before = state.shadow.copy()
+        entry = train_step(x[None], y[None], state, cfg)[0]
         assert entry.skipped is True
         assert state.skips == 1
         assert state.step == 1  # schedule clock still advances
         for k, v in state.params.items():
             np.testing.assert_array_equal(v, params_before[k])
-        for k, v in state.ema.shadow.items():
-            np.testing.assert_array_equal(v, ema_before[k])
+        np.testing.assert_array_equal(state.shadow, ema_before)
 
     def test_consecutive_skips_advance_clock(self):
         cfg = ExperimentConfig()
         state = build_state(cfg)
         x = np.full((2, 6), np.inf)
         y = np.zeros((2, 3))
-        train_step(x, y, state, cfg)
-        train_step(x, y, state, cfg)
+        train_step(x[None], y[None], state, cfg)
+        train_step(x[None], y[None], state, cfg)
         assert state.step == 2 and state.skips == 2
 
     def test_normal_step_updates_and_logs(self):
@@ -244,7 +305,7 @@ class TestTrainStep:
         x = rng.normal(size=(8, 6))
         y = (rng.random((8, 3)) < 0.5).astype(float)
         before = state.params["W2"].copy()
-        entry = train_step(x, y, state, cfg)
+        entry = train_step(x[None], y[None], state, cfg)[0]
         assert entry.skipped is False
         assert math.isfinite(entry.loss) and math.isfinite(entry.grad_norm)
         assert not np.array_equal(state.params["W2"], before)
@@ -258,10 +319,10 @@ class TestTrainStep:
         rng = np.random.default_rng(5)
         x = rng.normal(size=(16, 2))
         y = np.stack([(x[:, 0] > 0), (x[:, 1] > 0)], axis=1).astype(float)
-        first = train_step(x, y, state, cfg).loss
+        first = train_step(x[None], y[None], state, cfg)[0].loss
         last = first
         for _ in range(49):
-            last = train_step(x, y, state, cfg).loss
+            last = train_step(x[None], y[None], state, cfg)[0].loss
         assert last < 0.5 * first
 
     def test_weighted_bce_path(self):
@@ -271,7 +332,7 @@ class TestTrainStep:
         rng = np.random.default_rng(6)
         x = rng.normal(size=(4, 6))
         y = (rng.random((4, 3)) < 0.5).astype(float)
-        entry = train_step(x, y, state, cfg)
+        entry = train_step(x[None], y[None], state, cfg)[0]
         assert entry.skipped is False
 
     def test_weighted_bce_without_weights_raises(self):
@@ -283,7 +344,7 @@ class TestTrainStep:
         x = rng.normal(size=(4, 6))
         y = (rng.random((4, 3)) < 0.5).astype(float)
         with pytest.raises(LossInputError):
-            train_step(x, y, state, cfg)
+            train_step(x[None], y[None], state, cfg)
 
 
 class TestRefinementOffPath:
@@ -292,4 +353,5 @@ class TestRefinementOffPath:
         state = build_state(cfg, refinement=False)
         assert "A" not in state.params
         assert state.params.get("A") is None
-        assert "A" not in state.ema.shadow
+        # the shadow has the parameters' layout, so it holds no coupling either
+        assert state.shadow.shape == state.params.data.shape == (1, 6 * 3 + 3)

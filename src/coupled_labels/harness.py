@@ -521,11 +521,37 @@ def read_json_keys(path, keys: Mapping) -> dict:
     return doc
 
 
+def _expect_length(path, key: str, value, length: int) -> None:
+    if not isinstance(value, list) or len(value) != length:
+        raise HarnessError(f"{path}: expected a list of {length} entries at key {key!r}, "
+                           f"got {json.dumps(value)[:40]}")
+
+
 def read_report_json(rundir) -> dict:
+    """A run's report.json, checked by `REPORT_KEYS` and for the shapes
+    `report` indexes: the diagnostics hold one entry per label, histogram
+    rows hold `bins` counts, and fold-agreement keys are integers."""
     path = Path(rundir) / "report.json"
     if not path.exists():
         raise HarnessError(f"no report.json under {rundir}")
-    return read_json_keys(path, REPORT_KEYS)
+    doc = read_json_keys(path, REPORT_KEYS)
+    n = len(doc["label_names"])
+    diag = doc["diagnostics"]
+    hist = diag["probability_histograms"]
+    _expect_length(path, "diagnostics.per_label_fold_std", diag["per_label_fold_std"], n)
+    for key, rows, width in (
+            ("diagnostics.pearson_correlation", diag["pearson_correlation"], n),
+            ("diagnostics.probability_histograms.counts", hist["counts"], hist["bins"])):
+        _expect_length(path, key, rows, n)
+        for i, row in enumerate(rows):
+            _expect_length(path, f"{key}.{i}", row, width)
+    for key in diag["fold_agreement"]["majority_counts"]:
+        try:
+            int(key)
+        except ValueError:
+            raise HarnessError(f"{path}: expected integer keys at key "
+                               f"'diagnostics.fold_agreement.majority_counts', got {key!r}") from None
+    return doc
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,14 @@
 """K-fold assignment that keeps per-label positive counts balanced.
 
-``mis_split`` is the greedy iterative-stratification procedure (rarest label
-first), a pure function of (labels, K, seed). ``random_kfold`` is the
-uniform baseline it is measured against.
+``mis_split`` is multilabel iterative stratification (Sechidis, Tsoumakas
+and Vlahavas, 2011), a pure function of (labels, K, seed): rarest label
+first, each of its unassigned positives to the fold with the largest label
+quota, then the largest example quota, then a seeded draw. It keeps int64
+counts of what each fold holds in place of float quotas, deals each label's
+pass with array operations, and draws all of a pass's tie-breaks in one
+generator call; see its docstring for why that gives the same folds as one
+draw per tie. ``random_kfold`` is the uniform baseline it is measured
+against.
 """
 
 from __future__ import annotations
@@ -99,64 +105,96 @@ def mis_split(labels, K: int, seed: int) -> FoldAssignment:
     (ties: lowest label index) and deals each of its unassigned positive
     examples, in index order, to the fold with the largest remaining quota
     for that label. Ties fall through to the largest remaining example quota
-    and finally to a seeded uniform choice. Every quota the example touches
-    is decremented. Examples with no positive labels are dealt last by
-    example quota alone.
+    and finally to a seeded uniform choice among the tied folds, in fold
+    order. Every quota the example touches is decremented. Examples with no
+    positive labels are dealt last by example quota alone.
+
+    The folds are those of dealing one example at a time on float quotas
+    with one draw per tie, bit for bit, because:
+
+    - Every label quota starts at count / K and every example quota at
+      n / K, and each only ever loses 1.0, so the larger of two quotas
+      belongs to the fold holding fewer positives or examples (exact below
+      2**53). The state is int64 counts.
+    - A pass deals only its own label's unassigned positives, picked by one
+      mask; the other labels' counts take the whole pass once, after it.
+    - Every example a pass deals is positive for its label, so each fold's
+      examples minus its positives of that label stay fixed through the
+      pass. The folds that tie at each deal are then known before any draw
+      (`_deal`), and the pass draws once with ``integers(highs)``, which
+      advances the generator as the scalar calls in turn would (a test pins
+      this for the installed numpy).
     """
     y = check_label_matrix(labels)
     n, n_labels = y.shape
     _check_split_args(n, K, seed)
     rng = np.random.default_rng(seed)
 
-    # The loop below runs once per example on K- and L-long state, where
-    # Python floats and lists are far cheaper than NumPy calls. The float64
-    # quota arithmetic and the rng draws are the same as on arrays.
-    counts = y.sum(axis=0).astype(np.int64).tolist()
-    example_quota = [n / K] * K
-    label_quota = [[c / K] * K for c in counts]  # [label][fold]
-    remaining_pos = list(counts)
-    # example i is positive for labels_of[row_start[i]:row_start[i + 1]]
-    flat = np.flatnonzero(y == 1.0)
-    row_start = np.searchsorted(flat, np.arange(n + 1) * n_labels).tolist()
-    labels_of = (flat % n_labels).tolist()
-    fold_of = [-1] * n
-    folds = range(K)
+    positive = y == 1.0
+    fold_of = np.full(n, -1, dtype=np.int64)
+    held = np.zeros(K, dtype=np.int64)                  # examples per fold
+    held_pos = np.zeros((K, n_labels), dtype=np.int64)  # positives per fold, label
+    remaining = positive.sum(axis=0)                    # unassigned positives
+    while remaining.any():
+        lab = int(np.argmin(np.where(remaining > 0, remaining, n + 1)))
+        idx = np.flatnonzero(positive[:, lab] & (fold_of < 0))
+        folds = _deal(held_pos[:, lab], held - held_pos[:, lab], idx.size, rng)
+        fold_of[idx] = folds
+        # positives of every label dealt to each fold in this pass
+        dealt = np.array([positive[idx[folds == f]].sum(axis=0) for f in range(K)])
+        held += dealt[:, lab]
+        held_pos += dealt
+        remaining -= dealt.sum(axis=0)
 
-    def pick(candidates: list[int]) -> int:
-        if len(candidates) > 1:
-            return candidates[rng.integers(len(candidates))]
-        return candidates[0]
+    idx = np.flatnonzero(fold_of < 0)
+    fold_of[idx] = _deal(held, np.zeros(K, dtype=np.int64), idx.size, rng)
+    return FoldAssignment(fold_of=fold_of, K=K)
 
-    while True:
-        active = [l for l in range(n_labels) if remaining_pos[l] > 0]
-        if not active:
-            break
-        lab = min(active, key=remaining_pos.__getitem__)
-        quota = label_quota[lab]
-        for i in np.flatnonzero(y[:, lab] == 1.0).tolist():
-            if fold_of[i] >= 0:
-                continue
-            best = max(quota)
-            tied = [f for f in folds if quota[f] == best]
-            if len(tied) > 1:
-                best = max([example_quota[f] for f in tied])
-                tied = [f for f in tied if example_quota[f] == best]
-            f = pick(tied)
-            fold_of[i] = f
-            example_quota[f] -= 1.0
-            for l in labels_of[row_start[i]:row_start[i + 1]]:
-                label_quota[l][f] -= 1.0
-                remaining_pos[l] -= 1
 
-    for i in range(n):
-        if fold_of[i] >= 0:
-            continue
-        best = max(example_quota)
-        f = pick([f for f in folds if example_quota[f] == best])
-        fold_of[i] = f
-        example_quota[f] -= 1.0
+def _deal(held, offset, m: int, rng) -> np.ndarray:
+    """Folds for m examples dealt in turn, each to a fold holding the fewest
+    (``held``), then with the lowest ``offset``, then a seeded draw among the
+    tied folds; a deal adds 1 to its fold's ``held`` and leaves ``offset``.
 
-    return FoldAssignment(fold_of=np.array(fold_of, dtype=np.int64), K=K)
+    The tie groups are known before any draw. Level v (``held`` minus its
+    minimum) deals once each fold that starts at v or below: in groups of
+    equal offset, lowest first, a group of t folds drawing ``integers(t)``,
+    ``integers(t - 1)``, ..., ``integers(2)`` among its folds not yet dealt,
+    in fold order. So the m deals draw with one ``rng.integers(highs)``
+    call, which advances the generator exactly as those scalar calls in turn.
+    """
+    K = held.size
+    order = np.argsort(offset, kind="stable")   # columns: folds by offset, then fold
+    level = (held - held.min())[order]
+    top = int(level.max())
+    # the levels below top deal (top - level).sum() examples, every later one K
+    n_levels = top + max(-(-(m - int((top - level).sum())) // K), 0)
+    present = level <= np.arange(n_levels)[:, None]   # (level, column): dealt there
+    new_group = np.r_[True, np.diff(offset[order]) != 0]
+    start = np.flatnonzero(new_group)            # first column of each tie group
+    group = np.cumsum(new_group) - 1             # tie group of each column
+    j = np.arange(K) - start[group]              # column's place in its group
+    size = np.add.reduceat(present, start, axis=1, dtype=np.int64)[:, group]
+    # cell (v, start + j) holds the group's j-th deal at level v, which draws
+    # among size - j folds; row-major order over the cells is dealing order
+    slots = j < size
+    highs = (size - j)[slots][:m]
+    flat = np.zeros(int(slots.sum()), dtype=np.int64)
+    tied = np.flatnonzero(highs > 1)
+    if tied.size:
+        flat[tied] = rng.integers(highs[tied])
+    draws = np.zeros(slots.shape, dtype=np.int64)
+    draws[slots] = flat
+
+    folds = np.zeros(slots.shape, dtype=np.int64)
+    rows = np.arange(n_levels)
+    for a, b in zip(start, np.r_[start[1:], K]):
+        left = present[:, a:b].copy()
+        for c in range(a, b):   # deal c - a picks the draws[:, c]-th fold left
+            pick = np.argmax(np.cumsum(left, axis=1) > draws[:, c, None], axis=1)
+            folds[:, c] = order[a + pick]
+            left[rows, pick] = False
+    return folds[slots][:m]
 
 
 def random_kfold(n: int, K: int, seed: int) -> FoldAssignment:

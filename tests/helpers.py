@@ -4,7 +4,8 @@ references for roc_auc, macro_auc and the label histograms, whole-matrix
 references for the cross-fold agreement and std, `train_folds`
 for a single model, a training loop that never touches the coupling
 module, the identifiable planted-edge construction, row-loop references for
-the CSV data path and mis_split, a reader for the
+the CSV data path and mis_split (one per-example NumPy loop, one list
+loop), a reader for the
 coupling CSV, a one-fold-at-a-time training reference with a per-array
 optimizer, generator spec files that `gen` must reject, and a time limit
 for tests that wait on forked workers."""
@@ -418,6 +419,66 @@ def reference_mis_split(labels, K, seed):
 
     return (FoldAssignment(fold_of=fold_of, K=K),
             MisStats(label_order=label_order, pre_assigned=pre_assigned))
+
+
+def list_loop_mis_split(labels, K, seed):
+    """mis_split as one Python step per (positive example, label) on float
+    quotas in lists, with one rng.integers call per tie; mis_split, which
+    deals each label's pass with array operations and one batched draw,
+    must give the same folds."""
+    from coupled_labels.datamodel import check_label_matrix
+    from coupled_labels.stratify import FoldAssignment
+
+    y = check_label_matrix(labels)
+    n, n_labels = y.shape
+    rng = np.random.default_rng(seed)
+
+    counts = y.sum(axis=0).astype(np.int64).tolist()
+    example_quota = [n / K] * K
+    label_quota = [[c / K] * K for c in counts]  # [label][fold]
+    remaining_pos = list(counts)
+    # example i is positive for labels_of[row_start[i]:row_start[i + 1]]
+    flat = np.flatnonzero(y == 1.0)
+    row_start = np.searchsorted(flat, np.arange(n + 1) * n_labels).tolist()
+    labels_of = (flat % n_labels).tolist()
+    fold_of = [-1] * n
+    folds = range(K)
+
+    def pick(candidates):
+        if len(candidates) > 1:
+            return candidates[rng.integers(len(candidates))]
+        return candidates[0]
+
+    while True:
+        active = [l for l in range(n_labels) if remaining_pos[l] > 0]
+        if not active:
+            break
+        lab = min(active, key=remaining_pos.__getitem__)
+        quota = label_quota[lab]
+        for i in np.flatnonzero(y[:, lab] == 1.0).tolist():
+            if fold_of[i] >= 0:
+                continue
+            best = max(quota)
+            tied = [f for f in folds if quota[f] == best]
+            if len(tied) > 1:
+                best = max([example_quota[f] for f in tied])
+                tied = [f for f in tied if example_quota[f] == best]
+            f = pick(tied)
+            fold_of[i] = f
+            example_quota[f] -= 1.0
+            for l in labels_of[row_start[i]:row_start[i + 1]]:
+                label_quota[l][f] -= 1.0
+                remaining_pos[l] -= 1
+
+    for i in range(n):
+        if fold_of[i] >= 0:
+            continue
+        best = max(example_quota)
+        f = pick([f for f in folds if example_quota[f] == best])
+        fold_of[i] = f
+        example_quota[f] -= 1.0
+
+    return FoldAssignment(fold_of=np.array(fold_of, dtype=np.int64), K=K)
 
 
 # ---------------------------------------------------------------------------

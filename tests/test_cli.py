@@ -316,6 +316,30 @@ class TestMisshapenReportJson:
         for run in (path.parent, ablation_dir):
             self._rejected(run, path, key, capsys)
 
+    @pytest.mark.parametrize("key, misshape", [
+        ("diagnostics.probability_histograms.counts",
+         lambda d: d["probability_histograms"].update(counts=d["probability_histograms"]["counts"][:1])),
+        ("diagnostics.probability_histograms.counts.1",
+         lambda d: d["probability_histograms"]["counts"][1].pop()),
+        ("diagnostics.pearson_correlation",
+         lambda d: d["pearson_correlation"].append(d["pearson_correlation"][0])),
+        ("diagnostics.pearson_correlation.0", lambda d: d["pearson_correlation"][0].pop()),
+        ("diagnostics.fold_agreement.majority_counts",
+         lambda d: d["fold_agreement"]["majority_counts"].update(x=1)),
+        ("diagnostics.per_label_fold_std",
+         lambda d: d.update(per_label_fold_std=d["per_label_fold_std"][:2])),
+    ], ids=["counts-one-row", "counts-short-row", "correlation-extra-row",
+            "correlation-short-row", "majority-key-not-integer", "fold-std-two-entries"])
+    def test_value_of_wrong_shape(self, ablation_dir, capsys, key, misshape):
+        # report indexes these by label and bin: a wrong length must stop it
+        # before any CSV is written, not part way through
+        path = ablation_dir / "with_refinement" / "report.json"
+        record = json.loads(path.read_text())
+        misshape(record["diagnostics"])
+        path.write_text(json.dumps(record))
+        for run in (path.parent, ablation_dir):
+            self._rejected(run, path, key, capsys)
+
     def test_ablation_json_delta_null(self, ablation_dir, capsys):
         path = ablation_dir / "ablation.json"
         record = json.loads(path.read_text())

@@ -15,7 +15,8 @@ from coupled_labels.stratify import (
     save_folds,
     split_quality,
 )
-from helpers import reference_mis_split, reference_save_folds
+from coupled_labels.synthgen import default_spec, generate
+from helpers import list_loop_mis_split, reference_mis_split, reference_save_folds
 
 label_matrices = st.integers(2, 12).flatmap(
     lambda n: st.integers(1, 4).flatmap(
@@ -133,6 +134,76 @@ class TestMisSplitMatchesReference:
         assign = mis_split(labels, K, seed)
         ref_assign, _ = reference_mis_split(labels, K, seed)
         np.testing.assert_array_equal(assign.fold_of, ref_assign.fold_of)
+
+
+@pytest.fixture(scope="module")
+def rows_60k_labels():
+    """The labels of perfbench's rows-60k workload."""
+    return generate(default_spec(60000)).labels
+
+
+def cxr_like_labels(K, n=20000):
+    """n rows of 14 labels at prevalences of 1-18%, raised together by a
+    per-row severity, so that many rows are all zero; label 6 has K - 1
+    positives, fewer than one per fold."""
+    rng = np.random.default_rng(K)
+    prevalence = np.linspace(0.01, 0.18, 14)
+    labels = (rng.random((n, 14)) < 2 * prevalence * rng.random((n, 1))).astype(float)
+    labels[:, 6] = 0.0
+    labels[rng.choice(n, K - 1, replace=False), 6] = 1.0
+    return labels
+
+
+class TestMisSplitMatchesListLoop:
+    """mis_split against the per-positive list loop in tests/helpers.py,
+    which draws once per tie, on inputs where many passes open unlevel."""
+
+    def test_rows_60k(self, rows_60k_labels):
+        assign = mis_split(rows_60k_labels, 3, 0)
+        np.testing.assert_array_equal(
+            assign.fold_of, list_loop_mis_split(rows_60k_labels, 3, 0).fold_of)
+
+    @pytest.mark.parametrize("K", [2, 5, 7])
+    def test_cxr_like(self, K):
+        labels = cxr_like_labels(K)
+        assert (labels.sum(axis=1) == 0).any() and labels[:, 6].sum() < K
+        np.testing.assert_array_equal(mis_split(labels, K, 0).fold_of,
+                                      list_loop_mis_split(labels, K, 0).fold_of)
+
+
+class TestMisSplitDraws:
+    def test_batched_draw_is_the_scalar_draws(self):
+        # mis_split draws each label pass's tie-breaks with one
+        # integers(highs) call in place of one integers(h) call per tie;
+        # that gives the same folds only while the two consume the stream alike
+        highs = np.concatenate([np.arange(2, 11),
+                                np.random.default_rng(99).integers(2, 11, size=5000)])
+        for seed in range(3):
+            batched, scalar = np.random.default_rng(seed), np.random.default_rng(seed)
+            got = batched.integers(highs).tolist()
+            want = [int(scalar.integers(h)) for h in highs.tolist()]
+            assert got == want, f"numpy {np.__version__}: batched draws differ from scalar"
+            assert batched.integers(2**62) == scalar.integers(2**62), (
+                f"numpy {np.__version__}: batched draws leave another generator state")
+
+    def test_few_generator_calls(self, rows_60k_labels, monkeypatch):
+        # a count, not a time: one call per tie would be about 20k calls here
+        calls = []
+
+        class CountingGenerator:
+            def __init__(self, rng):
+                self.rng = rng
+
+            def integers(self, *args, **kwargs):
+                calls.append(args)
+                return self.rng.integers(*args, **kwargs)
+
+        make = np.random.default_rng
+        monkeypatch.setattr(np.random, "default_rng",
+                            lambda seed: CountingGenerator(make(seed)))
+        n = rows_60k_labels.shape[0]
+        mis_split(rows_60k_labels, 3, 0)
+        assert 0 < len(calls) < n / 100
 
 
 class TestSplitQuality:

@@ -62,7 +62,8 @@ class HarnessError(CoupledLabelsError):
 HISTOGRAM_BINS = 20
 # |A| at or below this counts as a near-zero coupling in the ablation summary.
 NEAR_ZERO = 0.05
-# Rows per block in `predict_probs`: the output bits do not depend on it.
+# Rows per block in `predict_probs`. The output bits do not depend on it,
+# except in a one-row block, which BLAS evaluates as a matrix-vector product.
 PREDICT_ROWS = 512
 
 
@@ -285,13 +286,14 @@ class RunReport:
     label_names: list[str]
     assignment: FoldAssignment
     fold_results: list[FoldResult]
-    ensemble_source: str               # "test" | "oof"
     ensemble_auc: metrics.AucReport
     coupling_mean: np.ndarray | None
     agreement: metrics.FoldAgreement
     per_label_std: np.ndarray
     correlation: np.ndarray
     histograms: np.ndarray
+    # The ensemble is scored out of fold; report.json keeps naming that.
+    ensemble_source = "oof"
 
     def to_json_dict(self) -> dict:
         return _jsonify({
@@ -337,59 +339,58 @@ def _jsonify(obj):
     return obj
 
 
-def run_experiments(dataset: Dataset, cfgs: list[ExperimentConfig],
-                    test_dataset: Dataset | None = None) -> list[RunReport]:
+def run_experiments(dataset: Dataset, cfgs: list[ExperimentConfig]) -> list[RunReport]:
     """Each config's stratified K-fold experiment report, in order: one
     `mis_split` per distinct (K, seed), one `train_folds` call for all."""
     cfgs = [validate_config(cfg) for cfg in cfgs]
-    if test_dataset is not None and test_dataset.n_labels != dataset.n_labels:
-        raise HarnessError("train and test datasets disagree on label count")
     keys = [(cfg.K, cfg.seed) for cfg in cfgs]
     splits = {key: mis_split(dataset.labels, *key) for key in dict.fromkeys(keys)}
     # the runs' row indices are freed before the reports are built
     results = iter(train_folds(dataset.features, dataset.labels, [
         run for cfg, key in zip(cfgs, keys) for run in fold_runs(splits[key], cfg)]))
-    return [experiment_report(dataset, cfg, splits[key], [next(results) for _ in range(cfg.K)],
-                              test_dataset=test_dataset) for cfg, key in zip(cfgs, keys)]
+    return [experiment_report(dataset, cfg, splits[key], [next(results) for _ in range(cfg.K)])
+            for cfg, key in zip(cfgs, keys)]
 
 
-def run_experiment(dataset: Dataset, cfg: ExperimentConfig,
-                   test_dataset: Dataset | None = None) -> RunReport:
+def run_experiment(dataset: Dataset, cfg: ExperimentConfig) -> RunReport:
     """Stratified K-fold training plus fold-ensemble evaluation."""
-    return run_experiments(dataset, [cfg], test_dataset)[0]
+    return run_experiments(dataset, [cfg])[0]
 
 
 def experiment_report(dataset: Dataset, cfg: ExperimentConfig, assign: FoldAssignment,
-                      fold_results: list[FoldResult],
-                      test_dataset: Dataset | None = None) -> RunReport:
+                      fold_results: list[FoldResult]) -> RunReport:
     """The report of one experiment from its K trained fold models.
 
-    With a test dataset, fold models are ensembled (arithmetic mean) on it.
-    Without one, the headline AUC, correlations and histograms come from
-    out-of-fold predictions, while agreement/variability diagnostics use the
-    fold models' predictions on the full feature matrix (they need common
-    inputs). Each fold model predicts straight into its slot of one
-    (K, n, L) stack, which every diagnostic reads without copying; the
-    report keeps what is computed from the stack, not the stack.
-    """
-    if test_dataset is not None:
-        eval_x, eval_labels = test_dataset.features, test_dataset.labels
-    else:
-        eval_x, eval_labels = dataset.features, dataset.labels
-    stack = np.empty((len(fold_results),) + eval_labels.shape)
-    for fr, out in zip(fold_results, stack):
-        predict_probs(fr.checkpoint, cfg.alpha, eval_x, out=out)
+    The headline AUC, correlations and histograms come from out-of-fold
+    predictions: each row is scored by the model of the fold that held it
+    out. The agreement and variability diagnostics compare all K models on
+    every row, since they need common inputs.
 
-    if test_dataset is not None:
-        source = "test"
-        headline_probs = np.mean(stack, axis=0)
-    else:
-        source = "oof"
-        headline_probs = np.empty(eval_labels.shape)
-        for k in range(cfg.K):
-            val_idx = assign.indices(k)
-            headline_probs[val_idx] = stack[k, val_idx]
-    ensemble_auc = metrics.macro_auc(headline_probs, eval_labels)
+    One pass over blocks of rows has every fold model predict the block
+    into a (K, b, L) buffer, copies the held-out model's rows into the
+    (n, L) out-of-fold matrix, and feeds the buffer to `metrics.FoldStats`.
+    A block is as many whole runs of `PREDICT_ROWS` rows as fit in
+    `metrics._BLOCK_CELLS` cells, and at least one run. So `predict_probs`
+    evaluates the row runs of one pass over all rows and gives its bits
+    (a one-row run of its own would take BLAS's matrix-vector path, which
+    rounds otherwise), and while K * L <= 128 at the defaults the buffer
+    stays within the cells bound. Besides the out-of-fold matrix and the per-cell std the
+    pass holds nothing that grows with n.
+    """
+    K, (n, L) = len(fold_results), dataset.labels.shape
+    oof = np.empty((n, L))
+    stats = metrics.FoldStats(K, n, L)
+    step = PREDICT_ROWS * max(1, metrics._BLOCK_CELLS // (K * PREDICT_ROWS * L))
+    for lo in range(0, n, step):
+        rows = slice(lo, lo + step)
+        x = dataset.features[rows]
+        block = np.empty((K, x.shape[0], L))
+        for fr, out in zip(fold_results, block):
+            predict_probs(fr.checkpoint, cfg.alpha, x, out=out)
+        oof[rows] = block[assign.fold_of[rows], np.arange(x.shape[0])]
+        stats.add(rows, block)
+    agreement, per_label_std = stats.agreement(), stats.per_label_std()
+    del stats   # frees the per-cell std before the metrics below run
 
     coupling_mean = (np.mean([fr.checkpoint["A"] for fr in fold_results], axis=0)
                      if cfg.refinement_enabled else None)
@@ -399,13 +400,12 @@ def experiment_report(dataset: Dataset, cfg: ExperimentConfig, assign: FoldAssig
         label_names=dataset.label_names,
         assignment=assign,
         fold_results=fold_results,
-        ensemble_source=source,
-        ensemble_auc=ensemble_auc,
+        ensemble_auc=metrics.macro_auc(oof, dataset.labels),
         coupling_mean=coupling_mean,
-        agreement=metrics.fold_agreement(stack),
-        per_label_std=metrics.per_label_fold_std(stack),
-        correlation=metrics.pearson_label_correlation(headline_probs),
-        histograms=metrics.probability_histograms(headline_probs, bins=HISTOGRAM_BINS),
+        agreement=agreement,
+        per_label_std=per_label_std,
+        correlation=metrics.pearson_label_correlation(oof),
+        histograms=metrics.probability_histograms(oof, bins=HISTOGRAM_BINS),
     )
 
 
@@ -582,11 +582,9 @@ class AblationResult:
         })
 
 
-def run_ablation(dataset: Dataset, cfg: ExperimentConfig,
-                 test_dataset: Dataset | None = None) -> AblationResult:
+def run_ablation(dataset: Dataset, cfg: ExperimentConfig) -> AblationResult:
     """Same data, folds and seeds, refinement on vs off: both arms' 2K
     models train in one `train_folds` call."""
     cfg = validate_config(cfg)
     return AblationResult(*run_experiments(
-        dataset, [dataclasses.replace(cfg, refinement_enabled=flag) for flag in (True, False)],
-        test_dataset))
+        dataset, [dataclasses.replace(cfg, refinement_enabled=flag) for flag in (True, False)]))

@@ -1,6 +1,9 @@
 """Ranking and agreement metrics: exact ROC-AUC via the Mann-Whitney
 statistic with midrank tie handling, macro averaging with the single-class
-skip rule, and the cross-fold diagnostic statistics.
+skip rule, and the cross-fold diagnostic statistics. `FoldStats` is the
+one implementation of the cross-fold agreement and std: the report feeds
+it row blocks as it predicts them, `fold_agreement` and
+`per_label_fold_std` feed it the row blocks of a stack they are given.
 """
 
 from __future__ import annotations
@@ -21,9 +24,10 @@ class UndefinedAucError(MetricError):
     """AUC asked for a score set with only one class present."""
 
 
-# Cells of an (n, L) matrix that one block of a metric's work covers: a call
-# holds a few MiB of temporaries whatever n is. AUC blocks are whole labels,
-# the other metrics' blocks are whole rows.
+# Cells that one block of a metric's work covers: a call holds a few MiB of
+# temporaries whatever n and K are. AUC blocks are whole labels of an (n, L)
+# matrix, the other metrics' blocks are whole rows, of all K folds in
+# `FoldStats`.
 _BLOCK_CELLS = 1 << 16
 
 
@@ -159,52 +163,74 @@ class FoldAgreement:
         }
 
 
-def _stack_folds(fold_probs) -> np.ndarray:
-    """The fold models' (n, L) predictions as one (K, n, L) float64 array,
-    without a copy of a float64 stack."""
+class FoldStats:
+    """The cross-fold diagnostics of K fold models' (n, L) predictions, fed
+    one (K, b, L) block of rows at a time, so no (K, n, L) stack needs to
+    exist: the majority levels and pairwise agreement of the votes
+    p >= threshold, as integer counts, and each cell's population std
+    across the folds, in an (n, L) buffer. The blocks may come in any
+    order, and any blocking gives the same bits."""
+
+    def __init__(self, K: int, n: int, L: int, threshold: float = 0.5):
+        self.K, self.threshold = K, threshold
+        self.levels = np.zeros(K + 1, dtype=np.int64)   # majority size -> cells
+        self.agree = np.zeros((K, K), dtype=np.int64)   # cells on which folds a < b agree
+        self.cell_std = np.empty((n, L))
+
+    def add(self, rows: slice, block: np.ndarray) -> None:
+        """Count the (K, b, L) predictions `block` of the rows `rows`."""
+        K = self.K
+        votes = block >= self.threshold
+        ones = np.count_nonzero(votes, axis=0)
+        self.levels += np.bincount(np.maximum(ones, K - ones).ravel(), minlength=K + 1)
+        for a in range(K):
+            for b in range(a + 1, K):
+                self.agree[a, b] += np.count_nonzero(votes[a] == votes[b])
+        block.std(axis=0, ddof=0, out=self.cell_std[rows])
+
+    def agreement(self) -> FoldAgreement:
+        cells = self.cell_std.size
+        pair = self.agree / cells
+        pair += pair.T
+        np.fill_diagonal(pair, 1.0)
+        unanimous = int(self.levels[self.K])
+        return FoldAgreement(
+            majority_counts={lv: c for lv, c in enumerate(self.levels.tolist()) if c},
+            unanimous_cells=unanimous,
+            split_cells=cells - unanimous,
+            pair_agreement=pair,
+        )
+
+    def per_label_std(self) -> np.ndarray:
+        """Mean over examples of each cell's std across folds."""
+        return self.cell_std.mean(axis=0)
+
+
+def _stacked_stats(fold_probs, threshold: float = 0.5) -> FoldStats:
+    """`FoldStats` of fold predictions already held in full: a (K, n, L)
+    array, read without a copy, or a list of (n, L) matrices, stacked."""
     try:
         stack = np.asarray(fold_probs, dtype=np.float64)
     except ValueError:   # a ragged list
         stack = None
     if stack is None or stack.ndim != 3 or len(stack) < 2:
         raise MetricError("need at least two fold prediction matrices of one 2-D shape")
-    return stack
+    K, n, L = stack.shape
+    stats = FoldStats(K, n, L, threshold)
+    for rows in _blocks(n, K * L):
+        stats.add(rows, stack[:, rows])
+    return stats
 
 
 def fold_agreement(fold_probs, threshold: float = 0.5) -> FoldAgreement:
     """Binarize each fold's probabilities at the threshold (p >= t -> 1) and
     count, per cell, how many folds voted with the majority."""
-    stack = _stack_folds(fold_probs)
-    K, n, L = stack.shape
-    levels = np.zeros(K + 1, dtype=np.int64)   # majority size -> cells
-    agree = np.zeros((K, K), dtype=np.int64)   # cells on which folds a < b agree
-    for rows in _blocks(n, L):
-        votes = stack[:, rows] >= threshold
-        ones = np.count_nonzero(votes, axis=0)
-        levels += np.bincount(np.maximum(ones, K - ones).ravel(), minlength=K + 1)
-        for a in range(K):
-            for b in range(a + 1, K):
-                agree[a, b] += np.count_nonzero(votes[a] == votes[b])
-    pair = agree / (n * L)
-    pair += pair.T
-    np.fill_diagonal(pair, 1.0)
-    unanimous = int(levels[K])
-    return FoldAgreement(
-        majority_counts={lv: c for lv, c in enumerate(levels.tolist()) if c},
-        unanimous_cells=unanimous,
-        split_cells=n * L - unanimous,
-        pair_agreement=pair,
-    )
+    return _stacked_stats(fold_probs, threshold).agreement()
 
 
 def per_label_fold_std(fold_probs) -> np.ndarray:
     """Population std across folds per cell, then mean over examples."""
-    stack = _stack_folds(fold_probs)
-    _, n, L = stack.shape
-    cell_std = np.empty((n, L))
-    for rows in _blocks(n, L):
-        stack[:, rows].std(axis=0, ddof=0, out=cell_std[rows])
-    return cell_std.mean(axis=0)
+    return _stacked_stats(fold_probs).per_label_std()
 
 
 def probability_histograms(probs, bins: int = 20) -> np.ndarray:

@@ -8,10 +8,14 @@ with x standard normal, per-cell Gaussian noise eps, and labels visited in a
 topological order of the planted edge graph (which must be acyclic). The
 planted edges are the ground truth that learned couplings are judged
 against.
+
+`bayes_marginal` gives the exact P(y_l = 1 | x) of this process, the
+per-label ranking no model of x can beat in expectation.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from graphlib import CycleError, TopologicalSorter
 
@@ -150,29 +154,92 @@ def save_spec(spec: GenSpec, path) -> None:
     write_json(spec.to_json_dict(), path)
 
 
+def _parents(spec: GenSpec) -> list[list[PlantedEdge]]:
+    """Each label's planted in-edges, in order of their source label."""
+    parents: list[list[PlantedEdge]] = [[] for _ in range(spec.n_labels)]
+    for e in sorted(spec.planted_edges, key=lambda e: e.source):
+        parents[e.target].append(e)
+    return parents
+
+
 def generate(spec: GenSpec) -> Dataset:
     """Sample a Dataset from the spec; deterministic given the seed."""
     rng = np.random.default_rng(spec.seed)
     n, d, L = spec.n_examples, spec.n_features, spec.n_labels
     x = rng.standard_normal((n, d))
-    noise = rng.normal(0.0, spec.noise_scale, size=(n, L)) if spec.noise_scale > 0 \
-        else np.zeros((n, L))
+    # the noise is added in place and freed before the uniforms are drawn
+    logits = x @ spec.base_weights
+    if spec.noise_scale > 0:
+        logits += rng.normal(0.0, spec.noise_scale, size=(n, L))
     uniforms = rng.random((n, L))
 
-    parents: dict[int, list[PlantedEdge]] = {}
-    for e in spec.planted_edges:
-        parents.setdefault(e.target, []).append(e)
-
-    base_logits = x @ spec.base_weights
+    parents = _parents(spec)
     y = np.zeros((n, L))
     for l in topo_order(spec):
-        logit = base_logits[:, l] + noise[:, l]
-        for e in sorted(parents.get(l, []), key=lambda e: e.source):
+        logit = logits[:, l]
+        for e in parents[l]:
             logit = logit + e.strength * y[:, e.source]
         y[:, l] = (uniforms[:, l] < expit(logit)).astype(np.float64)
 
     names = [f"y{i}" for i in range(L)]
     return Dataset(features=x, labels=y, label_names=names)
+
+
+# Gauss-Hermite nodes of the noise integral in `bayes_marginal`
+HERMITE_NODES = 80
+
+
+def bayes_marginal(spec: GenSpec, x) -> np.ndarray:
+    """The exact P(y_l = 1 | x) of `generate` under `spec`, as an (n, L)
+    array for (n, D) features `x`.
+
+    Given x and its parents' values, label l is 1 with probability
+    E_eps sigmoid(w_l . x + sum_i beta_i * y_i + eps), eps ~ N(0, s^2): a
+    Gauss-Hermite sum of `HERMITE_NODES` nodes, or `expit` itself at noise
+    0. The planted parents are summed out over the 2^m joint values of the
+    label's m ancestors, each weighted by its probability, a product over
+    the ancestors in topological order.
+    """
+    # imported here because no pipeline stage calls this function, and a
+    # module-level import would slow every CLI start
+    from numpy.polynomial.hermite import hermgauss
+
+    x = np.asarray(x, dtype=np.float64)
+    if x.ndim != 2 or x.shape[1] != spec.n_features:
+        raise GenSpecError(f"x has shape {x.shape}, expected (n, {spec.n_features})")
+    base = x @ spec.base_weights
+    parents = _parents(spec)
+    order = topo_order(spec)
+    nodes, weights = hermgauss(HERMITE_NODES)
+    nodes *= np.sqrt(2.0) * spec.noise_scale
+    weights /= np.sqrt(np.pi)
+
+    def p_one(l: int, values: dict[int, float]) -> np.ndarray:
+        """P(y_l = 1 | x, its parents' `values`)."""
+        logit = base[:, l]
+        for e in parents[l]:
+            logit = logit + e.strength * values[e.source]
+        if spec.noise_scale == 0:
+            return expit(logit)
+        return expit(logit[:, None] + nodes) @ weights
+
+    ancestors: list[set[int]] = [set() for _ in range(spec.n_labels)]
+    for l in order:
+        for e in parents[l]:
+            ancestors[l] |= ancestors[e.source] | {e.source}
+    out = np.empty(base.shape)
+    for l in range(spec.n_labels):
+        anc = [a for a in order if a in ancestors[l]]
+        total = 0.0
+        for bits in itertools.product((0.0, 1.0), repeat=len(anc)):
+            values = dict(zip(anc, bits))
+            weight = 1.0
+            for a in anc:
+                q = p_one(a, values)
+                weight = weight * (q if values[a] else 1.0 - q)
+            total = total + weight * p_one(l, values)
+        out[:, l] = total
+    return out
 
 
 def default_spec(n_examples: int = 6000, seed: int = 11) -> GenSpec:

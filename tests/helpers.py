@@ -1,7 +1,8 @@
 """Shared oracles for the test suite: central finite differences, a
 relative-error reducer, the pair-count AUC reference, per-column
 references for roc_auc, macro_auc and the label histograms, whole-matrix
-references for the cross-fold agreement and std, `train_folds`
+references for the cross-fold agreement and std, the stack-based report
+parts, the generator as it drew its noise into a separate array, `train_folds`
 for a single model, a training loop that never touches the coupling
 module, the identifiable planted-edge construction, row-loop references for
 the CSV data path and mis_split (one per-example NumPy loop, one list
@@ -145,6 +146,52 @@ def reference_per_label_fold_std(fold_probs):
     """per_label_fold_std as one std over the whole stacked matrices."""
     stack = np.stack([np.asarray(m, dtype=np.float64) for m in fold_probs])
     return stack.std(axis=0, ddof=0).mean(axis=0)
+
+
+def reference_report_parts(models, alpha, x, labels, assign, bins):
+    """What `experiment_report` derives from its fold models, the way it did
+    from a (K, n, L) stack: every model predicts every row into the stack,
+    a loop over folds fills the out-of-fold matrix, and the whole-stack
+    references give the agreement and std. Returns (ensemble AucReport,
+    agreement JSON dict, pair agreement, per-label std, correlation,
+    histograms)."""
+    from coupled_labels import metrics
+    from coupled_labels.harness import predict_probs
+
+    stack = np.stack([predict_probs(model, alpha, x) for model in models])
+    oof = np.empty(labels.shape)
+    for k in range(len(models)):
+        idx = assign.indices(k)
+        oof[idx] = stack[k, idx]
+    agreement = reference_fold_agreement(stack)
+    return (metrics.macro_auc(oof, labels), agreement.to_json_dict(),
+            agreement.pair_agreement, reference_per_label_fold_std(stack),
+            metrics.pearson_label_correlation(oof), metrics.probability_histograms(oof, bins))
+
+
+def reference_generate(spec):
+    """`synthgen.generate` with its noise drawn into an array of its own,
+    zeros at noise 0, and added to each label's column of the base logits."""
+    from coupled_labels.datamodel import Dataset
+    from coupled_labels.synthgen import topo_order
+
+    rng = np.random.default_rng(spec.seed)
+    n, d, L = spec.n_examples, spec.n_features, spec.n_labels
+    x = rng.standard_normal((n, d))
+    noise = rng.normal(0.0, spec.noise_scale, size=(n, L)) if spec.noise_scale > 0 \
+        else np.zeros((n, L))
+    uniforms = rng.random((n, L))
+    parents = {}
+    for e in spec.planted_edges:
+        parents.setdefault(e.target, []).append(e)
+    base_logits = x @ spec.base_weights
+    y = np.zeros((n, L))
+    for l in topo_order(spec):
+        logit = base_logits[:, l] + noise[:, l]
+        for e in sorted(parents.get(l, []), key=lambda e: e.source):
+            logit = logit + e.strength * y[:, e.source]
+        y[:, l] = (uniforms[:, l] < expit(logit)).astype(np.float64)
+    return Dataset(features=x, labels=y, label_names=[f"y{i}" for i in range(L)])
 
 
 def run_fold(train_x, train_y, val_x, val_y, cfg, seed, fold_index=0):

@@ -15,6 +15,7 @@ from coupled_labels import datamodel, harness, metrics
 from coupled_labels.coupling import refine_forward
 from coupled_labels.datamodel import CoupledLabelsError, ConfigError, Dataset, config_from_dict
 from coupled_labels.harness import (
+    HISTOGRAM_BINS,
     FoldResult,
     HarnessError,
     experiment_report,
@@ -35,6 +36,7 @@ from helpers import (
     couplings_free_fold,
     fold_result_bits,
     identifiable_spec,
+    reference_report_parts,
     reference_run_fold,
     run_fold,
     time_limit,
@@ -133,6 +135,16 @@ class TestRunFold:
         assert "fold 5" in str(exc.value)
 
 
+def _fold_result(k, rng, d, l, refined):
+    """A FoldResult holding a drawn model with a zero-diagonal A if refined."""
+    model = init_params(d, l, rng)
+    if refined:
+        model["A"] = rng.normal(scale=0.1, size=(l, l))
+        np.fill_diagonal(model["A"], 0.0)
+    return FoldResult(fold=k, best_epoch=1, best_val_macro_auc=0.5, epochs_run=1,
+                      skipped_steps=0, checkpoint=model, val_auc=None, train_log=[])
+
+
 class TestRunExperiment:
     def test_smoke_ten_examples(self):
         rng = np.random.default_rng(6)
@@ -155,15 +167,6 @@ class TestRunExperiment:
             b.to_json_dict(), sort_keys=True
         )
 
-    def test_ensemble_is_arithmetic_mean(self):
-        ds = toy_dataset(seed=1)
-        test_ds = toy_dataset(n=30, seed=2)
-        report = run_experiment(ds, fast_cfg(), test_dataset=test_ds)
-        assert report.ensemble_source == "test"
-        folds = fold_probs(report, test_ds.features)
-        oracle = sum(folds) / len(folds)
-        assert report.ensemble_auc == metrics.macro_auc(oracle, test_ds.labels)
-
     def test_fold_isolation(self):
         ds = toy_dataset()
         report = run_experiment(ds, fast_cfg(K=3, batch_size=8))
@@ -183,25 +186,19 @@ class TestRunExperiment:
             oof[idx] = probs[idx]
         assert report.ensemble_auc == metrics.macro_auc(oof, ds.labels)
 
-    def test_report_memory_peak_bounded(self):
-        """The report builds its (K, n, L) prediction stack and the (n, L)
-        out-of-fold matrix; everything else it allocates is block-sized,
-        so its traced peak stays within 8 (n, L) float64 matrices (the
-        per-fold list, its two re-stackings and whole-matrix metrics
-        peaked at 14)."""
-        n, d, l, K = 30000, 20, 14, 3
+    @pytest.mark.parametrize("K", [3, 6])
+    def test_report_memory_peak_bounded(self, K):
+        """The report holds the (n, L) out-of-fold matrix and the (n, L)
+        per-cell std; everything else it allocates is block-sized, so its
+        traced peak stays within 3.5 (n, L) float64 matrices whatever K is
+        (a (K, n, L) prediction stack peaked at 5.65 at K = 3 and 9.11 at
+        K = 6)."""
+        n, d, l = 30000, 20, 14
         rng = np.random.default_rng(7)
         ds = Dataset(features=rng.normal(size=(n, d)),
                      labels=(rng.random((n, l)) < 0.3).astype(float),
                      label_names=[f"y{i}" for i in range(l)])
-        results = []
-        for k in range(K):
-            A = rng.normal(scale=0.1, size=(l, l))
-            np.fill_diagonal(A, 0.0)
-            results.append(FoldResult(
-                fold=k, best_epoch=1, best_val_macro_auc=0.5, epochs_run=1, skipped_steps=0,
-                checkpoint={**init_params(d, l, rng), "A": A},
-                val_auc=None, train_log=[]))
+        results = [_fold_result(k, rng, d, l, refined=True) for k in range(K)]
         assign = FoldAssignment(fold_of=np.arange(n) % K, K=K)
         tracemalloc.start()
         try:
@@ -211,7 +208,36 @@ class TestRunExperiment:
             peak = tracemalloc.get_traced_memory()[1] - before
         finally:
             tracemalloc.stop()
-        assert peak <= 8 * n * l * 8, peak / (n * l * 8)
+        assert peak <= 3.5 * n * l * 8, peak / (n * l * 8)
+
+    @pytest.mark.parametrize("K", [2, 3, 5])
+    @pytest.mark.parametrize("refined", [True, False])
+    @pytest.mark.parametrize("rows", [None, (1, 1), (3, 6), (4, 3), (4, 5), (4, 12)])
+    def test_streamed_report_matches_stack(self, K, refined, rows):
+        # rows = (PREDICT_ROWS, rows whose K * L cells make _BLOCK_CELLS);
+        # None keeps the defaults, one block here. n = 53 is no multiple of
+        # the blocks and leaves a one-row run at PREDICT_ROWS 1 and 4;
+        # blocks of 5 rows cut into runs of 4 would add more.
+        n, d, l = 53, 4, 3
+        rng = np.random.default_rng(40 + K)
+        ds = toy_dataset(n=n, d=d, l=l, seed=K)
+        results = [_fold_result(k, rng, d, l, refined) for k in range(K)]
+        assign = FoldAssignment(fold_of=rng.permutation(np.arange(n) % K), K=K)
+        cfg = fast_cfg(K=K, refinement_enabled=refined)
+        with pytest.MonkeyPatch.context() as mp:
+            if rows is not None:
+                mp.setattr(harness, "PREDICT_ROWS", rows[0])
+                mp.setattr(metrics, "_BLOCK_CELLS", rows[1] * K * l)
+            report = experiment_report(ds, cfg, assign, results)
+            want = reference_report_parts(
+                [fr.checkpoint for fr in results], cfg.alpha, ds.features, ds.labels, assign,
+                HISTOGRAM_BINS)
+        got = (report.ensemble_auc, report.agreement.to_json_dict(),
+               report.agreement.pair_agreement, report.per_label_std, report.correlation,
+               report.histograms)
+        assert got[:2] == want[:2]
+        for g, w in zip(got[2:], want[2:]):
+            assert np.asarray(g).tobytes() == np.asarray(w).tobytes()
 
     def test_refinement_disabled_has_no_coupling(self):
         ds = toy_dataset()

@@ -1,10 +1,15 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from scipy.integrate import quad
+from scipy.special import expit
 
 from coupled_labels.synthgen import (
     GenSpec,
     GenSpecError,
     PlantedEdge,
+    bayes_marginal,
     default_spec,
     generate,
     load_spec,
@@ -12,7 +17,7 @@ from coupled_labels.synthgen import (
     spec_from_dict,
     topo_order,
 )
-from helpers import BAD_SPEC_PATCHES, GOOD_SPEC
+from helpers import BAD_SPEC_PATCHES, GOOD_SPEC, reference_generate
 
 
 def small_spec(**kwargs):
@@ -100,11 +105,102 @@ class TestGenerate:
                 marginals.append(generate(spec).labels[:, 1].mean())
             assert all(a < b for a, b in zip(marginals, marginals[1:]))
 
+    @pytest.mark.parametrize("noise_scale", [0.0, 0.7])
+    @pytest.mark.parametrize("edges", [
+        (),
+        ((0, 1, 1.5), (1, 2, -2.0)),                    # a chain 0 -> 1 -> 2
+        ((2, 1, 1.0), (0, 1, -0.5), (3, 2, 2.0)),       # label 1 has two parents
+    ])
+    def test_same_bits_as_separate_noise_array(self, noise_scale, edges):
+        spec = GenSpec(n_examples=517, n_features=5, n_labels=4,
+                       planted_edges=tuple(PlantedEdge(*e) for e in edges),
+                       noise_scale=noise_scale, seed=8)
+        got, want = generate(spec), reference_generate(spec)
+        assert got.features.tobytes() == want.features.tobytes()
+        assert got.labels.tobytes() == want.labels.tobytes()
+        assert got.label_names == want.label_names
+
+    def test_memory_peak_bounded(self):
+        """x, the logits, the uniforms and the labels are alive at once: with
+        the noise freed before the uniforms are drawn, the traced peak stays
+        within 5 (n, L) float64 matrices (a separate noise array held to the
+        end peaked at 5.75)."""
+        spec = default_spec(n_examples=60_000)
+        n, L = spec.n_examples, spec.n_labels
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            generate(spec)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak <= 5.0 * n * L * 8, peak / (n * L * 8)
+
     def test_default_spec_planted_targets_elevated(self):
         ds = generate(default_spec(n_examples=4000))
         rates = ds.labels.mean(axis=0)
         for src, tgt in ((0, 1), (2, 3), (4, 5)):
             assert rates[tgt] > rates[src] + 0.05
+
+
+def _chain_and_fork_spec(noise_scale):
+    """0 -> 1 -> 2 and label 3 with parents 0 and 2; label 4 has none."""
+    return GenSpec(n_examples=10, n_features=3, n_labels=5,
+                   planted_edges=(PlantedEdge(0, 1, 2.0), PlantedEdge(1, 2, -1.5),
+                                  PlantedEdge(0, 3, 1.0), PlantedEdge(2, 3, 2.5)),
+                   noise_scale=noise_scale, seed=4)
+
+
+class TestBayesMarginal:
+    @pytest.mark.parametrize("noise_scale", [0.0, 1.0])
+    def test_matches_monte_carlo_at_fixed_x(self, noise_scale):
+        # many draws of the noise and the parents at three fixed rows; each
+        # estimate lies within 5 binomial standard errors
+        spec = _chain_and_fork_spec(noise_scale)
+        x = np.random.default_rng(1).normal(size=(3, 3))
+        exact = bayes_marginal(spec, x)
+        draws = 200_000
+        rng = np.random.default_rng(2)
+        for i in range(3):
+            logits = (x[i] @ spec.base_weights
+                      + rng.normal(0.0, noise_scale, size=(draws, spec.n_labels)))
+            y = np.zeros((draws, spec.n_labels))
+            for l in topo_order(spec):
+                logit = logits[:, l].copy()
+                for e in spec.planted_edges:
+                    if e.target == l:
+                        logit += e.strength * y[:, e.source]
+                y[:, l] = rng.random(draws) < expit(logit)
+            se = np.sqrt(exact[i] * (1 - exact[i]) / draws)
+            assert np.all(np.abs(y.mean(axis=0) - exact[i]) <= 5 * se), (y.mean(axis=0), exact[i])
+
+    def test_noise_integral_matches_quadrature(self):
+        # a parent-free label at noise s is E sigmoid(u + eps), eps ~ N(0, s^2)
+        spec = _chain_and_fork_spec(1.3)
+        x = np.random.default_rng(3).normal(size=(4, 3))
+        got = bayes_marginal(spec, x)[:, 0]
+        for u, p in zip(x @ spec.base_weights[:, 0], got):
+            want, _ = quad(lambda e: expit(u + e) * np.exp(-e * e / (2 * 1.3 ** 2)),
+                           -np.inf, np.inf, epsabs=1e-13)
+            assert abs(p - want / (1.3 * np.sqrt(2 * np.pi))) < 1e-11
+
+    def test_parent_free_labels_are_expit_at_noise_zero(self):
+        spec = _chain_and_fork_spec(0.0)
+        x = np.random.default_rng(5).normal(size=(50, 3))
+        got = bayes_marginal(spec, x)
+        want = expit(x @ spec.base_weights)
+        for l in (0, 4):
+            assert got[:, l].tobytes() == want[:, l].tobytes()
+        # one parent at noise 0: the two-term mixture over the parent's value
+        p0 = want[:, 0]
+        u1 = (x @ spec.base_weights)[:, 1]
+        np.testing.assert_allclose(got[:, 1], (1 - p0) * expit(u1) + p0 * expit(u1 + 2.0),
+                                   rtol=1e-15, atol=0)
+
+    def test_rejects_features_of_another_width(self):
+        with pytest.raises(GenSpecError, match="expected"):
+            bayes_marginal(_chain_and_fork_spec(1.0), np.zeros((2, 4)))
 
 
 class TestSpecJson:

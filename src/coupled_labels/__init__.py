@@ -2,6 +2,10 @@
 classification: stratified folds, asymmetric losses, a trainable label graph,
 and the evaluation stack around them."""
 
+# numpy 2 imports numpy.random on first use; every pipeline stage draws from
+# it, so it loads with the package instead of inside the first stage's time
+import numpy.random  # noqa: F401
+
 from .datamodel import (
     ConfigError,
     CoupledLabelsError,

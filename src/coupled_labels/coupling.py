@@ -18,9 +18,9 @@ from __future__ import annotations
 import csv
 
 import numpy as np
-from scipy.special import expit
 
 from .datamodel import CoupledLabelsError
+from .predictor import expit
 
 
 class CouplingShapeError(CoupledLabelsError):

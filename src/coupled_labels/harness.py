@@ -25,7 +25,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy.special import expit
 
 from . import metrics
 from .coupling import new_coupling, refine_forward, save_coupling_csv
@@ -50,7 +49,7 @@ from .optim import (
     stack_states,
     train_step,
 )
-from .predictor import PredictorShapeError, init_params, predict_forward
+from .predictor import PredictorShapeError, expit, init_params, predict_forward
 from .stratify import FoldAssignment, mis_split, save_folds
 
 
@@ -62,8 +61,7 @@ class HarnessError(CoupledLabelsError):
 HISTOGRAM_BINS = 20
 # |A| at or below this counts as a near-zero coupling in the ablation summary.
 NEAR_ZERO = 0.05
-# Rows per block in `predict_probs`. The output bits do not depend on it,
-# except in a one-row block, which BLAS evaluates as a matrix-vector product.
+# Rows per block in `predict_probs`. The output bits do not depend on it.
 PREDICT_ROWS = 512
 
 
@@ -75,15 +73,20 @@ PREDICT_ROWS = 512
 def predict_probs(model: Mapping, alpha: float, x, out: np.ndarray | None = None) -> np.ndarray:
     """Probabilities (post-refinement sigmoid) of one model, in blocks of
     `PREDICT_ROWS` rows, written into the (n, L) float64 `out` if one is
-    given; the logits are refined exactly when the model holds `A`."""
+    given; the logits are refined exactly when the model holds `A`.
+
+    BLAS evaluates a one-row product as a matrix-vector product, which
+    rounds otherwise, so a one-row block is predicted as two copies of its
+    row: a row's bits do not depend on the number of rows or on its block."""
     x = np.asarray(x, dtype=np.float64)
     if out is None:
         out = np.empty((x.shape[0], model["b2"].shape[-1]))
     for lo in range(0, x.shape[0], PREDICT_ROWS):
-        z, _ = predict_forward(x[lo:lo + PREDICT_ROWS], model)
+        block = x[lo:lo + PREDICT_ROWS]
+        z, _ = predict_forward(block if len(block) > 1 else np.repeat(block, 2, axis=0), model)
         if "A" in model:
             z, _ = refine_forward(z, model["A"], alpha)
-        expit(z, out=out[lo:lo + PREDICT_ROWS])
+        expit(z[:len(block)], out=out[lo:lo + PREDICT_ROWS])
     return out
 
 
@@ -366,23 +369,17 @@ def experiment_report(dataset: Dataset, cfg: ExperimentConfig, assign: FoldAssig
     out. The agreement and variability diagnostics compare all K models on
     every row, since they need common inputs.
 
-    One pass over blocks of rows has every fold model predict the block
-    into a (K, b, L) buffer, copies the held-out model's rows into the
-    (n, L) out-of-fold matrix, and feeds the buffer to `metrics.FoldStats`.
-    A block is as many whole runs of `PREDICT_ROWS` rows as fit in
-    `metrics._BLOCK_CELLS` cells, and at least one run. So `predict_probs`
-    evaluates the row runs of one pass over all rows and gives its bits
-    (a one-row run of its own would take BLAS's matrix-vector path, which
-    rounds otherwise), and while K * L <= 128 at the defaults the buffer
-    stays within the cells bound. Besides the out-of-fold matrix and the per-cell std the
-    pass holds nothing that grows with n.
+    One pass over blocks of rows, of at most `metrics._BLOCK_CELLS` cells
+    of all K models, has every fold model predict the block into a
+    (K, b, L) buffer, copies the held-out model's rows into the (n, L)
+    out-of-fold matrix, and feeds the buffer to `metrics.FoldStats`.
+    Besides the out-of-fold matrix and the per-cell std the pass holds
+    nothing that grows with n.
     """
     K, (n, L) = len(fold_results), dataset.labels.shape
     oof = np.empty((n, L))
     stats = metrics.FoldStats(K, n, L)
-    step = PREDICT_ROWS * max(1, metrics._BLOCK_CELLS // (K * PREDICT_ROWS * L))
-    for lo in range(0, n, step):
-        rows = slice(lo, lo + step)
+    for rows in metrics._blocks(n, K * L):
         x = dataset.features[rows]
         block = np.empty((K, x.shape[0], L))
         for fr, out in zip(fold_results, block):

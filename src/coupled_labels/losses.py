@@ -19,10 +19,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit
 
 from .coupling import zero_diag
 from .datamodel import CoupledLabelsError
+from .predictor import expit
 
 LOG_FLOOR = 1e-12
 

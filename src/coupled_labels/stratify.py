@@ -58,11 +58,19 @@ class FoldAssignment:
         return np.flatnonzero(self.fold_of == fold)
 
 
+# Rows formatted per write in `save_folds`.
+_FOLD_BLOCK_ROWS = 4096
+
+
 def save_folds(assign: FoldAssignment, path) -> None:
-    """Write ``example_index,fold`` rows, byte for byte as ``csv.writer`` would."""
-    rows = [f"{i},{f}\r\n" for i, f in enumerate(assign.fold_of.tolist())]
+    """Write ``example_index,fold`` rows, byte for byte as ``csv.writer`` would,
+    one block of `_FOLD_BLOCK_ROWS` rows at a time."""
+    folds = assign.fold_of
     with open(path, "w", newline="") as fh:
-        fh.write("example_index,fold\r\n" + "".join(rows))
+        fh.write("example_index,fold\r\n")
+        for lo in range(0, folds.shape[0], _FOLD_BLOCK_ROWS):
+            block = folds[lo:lo + _FOLD_BLOCK_ROWS].tolist()
+            fh.write("".join([f"{i},{f}\r\n" for i, f in enumerate(block, lo)]))
 
 
 def load_folds(path) -> FoldAssignment:

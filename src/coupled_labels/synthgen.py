@@ -20,9 +20,9 @@ from dataclasses import dataclass, field
 from graphlib import CycleError, TopologicalSorter
 
 import numpy as np
-from scipy.special import expit
 
 from .datamodel import CoupledLabelsError, Dataset, _number, read_json, write_json
+from .predictor import expit
 
 
 class GenSpecError(CoupledLabelsError):

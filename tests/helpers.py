@@ -390,6 +390,14 @@ def reference_save_folds(assign, path):
             writer.writerow([i, int(f)])
 
 
+def joined_save_folds(assign, path):
+    """save_folds as one string of every row: the same bytes as the
+    streamed writer, with n row strings alive at once."""
+    rows = [f"{i},{f}\r\n" for i, f in enumerate(assign.fold_of.tolist())]
+    with open(path, "w", newline="") as fh:
+        fh.write("example_index,fold\r\n" + "".join(rows))
+
+
 @dataclass(frozen=True)
 class MisStats:
     """Bookkeeping from one reference_mis_split run.

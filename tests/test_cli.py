@@ -419,13 +419,21 @@ class TestImportWeight:
                 "print(sorted(m for m in sys.modules if m.startswith('scipy.stats')))")
         assert _python(code) == "[]"
 
+    def test_cli_import_leaves_out_scipy(self):
+        # importing scipy.special, for its expit alone, took about 18 MiB of
+        # every CLI stage's peak RSS and half of its start-up time; the
+        # package's own expit gives the same bits from numpy
+        code = ("import sys, coupled_labels.cli; "
+                "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+        assert _python(code) == "[]"
+
     def test_cli_import_and_sharded_training_leave_out_pools(self, tmp_path):
         # multiprocessing.Pool and the concurrent.futures executors unpickle
         # results on helper threads, into a second malloc arena (+2.9 MiB
         # peak RSS on the default workload); the training engine's and the
         # CSV path's forked workers answer through plain pipes read by the
-        # main thread. The concurrent.futures package itself comes with
-        # scipy's import of numpy.testing and starts nothing.
+        # main thread. numpy.testing imports concurrent.futures, and nothing
+        # on the CLI's import path imports numpy.testing.
         code = f"""
 import sys
 import numpy as np
@@ -433,7 +441,8 @@ import coupled_labels.cli
 from coupled_labels import datamodel, harness
 from coupled_labels.datamodel import Dataset, config_from_dict, load_dataset, save_dataset
 
-POOLS = ("multiprocessing.pool", "concurrent.futures.thread", "concurrent.futures.process")
+POOLS = ("multiprocessing.pool", "concurrent.futures", "concurrent.futures.thread",
+         "concurrent.futures.process")
 print(sorted(m for m in sys.modules if m in POOLS))
 datamodel._usable_cpus = lambda: 2
 datamodel._SAVE_BLOCK_ROWS = datamodel._LOAD_BLOCK_ROWS = 8

@@ -82,6 +82,23 @@ class TestPredictProbs:
             got = predict_probs(model, ALPHA, x)
             assert got.view(np.uint64).tolist() == expit(logits).view(np.uint64).tolist()
 
+    @pytest.mark.parametrize("refined", [False, True])
+    def test_one_row_block_has_the_bits_of_a_larger_call(self, refined):
+        # 2 * PREDICT_ROWS + 1 rows end in a one-row block, and a single row is
+        # one; BLAS's matrix-vector path rounds a (1, 20) @ (20, 14) product
+        # otherwise in most cells
+        rng = np.random.default_rng(9)
+        model = init_params(20, 14, rng)
+        if refined:
+            model["A"] = rng.normal(scale=0.2, size=(14, 14))
+        x = rng.normal(size=(3 * harness.PREDICT_ROWS, 20))
+        whole = predict_probs(model, ALPHA, x).view(np.uint64)
+        n = 2 * harness.PREDICT_ROWS + 1
+        assert predict_probs(model, ALPHA, x[:n]).view(np.uint64).tolist() == whole[:n].tolist()
+        for i in (0, 1, n - 1, len(x) - 1):
+            got = predict_probs(model, ALPHA, x[i:i + 1]).view(np.uint64)
+            assert got.tolist() == whole[i:i + 1].tolist(), i
+
     def test_out_slot_filled_with_same_bits(self):
         rng = np.random.default_rng(6)
         model = {**init_params(4, 3, rng), "A": rng.normal(scale=0.2, size=(3, 3))}

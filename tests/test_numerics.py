@@ -9,9 +9,9 @@ silently changing report bytes.
 
 import numpy as np
 import pytest
-from scipy.special import expit
 
 from coupled_labels.optim import Schedule, adamw_step, init_train_state, stack_states
+from coupled_labels.predictor import expit
 
 # (M, B, D, L): the default 24-row batches, a ragged tail, a 32-wide input,
 # one-column and one-row edge cases

@@ -1,17 +1,92 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
+from scipy.special import expit as scipy_expit
 
 from coupled_labels.datamodel import CoupledLabelsError
 from coupled_labels.harness import load_checkpoint, save_checkpoint
 from coupled_labels.predictor import (
     PredictorShapeError,
+    expit,
     init_params,
     predict_backward,
     predict_forward,
 )
 from helpers import central_diff, max_rel_err
+
+
+def _expit_grid() -> np.ndarray:
+    """Sigmoid inputs where libm's exp, numpy's SIMD exp and the overflow and
+    underflow edges part ways: signed zeros, infinities, nan, subnormals,
+    the overflow threshold of exp(-z) and its neighbours, the band
+    -746..-700 where exp(-z) overflows or 1 / (1 + exp(-z)) is subnormal,
+    and N(0, 25) draws, on which SIMD and libm differ most often."""
+    rng = np.random.default_rng(23)
+    tiny = np.finfo(np.float64).smallest_subnormal
+    edge = 709.782712893384   # exp(709.782712893384) is the largest finite exp
+    points = [0.0, np.inf, np.nan, tiny, 7 * tiny, np.finfo(np.float64).tiny, 1e-300,
+              709.78, edge, np.nextafter(edge, 0), np.nextafter(edge, np.inf), 745.13,
+              746.0, 1e300, np.finfo(np.float64).max]
+    points = np.array(points)
+    return np.concatenate([
+        points, -points,
+        rng.normal(0.0, 5.0, 200_000),
+        rng.uniform(-746.0, -700.0, 100_000),
+        rng.uniform(-709.79, -709.0, 20_000),
+        rng.uniform(700.0, 746.0, 20_000),
+        rng.uniform(-40.0, 40.0, 60_000),
+    ])
+
+
+def _bits(a):
+    return np.asarray(a).view(np.uint64)
+
+
+class TestExpit:
+    """`expit` gives `scipy.special.expit`'s bits; a numpy whose float64 exp
+    ran SIMD kernels on reversed views would fail here."""
+
+    @pytest.fixture(scope="class")
+    def grid(self):
+        return _expit_grid()
+
+    def test_bits_match_scipy(self, grid):
+        with warnings.catch_warnings(), np.errstate(all="raise"):
+            warnings.simplefilter("error")
+            got = expit(grid)
+            want = scipy_expit(grid)
+        assert got.shape == grid.shape
+        differ = np.flatnonzero(_bits(got) != _bits(want))
+        assert differ.size == 0, grid[differ[:10]]
+
+    def test_bits_match_scipy_on_views_and_out_slots(self, grid):
+        z = grid[:400_000].reshape(50, 400, 20)
+        want = scipy_expit(z)
+        slot = np.full((60, 400, 20), np.nan)
+        out = slot[5:55]
+        strided = np.full((20, 400, 50), np.nan).T   # (50, 400, 20), not C-contiguous
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert np.array_equal(_bits(expit(z)), _bits(want))
+            got_t = expit(z.transpose(2, 0, 1))
+            assert np.array_equal(_bits(got_t), _bits(want.transpose(2, 0, 1)))
+            assert expit(z, out=out) is out
+            assert expit(z, out=strided) is strided
+        assert np.array_equal(_bits(out), _bits(want))
+        assert np.isnan(slot[:5]).all() and np.isnan(slot[55:]).all()
+        assert np.array_equal(_bits(strided), _bits(want))
+
+    def test_in_place_and_scalar(self, grid):
+        z = grid[:5000].copy()
+        want = scipy_expit(z)
+        assert expit(z, out=z) is z
+        assert np.array_equal(_bits(z), _bits(want))
+        for v in (0.25, -745.0, np.nan):
+            got = expit(v)
+            assert isinstance(got, np.float64)
+            assert _bits(got) == _bits(scipy_expit(v))
 
 
 class TestForward:

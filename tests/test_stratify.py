@@ -1,5 +1,6 @@
 import itertools
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,7 +17,12 @@ from coupled_labels.stratify import (
     split_quality,
 )
 from coupled_labels.synthgen import default_spec, generate
-from helpers import list_loop_mis_split, reference_mis_split, reference_save_folds
+from helpers import (
+    joined_save_folds,
+    list_loop_mis_split,
+    reference_mis_split,
+    reference_save_folds,
+)
 
 label_matrices = st.integers(2, 12).flatmap(
     lambda n: st.integers(1, 4).flatmap(
@@ -282,6 +288,24 @@ class TestFoldsCsv:
         save_folds(assign, tmp_path / "folds.csv")
         reference_save_folds(assign, tmp_path / "ref.csv")
         assert (tmp_path / "folds.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+    def test_save_streams_rows_at_60k(self, tmp_path):
+        """Blocks of rows, the last one ragged, give the one-string writer's
+        bytes, while the traced peak stays far below its n row strings
+        (about 5 MB here)."""
+        n = 60_000
+        assign = FoldAssignment(fold_of=np.random.default_rng(4).integers(0, 5, n), K=5)
+        joined_save_folds(assign, tmp_path / "ref.csv")
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            save_folds(assign, tmp_path / "folds.csv")
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert (tmp_path / "folds.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+        assert peak <= 2 ** 20, peak
 
     def test_empty_fold_rejected(self):
         with pytest.raises(SplitError):

@@ -373,8 +373,8 @@ def experiment_report(dataset: Dataset, cfg: ExperimentConfig, assign: FoldAssig
     of all K models, has every fold model predict the block into a
     (K, b, L) buffer, copies the held-out model's rows into the (n, L)
     out-of-fold matrix, and feeds the buffer to `metrics.FoldStats`.
-    Besides the out-of-fold matrix and the per-cell std the pass holds
-    nothing that grows with n.
+    Besides the out-of-fold matrix the pass holds nothing that grows with
+    n. The correlation is its last reader and centres it in place.
     """
     K, (n, L) = len(fold_results), dataset.labels.shape
     oof = np.empty((n, L))
@@ -385,24 +385,24 @@ def experiment_report(dataset: Dataset, cfg: ExperimentConfig, assign: FoldAssig
         for fr, out in zip(fold_results, block):
             predict_probs(fr.checkpoint, cfg.alpha, x, out=out)
         oof[rows] = block[assign.fold_of[rows], np.arange(x.shape[0])]
-        stats.add(rows, block)
-    agreement, per_label_std = stats.agreement(), stats.per_label_std()
-    del stats   # frees the per-cell std before the metrics below run
+        stats.add(block)
 
     coupling_mean = (np.mean([fr.checkpoint["A"] for fr in fold_results], axis=0)
                      if cfg.refinement_enabled else None)
+    ensemble_auc = metrics.macro_auc(oof, dataset.labels)
+    histograms = metrics.probability_histograms(oof, bins=HISTOGRAM_BINS)
 
     return RunReport(
         config=cfg,
         label_names=dataset.label_names,
         assignment=assign,
         fold_results=fold_results,
-        ensemble_auc=metrics.macro_auc(oof, dataset.labels),
+        ensemble_auc=ensemble_auc,
         coupling_mean=coupling_mean,
-        agreement=agreement,
-        per_label_std=per_label_std,
-        correlation=metrics.pearson_label_correlation(oof),
-        histograms=metrics.probability_histograms(oof, bins=HISTOGRAM_BINS),
+        agreement=stats.agreement(),
+        per_label_std=stats.per_label_std(),
+        correlation=metrics._pearson_in_place(oof),
+        histograms=histograms,
     )
 
 

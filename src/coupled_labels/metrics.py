@@ -2,8 +2,11 @@
 statistic with midrank tie handling, macro averaging with the single-class
 skip rule, and the cross-fold diagnostic statistics. `FoldStats` is the
 one implementation of the cross-fold agreement and std: the report feeds
-it row blocks as it predicts them, `fold_agreement` and
+it row blocks in row order as it predicts them, `fold_agreement` and
 `per_label_fold_std` feed it the row blocks of a stack they are given.
+The label correlation runs numpy's `corrcoef` steps on a matrix it may
+centre in place: a copy in `pearson_label_correlation`, the out-of-fold
+matrix itself in the report.
 """
 
 from __future__ import annotations
@@ -134,15 +137,31 @@ def macro_auc(probs, labels) -> AucReport:
 def pearson_label_correlation(probs) -> np.ndarray:
     """L x L Pearson correlation between probability columns. Columns with
     zero variance produce NaN rows/columns (reported as absent)."""
-    p = np.asarray(probs, dtype=np.float64)
+    p = np.array(probs, dtype=np.float64)   # a copy, which the kernel centres
     if p.ndim != 2:
         raise MetricError(f"expected 2-D probabilities, got shape {p.shape}")
+    return _pearson_in_place(p)
+
+
+def _pearson_in_place(x: np.ndarray) -> np.ndarray:
+    """`pearson_label_correlation` of the float64 (n, L) matrix `x`, which
+    it centres in place: numpy's own `corrcoef(x, rowvar=False)` steps, with
+    the same bits, on the caller's array instead of a private copy."""
+    n, L = x.shape
+    xt = x.T
     with np.errstate(invalid="ignore", divide="ignore"):
-        corr = np.corrcoef(p, rowvar=False)
-    corr = np.atleast_2d(corr)
-    valid = ~np.isnan(corr)
-    corr[valid] = np.clip(corr[valid], -1.0, 1.0)
-    return corr
+        xt -= xt.mean(axis=1)[:, None]
+        # `cov` multiplies by `X.T.conj()`, which for real X is X.T itself, so
+        # `dot` gets one buffer and its own transpose; a copy would change the
+        # BLAS routine and the bits
+        corr = np.dot(xt, xt.T)
+        corr *= np.true_divide(1, n - 1 if n > 1 else 0.0)
+        if L == 1:   # numpy's scalar covariance: 1, or NaN where undefined
+            return corr / corr
+        std = np.sqrt(np.diag(corr))
+        corr /= std[:, None]
+        corr /= std[None, :]
+    return np.clip(corr, -1.0, 1.0, out=corr)
 
 
 @dataclass(frozen=True)
@@ -167,18 +186,18 @@ class FoldStats:
     """The cross-fold diagnostics of K fold models' (n, L) predictions, fed
     one (K, b, L) block of rows at a time, so no (K, n, L) stack needs to
     exist: the majority levels and pairwise agreement of the votes
-    p >= threshold, as integer counts, and each cell's population std
-    across the folds, in an (n, L) buffer. The blocks may come in any
-    order, and any blocking gives the same bits."""
+    p >= threshold, as integer counts, and a running (L,) sum of each
+    cell's population std across the folds. The blocks must come in row
+    order; then any blocking gives the same bits."""
 
     def __init__(self, K: int, n: int, L: int, threshold: float = 0.5):
-        self.K, self.threshold = K, threshold
+        self.K, self.n, self.L, self.threshold = K, n, L, threshold
         self.levels = np.zeros(K + 1, dtype=np.int64)   # majority size -> cells
         self.agree = np.zeros((K, K), dtype=np.int64)   # cells on which folds a < b agree
-        self.cell_std = np.empty((n, L))
+        self.std_sum = np.zeros(L)
 
-    def add(self, rows: slice, block: np.ndarray) -> None:
-        """Count the (K, b, L) predictions `block` of the rows `rows`."""
+    def add(self, block: np.ndarray) -> None:
+        """Count the (K, b, L) predictions `block` of the next b rows."""
         K = self.K
         votes = block >= self.threshold
         ones = np.count_nonzero(votes, axis=0)
@@ -186,10 +205,16 @@ class FoldStats:
         for a in range(K):
             for b in range(a + 1, K):
                 self.agree[a, b] += np.count_nonzero(votes[a] == votes[b])
-        block.std(axis=0, ddof=0, out=self.cell_std[rows])
+        # Row 0 carries the sum so far: an axis-0 sum of a C-ordered matrix
+        # of L >= 2 columns adds its rows one after another, so the running
+        # sum has the bits of one sum over all n rows.
+        rows = np.empty((block.shape[1] + 1, self.L))
+        rows[0] = self.std_sum
+        block.std(axis=0, ddof=0, out=rows[1:])
+        rows.sum(axis=0, out=self.std_sum)
 
     def agreement(self) -> FoldAgreement:
-        cells = self.cell_std.size
+        cells = self.n * self.L
         pair = self.agree / cells
         pair += pair.T
         np.fill_diagonal(pair, 1.0)
@@ -203,7 +228,7 @@ class FoldStats:
 
     def per_label_std(self) -> np.ndarray:
         """Mean over examples of each cell's std across folds."""
-        return self.cell_std.mean(axis=0)
+        return self.std_sum / self.n
 
 
 def _stacked_stats(fold_probs, threshold: float = 0.5) -> FoldStats:
@@ -218,7 +243,7 @@ def _stacked_stats(fold_probs, threshold: float = 0.5) -> FoldStats:
     K, n, L = stack.shape
     stats = FoldStats(K, n, L, threshold)
     for rows in _blocks(n, K * L):
-        stats.add(rows, stack[:, rows])
+        stats.add(stack[:, rows])
     return stats
 
 

@@ -22,6 +22,7 @@ from graphlib import CycleError, TopologicalSorter
 import numpy as np
 
 from .datamodel import CoupledLabelsError, Dataset, _number, read_json, write_json
+from .metrics import _blocks
 from .predictor import expit
 
 
@@ -167,19 +168,27 @@ def generate(spec: GenSpec) -> Dataset:
     rng = np.random.default_rng(spec.seed)
     n, d, L = spec.n_examples, spec.n_features, spec.n_labels
     x = rng.standard_normal((n, d))
-    # the noise is added in place and freed before the uniforms are drawn
     logits = x @ spec.base_weights
+    # Row blocks keep every temporary block-sized. The draws keep their
+    # order, x, all the noise, then all the uniforms, and consecutive block
+    # draws give the numbers one whole-matrix draw would.
+    blocks = list(_blocks(n, L))
     if spec.noise_scale > 0:
-        logits += rng.normal(0.0, spec.noise_scale, size=(n, L))
-    uniforms = rng.random((n, L))
+        for rows in blocks:
+            block = logits[rows]
+            block += rng.normal(0.0, spec.noise_scale, size=block.shape)
 
     parents = _parents(spec)
+    order = topo_order(spec)
     y = np.zeros((n, L))
-    for l in topo_order(spec):
-        logit = logits[:, l]
-        for e in parents[l]:
-            logit = logit + e.strength * y[:, e.source]
-        y[:, l] = (uniforms[:, l] < expit(logit)).astype(np.float64)
+    for rows in blocks:
+        z, yb = logits[rows], y[rows]
+        uniforms = rng.random(z.shape)
+        for l in order:
+            logit = z[:, l]
+            for e in parents[l]:
+                logit = logit + e.strength * yb[:, e.source]
+            yb[:, l] = uniforms[:, l] < expit(logit)
 
     names = [f"y{i}" for i in range(L)]
     return Dataset(features=x, labels=y, label_names=names)

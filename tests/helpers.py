@@ -1,12 +1,12 @@
 """Shared oracles for the test suite: central finite differences, a
 relative-error reducer, the pair-count AUC reference, per-column
 references for roc_auc, macro_auc and the label histograms, whole-matrix
-references for the cross-fold agreement and std, the stack-based report
-parts, the generator as it drew its noise into a separate array, `train_folds`
-for a single model, a training loop that never touches the coupling
-module, the identifiable planted-edge construction, row-loop references for
-the CSV data path and mis_split (one per-example NumPy loop, one list
-loop), a reader for the
+references for the cross-fold agreement and std, `np.corrcoef` for the
+label correlation, the stack-based report parts, the generator as it drew
+its noise into a separate array, `train_folds` for a single model, a
+training loop that never touches the coupling module, the identifiable
+planted-edge construction, row-loop references for the CSV data path and
+mis_split (one per-example NumPy loop, one list loop), a reader for the
 coupling CSV, a one-fold-at-a-time training reference with a per-array
 optimizer, generator spec files that `gen` must reject, and a time limit
 for tests that wait on forked workers."""
@@ -148,13 +148,27 @@ def reference_per_label_fold_std(fold_probs):
     return stack.std(axis=0, ddof=0).mean(axis=0)
 
 
+def reference_pearson(probs):
+    """pearson_label_correlation as numpy's `corrcoef(probs, rowvar=False)`
+    on its own copy, NaN where a column has no variance, clipped to
+    [-1, 1]."""
+    import warnings
+
+    with np.errstate(invalid="ignore", divide="ignore"), warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)   # numpy's n = 1 warning
+        corr = np.atleast_2d(np.corrcoef(np.asarray(probs, dtype=np.float64), rowvar=False))
+    valid = ~np.isnan(corr)
+    corr[valid] = np.clip(corr[valid], -1.0, 1.0)
+    return corr
+
+
 def reference_report_parts(models, alpha, x, labels, assign, bins):
     """What `experiment_report` derives from its fold models, the way it did
     from a (K, n, L) stack: every model predicts every row into the stack,
     a loop over folds fills the out-of-fold matrix, and the whole-stack
-    references give the agreement and std. Returns (ensemble AucReport,
-    agreement JSON dict, pair agreement, per-label std, correlation,
-    histograms)."""
+    references and `np.corrcoef` give the agreement, std and correlation.
+    Returns (ensemble AucReport, agreement JSON dict, pair agreement,
+    per-label std, correlation, histograms)."""
     from coupled_labels import metrics
     from coupled_labels.harness import predict_probs
 
@@ -166,12 +180,13 @@ def reference_report_parts(models, alpha, x, labels, assign, bins):
     agreement = reference_fold_agreement(stack)
     return (metrics.macro_auc(oof, labels), agreement.to_json_dict(),
             agreement.pair_agreement, reference_per_label_fold_std(stack),
-            metrics.pearson_label_correlation(oof), metrics.probability_histograms(oof, bins))
+            reference_pearson(oof), metrics.probability_histograms(oof, bins))
 
 
 def reference_generate(spec):
-    """`synthgen.generate` with its noise drawn into an array of its own,
-    zeros at noise 0, and added to each label's column of the base logits."""
+    """`synthgen.generate` with its noise and its uniforms each drawn whole
+    into an (n, L) array of its own, zeros for the noise at noise 0, and the
+    labels sampled one whole column at a time."""
     from coupled_labels.datamodel import Dataset
     from coupled_labels.synthgen import topo_order
 

@@ -31,6 +31,7 @@ from coupled_labels.harness import (
 )
 from coupled_labels.predictor import init_params
 from coupled_labels.stratify import FoldAssignment, mis_split
+from coupled_labels.synthgen import default_spec, generate
 from helpers import (
     IDENTIFIABLE_TRAINING,
     couplings_free_fold,
@@ -55,6 +56,18 @@ def toy_dataset(n=60, d=5, l=3, seed=0):
 
 
 ALPHA = 0.3
+
+
+def _traced_peak(call) -> int:
+    """Bytes `call()` adds to the traced heap at its peak."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        call()
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
 
 
 def fast_cfg(**over):
@@ -205,10 +218,12 @@ class TestRunExperiment:
 
     @pytest.mark.parametrize("K", [3, 6])
     def test_report_memory_peak_bounded(self, K):
-        """The report holds the (n, L) out-of-fold matrix and the (n, L)
-        per-cell std; everything else it allocates is block-sized, so its
-        traced peak stays within 3.5 (n, L) float64 matrices whatever K is
-        (a (K, n, L) prediction stack peaked at 5.65 at K = 3 and 9.11 at
+        """The report holds the (n, L) out-of-fold matrix; the fold std is a
+        running (L,) sum, the correlation centres the out-of-fold matrix in
+        place and everything else it allocates is block-sized, so its traced
+        peak stays within 2.25 (n, L) float64 matrices whatever K is (an
+        (n, L) per-cell std and `np.corrcoef`'s private copy peaked at 2.44
+        at K = 3; a (K, n, L) prediction stack at 5.65 at K = 3 and 9.11 at
         K = 6)."""
         n, d, l = 30000, 20, 14
         rng = np.random.default_rng(7)
@@ -217,15 +232,17 @@ class TestRunExperiment:
                      label_names=[f"y{i}" for i in range(l)])
         results = [_fold_result(k, rng, d, l, refined=True) for k in range(K)]
         assign = FoldAssignment(fold_of=np.arange(n) % K, K=K)
-        tracemalloc.start()
-        try:
-            before = tracemalloc.get_traced_memory()[0]
-            tracemalloc.reset_peak()
-            experiment_report(ds, fast_cfg(K=K), assign, results)
-            peak = tracemalloc.get_traced_memory()[1] - before
-        finally:
-            tracemalloc.stop()
-        assert peak <= 3.5 * n * l * 8, peak / (n * l * 8)
+        peak = _traced_peak(lambda: experiment_report(ds, fast_cfg(K=K), assign, results))
+        assert peak <= 2.25 * n * l * 8, peak / (n * l * 8)
+
+    def test_experiment_memory_peak_bounded(self):
+        """Training and the report of a one-epoch experiment on 30,000 rows
+        stay within 2.4 (n, L) float64 matrices of traced peak (2.65 with the
+        report's (n, L) per-cell std and `np.corrcoef`'s private copy)."""
+        ds = generate(default_spec(n_examples=30_000))
+        n, l = ds.labels.shape
+        peak = _traced_peak(lambda: run_experiment(ds, config_from_dict({"epochs": 1})))
+        assert peak <= 2.4 * n * l * 8, peak / (n * l * 8)
 
     @pytest.mark.parametrize("K", [2, 3, 5])
     @pytest.mark.parametrize("refined", [True, False])
@@ -639,8 +656,6 @@ class TestPlantedRecoveryDemonstration:
         # optimization transient, the coupling layer pulls all three
         # planted edges to the top of the learned matrix and the L1
         # penalty clears every column that has no planted parent.
-        from coupled_labels.synthgen import generate
-
         spec = identifiable_spec()
         l = spec.n_labels
         ds = generate(spec)

@@ -20,6 +20,7 @@ from helpers import (
     brute_force_auc,
     reference_fold_agreement,
     reference_macro_auc,
+    reference_pearson,
     reference_per_label_fold_std,
     reference_probability_histograms,
     reference_roc_auc,
@@ -191,6 +192,25 @@ class TestMacroAuc:
         )
 
 
+def _constant_column():
+    probs = np.random.default_rng(26).random((40, 4))
+    probs[:, 2] = 0.25
+    return probs
+
+
+# name -> probabilities; each call draws the same matrix
+PEARSON_CASES = {
+    "random": lambda: np.random.default_rng(27).random((3000, 14)),
+    "constant column": _constant_column,
+    "n2 L2": lambda: np.random.default_rng(28).random((2, 2)),
+    "offset 1e6": lambda: 1e6 + np.random.default_rng(29).random((200, 5)),
+    "tied": lambda: np.round(np.random.default_rng(30).random((300, 6)), 1),
+    "one row": lambda: np.random.default_rng(31).random((1, 3)),
+    "one column": lambda: np.random.default_rng(32).random((30, 1)),
+    "fortran order": lambda: np.asfortranarray(np.random.default_rng(33).random((50, 3))),
+}
+
+
 class TestPearson:
     def test_duplicated_column(self):
         rng = np.random.default_rng(5)
@@ -224,6 +244,20 @@ class TestPearson:
         corr = pearson_label_correlation(probs)
         assert np.isnan(corr[0, 1]) and np.isnan(corr[1, 0])
         assert corr[1, 1] == 1.0
+
+    @pytest.mark.parametrize("case", list(PEARSON_CASES))
+    def test_in_place_kernel_has_corrcoef_bits(self, case):
+        probs = PEARSON_CASES[case]()
+        want = reference_pearson(probs)
+        kept = probs.copy()
+        got = pearson_label_correlation(probs)
+        assert _bits(got) == _bits(want)
+        assert probs.tobytes() == kept.tobytes()
+        if case == "constant column":
+            assert np.isnan(got[2]).all() and np.isnan(got[:, 2]).all()
+            assert not np.isnan(np.delete(np.delete(got, 2, 0), 2, 1)).any()
+        centred = np.array(probs)
+        assert _bits(metrics._pearson_in_place(centred)) == _bits(want)
 
 
 class TestFoldAgreement:
@@ -423,11 +457,15 @@ class TestBlockwiseMetrics:
 
     @pytest.mark.parametrize("K", [2, 3, 5])
     @pytest.mark.parametrize("rows_per_block", [1, 4, 1000])
-    def test_per_label_fold_std_array_and_list_same_bits(self, K, rows_per_block):
+    @pytest.mark.parametrize("n", [1, 53, 1561])
+    @pytest.mark.parametrize("L", [2, 3, 14])
+    def test_per_label_fold_std_array_and_list_same_bits(self, K, rows_per_block, n, L):
+        # the running sum of the blocks' stds has the bits of one mean over
+        # the (n, L) per-cell std, whatever the blocking
         rng = np.random.default_rng(24 + K)
-        stack = rng.random((K, 53, 6))
+        stack = rng.random((K, n, L))
         stack[:, ::4] = np.round(stack[:, ::4], 1)
-        with mock.patch.object(metrics, "_BLOCK_CELLS", rows_per_block * 6):
+        with mock.patch.object(metrics, "_BLOCK_CELLS", rows_per_block * K * L):
             from_array = per_label_fold_std(stack)
             from_list = per_label_fold_std(list(stack))
         assert _bits(from_array) == _bits(from_list) == _bits(reference_per_label_fold_std(stack))

@@ -5,6 +5,7 @@ import pytest
 from scipy.integrate import quad
 from scipy.special import expit
 
+from coupled_labels import metrics
 from coupled_labels.synthgen import (
     GenSpec,
     GenSpecError,
@@ -18,6 +19,9 @@ from coupled_labels.synthgen import (
     topo_order,
 )
 from helpers import BAD_SPEC_PATCHES, GOOD_SPEC, reference_generate
+
+# rows in one of the blocks `generate` draws and samples by, at 4 labels
+BLOCK_ROWS = metrics._BLOCK_CELLS // 4
 
 
 def small_spec(**kwargs):
@@ -111,8 +115,10 @@ class TestGenerate:
         ((0, 1, 1.5), (1, 2, -2.0)),                    # a chain 0 -> 1 -> 2
         ((2, 1, 1.0), (0, 1, -0.5), (3, 2, 2.0)),       # label 1 has two parents
     ])
-    def test_same_bits_as_separate_noise_array(self, noise_scale, edges):
-        spec = GenSpec(n_examples=517, n_features=5, n_labels=4,
+    @pytest.mark.parametrize("n", [1, 517, BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1,
+                                   3 * BLOCK_ROWS + 5])
+    def test_same_bits_as_separate_noise_array(self, n, noise_scale, edges):
+        spec = GenSpec(n_examples=n, n_features=5, n_labels=4,
                        planted_edges=tuple(PlantedEdge(*e) for e in edges),
                        noise_scale=noise_scale, seed=8)
         got, want = generate(spec), reference_generate(spec)
@@ -121,10 +127,10 @@ class TestGenerate:
         assert got.label_names == want.label_names
 
     def test_memory_peak_bounded(self):
-        """x, the logits, the uniforms and the labels are alive at once: with
-        the noise freed before the uniforms are drawn, the traced peak stays
-        within 5 (n, L) float64 matrices (a separate noise array held to the
-        end peaked at 5.75)."""
+        """x, the logits and the labels are alive at once, and the noise,
+        the uniforms and the label pass are drawn and run by row block, so
+        the traced peak stays within 4 (n, L) float64 matrices (whole-matrix
+        noise and uniforms peaked at 4.75)."""
         spec = default_spec(n_examples=60_000)
         n, L = spec.n_examples, spec.n_labels
         tracemalloc.start()
@@ -135,7 +141,7 @@ class TestGenerate:
             peak = tracemalloc.get_traced_memory()[1] - before
         finally:
             tracemalloc.stop()
-        assert peak <= 5.0 * n * L * 8, peak / (n * L * 8)
+        assert peak <= 4.0 * n * L * 8, peak / (n * L * 8)
 
     def test_default_spec_planted_targets_elevated(self):
         ds = generate(default_spec(n_examples=4000))

@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import csv
 import sys
+import time
 import traceback
 from pathlib import Path
 
@@ -96,13 +97,30 @@ def _new_run_dir(path) -> Path:
     return outdir
 
 
+def _write_timings(outdir: Path, seconds: dict[str, float], reports) -> None:
+    """`timings.json` of a run directory: the wall `seconds` of its stage's
+    phases, and the optimizer steps of every fold model with their rate
+    over `train_s`. It changes from run to run, so it stays out of
+    `report.json` and `ablation.json`."""
+    steps = sum(len(fr.train_log) for report in reports for fr in report.fold_results)
+    write_json({**seconds, "optimizer_steps": steps, "steps_per_s": steps / seconds["train_s"]},
+               outdir / "timings.json")
+
+
 def _cmd_train(args) -> int:
     outdir = _new_run_dir(args.out)
+    t0 = time.perf_counter()
     dataset = load_dataset(args.data)
+    t1 = time.perf_counter()
     cfg = load_config(args.config)
+    t2 = time.perf_counter()
     report = harness.run_experiment(dataset, cfg)
+    t3 = time.perf_counter()
     record = report.to_json_dict()
     harness.write_run_report(report, outdir, record)
+    t4 = time.perf_counter()
+    _write_timings(outdir, {"load_dataset_s": t1 - t0, "train_s": t3 - t2,
+                            "write_run_dir_s": t4 - t3}, [report])
     print(f"run written to {args.out}")
     _print_auc_table(record)
     return 0
@@ -110,13 +128,20 @@ def _cmd_train(args) -> int:
 
 def _cmd_ablate(args) -> int:
     outdir = _new_run_dir(args.out)
+    t0 = time.perf_counter()
     dataset = load_dataset(args.data)
+    t1 = time.perf_counter()
     cfg = load_config(args.config)
+    t2 = time.perf_counter()
     result = harness.run_ablation(dataset, cfg)
+    t3 = time.perf_counter()
     harness.write_run_report(result.refined, outdir / "with_refinement")
     harness.write_run_report(result.baseline, outdir / "no_refinement")
     comparison = result.comparison()
     write_json(comparison, outdir / "ablation.json")
+    t4 = time.perf_counter()
+    _write_timings(outdir, {"load_dataset_s": t1 - t0, "train_s": t3 - t2,
+                            "write_run_dir_s": t4 - t3}, [result.refined, result.baseline])
     print(f"ablation written to {outdir}")
     _print_ablation(comparison)
     sign = comparison["coupling_sign_summary"]

@@ -4,6 +4,10 @@ experiment configuration.
 All numeric state is float64. Datasets live on disk as plain CSV with a
 one-line header: feature columns first (any names), then label columns
 whose names carry a ``label:`` prefix. Label cells are strict ``0``/``1``.
+Beside a CSV it writes, `save_dataset` keeps a binary copy of the arrays
+(the sidecar, ``<csv>.f64``) that `load_dataset` reads instead of parsing
+the CSV for as long as the CSV keeps the bytes it was written with. No
+other module knows the sidecar exists.
 """
 
 from __future__ import annotations
@@ -20,6 +24,7 @@ import json
 import mmap
 import multiprocessing
 import os
+import stat
 import sys
 import tempfile
 import threading
@@ -220,6 +225,10 @@ def load_dataset(path) -> Dataset:
 
     The header must name the D feature columns, then the L label columns
     prefixed with ``label:``. Label cells are parsed strictly as ``0``/``1``.
+    Once the header has passed, the arrays come from the CSV's sidecar when
+    it records the SHA-256 of the CSV's current bytes (`_read_sidecar`);
+    otherwise, for whatever reason, the CSV is parsed, and a bad one raises
+    the same error either way. This never writes a file.
     """
     path = Path(path)
     if not path.exists():
@@ -251,7 +260,9 @@ def load_dataset(path) -> Dataset:
                 )
         label_names = [name[len(LABEL_PREFIX):] for name in header[label_start:]]
         header_lines = reader.line_num
-    parsed = _read_plain(path, header_lines, label_start, n_cols)
+    parsed = _read_sidecar(path, header_lines, label_start, n_cols)
+    if parsed is None:
+        parsed = _read_plain(path, header_lines, label_start, n_cols)
     if parsed is None:
         # not plain, or not valid: read it again cell by cell, which names
         # the first bad row and column
@@ -411,7 +422,8 @@ def save_dataset(ds: Dataset, path) -> None:
     writer's ``\\r\\n``. The rows are cut into one range per process
     (`_row_ranges`): this process writes range 0 straight into the file,
     forked workers write the others into anonymous files made before the
-    fork, and those are appended in order.
+    fork, and those are appended in order. Once the CSV is complete, its
+    sidecar ``<path>.f64`` is written from the arrays (`_write_sidecar`).
     """
     path = Path(path)
     rows = _row_ranges(ds.n_examples, _SAVE_BLOCK_ROWS)
@@ -437,6 +449,96 @@ def save_dataset(ds: Dataset, path) -> None:
             size, copied = os.fstat(sink.fileno()).st_size, 0
             while copied < size:
                 copied += os.sendfile(fh.fileno(), sink.fileno(), copied, size - copied)
+    _write_sidecar(ds, path)
+
+
+# ---------------------------------------------------------------------------
+# sidecar
+#
+# Beside each CSV it writes, `save_dataset` leaves ``<csv>.f64``: the ASCII
+# line ``sha256 <hex digest of the CSV's bytes>\n``, then the n x D features
+# and the n x L labels as little-endian float64 in C order, n from the file
+# size, D and L from the CSV's header. It holds nothing the CSV does not:
+# deleting it only makes the next load parse the CSV.
+# ---------------------------------------------------------------------------
+
+_SIDECAR_SUFFIX = ".f64"
+_SIDECAR_DTYPE = np.dtype("<f8")
+_DIGEST_PREFIX = b"sha256 "
+# the prefix, 64 hex digits and the line end
+_DIGEST_LINE_BYTES = len(_DIGEST_PREFIX) + 2 * hashlib.sha256().digest_size + 1
+
+
+def _sidecar_path(path: Path) -> Path:
+    return path.with_name(path.name + _SIDECAR_SUFFIX)
+
+
+def _digest_line(path: Path, count_ends: bool = False) -> tuple[bytes, int]:
+    """The sidecar's first line for the file at ``path``, ``sha256 <hex
+    digest>\\n``, and, if ``count_ends``, the number of ``\\n`` bytes in
+    the file (else 0), from one streamed pass."""
+    digest, n_ends = hashlib.sha256(), 0
+    chunk = bytearray(_COUNT_CHUNK_BYTES)
+    with open(path, "rb", buffering=0) as fh, memoryview(chunk) as view:
+        while size := fh.readinto(chunk):
+            digest.update(view[:size])
+            if count_ends:
+                n_ends += chunk.count(b"\n", 0, size)
+    return _DIGEST_PREFIX + digest.hexdigest().encode() + b"\n", n_ends
+
+
+def _write_sidecar(ds: Dataset, path: Path) -> None:
+    """Write the sidecar of the complete CSV at ``path`` straight from the
+    arrays of ``ds``, under a temporary name in the same directory that is
+    then renamed into place, so that no reader sees a partial sidecar."""
+    line, _ = _digest_line(path)
+    fd, tmp = tempfile.mkstemp(prefix=path.name + ".", suffix=".tmp", dir=path.parent)
+    try:
+        with open(fd, "wb") as fh:
+            fh.write(line)
+            for arr in (ds.features, ds.labels):
+                fh.write(np.ascontiguousarray(arr, _SIDECAR_DTYPE))
+        os.chmod(tmp, stat.S_IMODE(os.stat(path).st_mode))
+        os.replace(tmp, _sidecar_path(path))
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.unlink(tmp)
+        raise
+
+
+def _read_sidecar(path: Path, header_lines: int, label_start: int, n_cols: int):
+    """``(features, labels)`` read from the sidecar of ``path``, or None.
+
+    The sidecar is used only if its first line records the SHA-256 of the
+    CSV's current bytes and the rest holds exactly ``n_cols`` cells for
+    each of the CSV's n data lines, n >= 1; the digest pass is skipped when
+    the sidecar is missing or its size or first line cannot be right. Any
+    problem with it (missing, unreadable, a directory, short, long, stale)
+    gives None. The cells go into one anonymous ``mmap``, features first,
+    as `_read_plain` lays them out.
+    """
+    try:
+        with open(_sidecar_path(path), "rb", buffering=0) as fh:
+            line = fh.read(_DIGEST_LINE_BYTES)
+            n_bytes = os.fstat(fh.fileno()).st_size - _DIGEST_LINE_BYTES
+            n_rows, rest = divmod(n_bytes, 8 * n_cols)
+            if (rest or n_rows < 1 or len(line) != _DIGEST_LINE_BYTES
+                    or not line.startswith(_DIGEST_PREFIX)
+                    or _digest_line(path, count_ends=True) != (line, header_lines + n_rows)):
+                return None
+            buf = mmap.mmap(-1, n_bytes)
+            with memoryview(buf) as view:
+                done = 0
+                while done < n_bytes and (size := fh.readinto(view[done:])):
+                    done += size
+    except OSError:
+        return None
+    if done != n_bytes:
+        return None
+    features = np.frombuffer(buf, _SIDECAR_DTYPE, n_rows * label_start)
+    labels = np.frombuffer(buf, _SIDECAR_DTYPE, offset=8 * n_rows * label_start)
+    return (features.reshape(n_rows, label_start),
+            labels.reshape(n_rows, n_cols - label_start))
 
 
 # ---------------------------------------------------------------------------

@@ -9,8 +9,9 @@ import pytest
 from scipy.special import expit
 
 import coupled_labels
+from coupled_labels import harness
 from coupled_labels.cli import cli_main
-from coupled_labels.datamodel import Dataset, save_dataset
+from coupled_labels.datamodel import Dataset, load_config, load_dataset, save_dataset, write_json
 from coupled_labels.stratify import load_folds
 from helpers import BAD_SPEC_PATCHES, GOOD_SPEC
 
@@ -363,6 +364,50 @@ class TestAblate:
         assert cli_main(["report", "--run", str(rundir)]) == 0
         out = capsys.readouterr().out
         assert "delta" in out
+
+
+def _log_rows(rundir):
+    return sum(len(log.read_text().splitlines()) - 1
+               for log in rundir.glob("fold*_train_log.csv"))
+
+
+class TestTimings:
+    """`train` and `ablate` write the wall time of their phases and their
+    optimizer steps to `timings.json`; `report.json` and `ablation.json`
+    keep the bytes the library writes without it."""
+
+    SECONDS = {"load_dataset_s", "train_s", "write_run_dir_s"}
+
+    def _timings(self, rundir, steps):
+        timings = json.loads((rundir / "timings.json").read_text())
+        assert set(timings) == self.SECONDS | {"optimizer_steps", "steps_per_s"}
+        assert all(isinstance(timings[k], float) and timings[k] > 0 for k in self.SECONDS)
+        assert timings["optimizer_steps"] == steps > 0
+        assert timings["steps_per_s"] == steps / timings["train_s"]
+
+    def test_train(self, tiny_data, tiny_config, tmp_path):
+        rundir = tmp_path / "run"
+        assert cli_main(["train", "--data", str(tiny_data), "--config", str(tiny_config),
+                         "--out", str(rundir)]) == 0
+        self._timings(rundir, _log_rows(rundir))
+        report = harness.run_experiment(load_dataset(tiny_data), load_config(tiny_config))
+        harness.write_run_report(report, tmp_path / "lib")
+        assert (rundir / "report.json").read_bytes() == (tmp_path / "lib" / "report.json").read_bytes()
+
+    def test_ablate(self, tiny_data, tiny_config, tmp_path):
+        rundir, lib = tmp_path / "ab", tmp_path / "lib"
+        assert cli_main(["ablate", "--data", str(tiny_data), "--config", str(tiny_config),
+                         "--out", str(rundir)]) == 0
+        arms = ("with_refinement", "no_refinement")
+        self._timings(rundir, sum(_log_rows(rundir / arm) for arm in arms))
+        result = harness.run_ablation(load_dataset(tiny_data), load_config(tiny_config))
+        lib.mkdir()
+        write_json(result.comparison(), lib / "ablation.json")
+        for arm, report in zip(arms, (result.refined, result.baseline)):
+            harness.write_run_report(report, lib / arm)
+        for name in ["ablation.json"] + [f"{arm}/report.json" for arm in arms]:
+            assert (rundir / name).read_bytes() == (lib / name).read_bytes(), name
+        assert not (rundir / arms[0] / "timings.json").exists()
 
 
 class TestRunDirectory:

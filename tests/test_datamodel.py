@@ -1,8 +1,11 @@
 import dataclasses
+import hashlib
 import json
 import multiprocessing
 import os
 import threading
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -29,6 +32,13 @@ from helpers import reference_load_dataset, reference_save_dataset, time_limit
 def write(tmp_path, text, name="data.csv"):
     path = tmp_path / name
     path.write_text(text)
+    return path
+
+
+def without_sidecar(path):
+    """``path`` after deleting the sidecar `save_dataset` wrote beside it,
+    so that loading it parses the CSV."""
+    datamodel._sidecar_path(Path(path)).unlink()
     return path
 
 
@@ -108,6 +118,8 @@ class TestLoadDataset:
         # truncating the last example's can be far cheaper on ext4
         path.unlink(missing_ok=True)
         save_dataset(ds, path)
+        via_sidecar = load_outcome(load_dataset, path)
+        assert via_sidecar == load_outcome(load_dataset, without_sidecar(path))
         back = load_dataset(path)
         np.testing.assert_array_equal(back.features, ds.features)
         np.testing.assert_array_equal(back.labels, ds.labels)
@@ -228,11 +240,16 @@ class TestMatchesRowLoopReference:
         reference_save_dataset(ds, ref_path)
         save_dataset(ds, path)
         assert path.read_bytes() == ref_path.read_bytes()
-        assert load_outcome(load_dataset, path) == load_outcome(reference_load_dataset, path)
-        back = load_dataset(path)
-        assert back.features.flags.c_contiguous and back.labels.flags.c_contiguous
-        np.testing.assert_array_equal(back.features.view(np.uint64),
-                                      ds.features.view(np.uint64))
+        expected = load_outcome(reference_load_dataset, path)
+        # through the sidecar, then through the parser
+        for sidecar in (True, False):
+            if not sidecar:
+                without_sidecar(path)
+            assert load_outcome(load_dataset, path) == expected
+            back = load_dataset(path)
+            assert back.features.flags.c_contiguous and back.labels.flags.c_contiguous
+            np.testing.assert_array_equal(back.features.view(np.uint64),
+                                          ds.features.view(np.uint64))
 
     @settings(max_examples=200, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -253,7 +270,9 @@ class TestMatchesRowLoopReference:
         reference_save_dataset(ds, ref_path)
         save_dataset(ds, path)
         assert path.read_bytes() == ref_path.read_bytes()
-        assert load_outcome(load_dataset, path) == load_outcome(reference_load_dataset, path)
+        expected = load_outcome(reference_load_dataset, path)
+        assert load_outcome(load_dataset, path) == expected
+        assert load_outcome(load_dataset, without_sidecar(path)) == expected
         # a bad cell in the last block is named by its row, as by the row loop
         lines = path.read_bytes().split(b"\r\n")
         lines[n - 1] = lines[n - 1][:-1] + b"2"
@@ -313,7 +332,9 @@ class TestRangesAcrossProcesses:
         reference_save_dataset(ds, ref_path)
         save_dataset(ds, path)
         assert path.read_bytes() == ref_path.read_bytes()
-        assert load_outcome(load_dataset, path) == load_outcome(reference_load_dataset, path)
+        expected = load_outcome(reference_load_dataset, path)
+        assert load_outcome(load_dataset, path) == expected
+        assert load_outcome(load_dataset, without_sidecar(path)) == expected
         path.write_bytes(ref_path.read_bytes().replace(b"\r\n", b"\n"))
         assert load_outcome(load_dataset, path) == load_outcome(reference_load_dataset, path)
 
@@ -341,7 +362,7 @@ class TestRangesAcrossProcesses:
         for cpus, n in [(4, 3), (1, 13), (3, 13)]:
             tiny_blocks(cpus)
             save_dataset(scaled_dataset(n), path)
-            load_dataset(path)
+            load_dataset(without_sidecar(path))
         assert forks == [0, 0, 0, 0, 2, 2]
 
     @pytest.mark.parametrize("fail, message", [
@@ -353,6 +374,7 @@ class TestRangesAcrossProcesses:
         tiny_blocks(3)
         path = tmp_path / "d.csv"
         save_dataset(scaled_dataset(13), path)
+        without_sidecar(path)
         parent, read = os.getpid(), datamodel._read_plain_rows
         half = path.stat().st_size // 2   # ranges 1 and 2 start before and after it
 
@@ -370,6 +392,217 @@ class TestRangesAcrossProcesses:
             load_dataset(path)
         assert multiprocessing.active_children() == []
         assert threading.active_count() == threads
+
+
+TINY = 2.2250738585072014e-308   # the smallest normal float64
+HUGE = 1.7976931348623157e308    # the largest float64
+
+
+def special_dataset(n):
+    """n rows of 3 features: first -0.0, a subnormal and -max, then the
+    other signed zeros, subnormals and extremes and signed values of every
+    tenth exponent from -300 to 300."""
+    rng = np.random.default_rng(n)
+    values = [-0.0, 5e-324, -HUGE, 0.0, -5e-324, TINY / 3, -TINY / 7, TINY, HUGE]
+    values += [rng.choice([-1, 1]) * rng.uniform(1, 10) * 10.0 ** e for e in range(-300, 301, 10)]
+    cells = np.resize(np.array(values), 3 * n).reshape(n, 3)
+    return Dataset(features=cells, labels=(rng.random((n, 2)) < 0.5).astype(np.float64),
+                   label_names=["a", "b"])
+
+
+@pytest.fixture
+def parser_calls(monkeypatch):
+    """The list of paths `load_dataset` handed to the CSV parser."""
+    calls, parse = [], datamodel._read_plain
+
+    def counting(path, *args):
+        calls.append(path)
+        return parse(path, *args)
+
+    monkeypatch.setattr(datamodel, "_read_plain", counting)
+    return calls
+
+
+def f64_bytes(arr):
+    return arr.astype("<f8").tobytes()
+
+
+def files_in(directory):
+    return {p.name: p.read_bytes() for p in directory.iterdir() if p.is_file()}
+
+
+def _truncate(sidecar, ds):
+    sidecar.write_bytes(sidecar.read_bytes()[:-1])
+
+
+def _trailing_byte(sidecar, ds):
+    sidecar.write_bytes(sidecar.read_bytes() + b"\0")
+
+
+def _trailing_row(sidecar, ds):
+    sidecar.write_bytes(sidecar.read_bytes() + bytes(8 * (ds.n_features + ds.n_labels)))
+
+
+def _extra_column(sidecar, ds):
+    line = sidecar.read_bytes().split(b"\n")[0] + b"\n"
+    features = np.hstack([ds.features, ds.features[:, :1]])
+    sidecar.write_bytes(line + f64_bytes(features) + f64_bytes(ds.labels))
+
+
+def _garbage_line(sidecar, ds):
+    data = sidecar.read_bytes()
+    sidecar.write_bytes(b"x" * 71 + b"\n" + data[72:])
+
+
+def _other_digest(sidecar, ds):
+    data = sidecar.read_bytes()
+    sidecar.write_bytes(b"sha256 " + b"0" * 64 + b"\n" + data[72:])
+
+
+def _empty(sidecar, ds):
+    sidecar.write_bytes(b"")
+
+
+def _directory(sidecar, ds):
+    sidecar.unlink()
+    sidecar.mkdir()
+
+
+class TestSidecar:
+    """`save_dataset` leaves `<csv>.f64` beside the CSV; `load_dataset`
+    reads the arrays from it while it matches the CSV's bytes, and parses
+    the CSV otherwise, with the same bits and the same errors."""
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    @pytest.mark.parametrize("n", [1, 24])
+    def test_same_bits_as_parser(self, tmp_path, tiny_blocks, parser_calls, cpus, n):
+        tiny_blocks(cpus)
+        ds = special_dataset(n)
+        path = tmp_path / "d.csv"
+        save_dataset(ds, path)
+        via_sidecar = load_outcome(load_dataset, path)
+        assert parser_calls == []
+        assert via_sidecar[2] == ds.features.view(np.uint64).tolist()
+        assert via_sidecar[3] == ds.labels.view(np.uint64).tolist()
+        assert via_sidecar == load_outcome(load_dataset, without_sidecar(path))
+        assert parser_calls == [path]
+        assert via_sidecar == load_outcome(reference_load_dataset, path)
+
+    def test_layout(self, tmp_path):
+        ds = scaled_dataset(7)
+        path = tmp_path / "d.csv"
+        save_dataset(ds, path)
+        data = (tmp_path / "d.csv.f64").read_bytes()
+        line = b"sha256 " + hashlib.sha256(path.read_bytes()).hexdigest().encode() + b"\n"
+        assert data == line + f64_bytes(ds.features) + f64_bytes(ds.labels)
+        assert sorted(files_in(tmp_path)) == ["d.csv", "d.csv.f64"]
+
+    def test_one_byte_edit_falls_back_to_parser(self, tmp_path, parser_calls):
+        ds = scaled_dataset(6)
+        path = tmp_path / "d.csv"
+        save_dataset(ds, path)
+        sidecar = (tmp_path / "d.csv.f64").read_bytes()
+        lines = path.read_bytes().split(b"\r\n")
+        # flip the last label of row 1: the same size, still a valid file
+        lines[2] = lines[2][:-1] + (b"1" if lines[2].endswith(b"0") else b"0")
+        path.write_bytes(b"\r\n".join(lines))
+        outcome = load_outcome(load_dataset, path)
+        assert outcome == load_outcome(reference_load_dataset, path)
+        assert outcome[3] != ds.labels.view(np.uint64).tolist()
+        assert parser_calls == [path]
+        # the last label of row 3: still named by row and column
+        lines[4] = lines[4][:-1] + b"2"
+        path.write_bytes(b"\r\n".join(lines))
+        with pytest.raises(DataFormatError, match=r"row 3, column 'label:b': label value '2'"):
+            load_dataset(path)
+        assert load_outcome(load_dataset, path) == load_outcome(reference_load_dataset, path)
+        assert (tmp_path / "d.csv.f64").read_bytes() == sidecar
+
+    @pytest.mark.parametrize("spoil", [_truncate, _trailing_byte, _trailing_row, _extra_column,
+                                       _garbage_line, _other_digest, _empty, _directory])
+    def test_bad_sidecar_falls_back_to_parser(self, tmp_path, parser_calls, spoil):
+        # 10 rows of 5 cells: a sidecar with an extra column has the size
+        # of 12 rows with 5, so only the CSV's line count rejects it
+        ds = scaled_dataset(10)
+        path = tmp_path / "d.csv"
+        save_dataset(ds, path)
+        spoil(tmp_path / "d.csv.f64", ds)
+        before = files_in(tmp_path)
+        outcome = load_outcome(load_dataset, path)
+        assert outcome == load_outcome(reference_load_dataset, path)
+        assert outcome[2] == ds.features.view(np.uint64).tolist()
+        assert parser_calls == [path]
+        assert files_in(tmp_path) == before
+
+    @pytest.mark.parametrize("body", MALFORMED_BODIES)
+    def test_bad_csv_beside_a_sidecar_keeps_its_error(self, tmp_path, body):
+        # 6 rows of 5 cells in the sidecar pass for 10 rows of the 3 cells
+        # of this header, so the digest decides
+        path = tmp_path / "bad.csv"
+        save_dataset(scaled_dataset(6), path)
+        path.write_bytes(("a,label:x,label:y\n" + body).encode())
+        assert load_outcome(load_dataset, path) == load_outcome(reference_load_dataset, path)
+
+    def test_no_digest_without_a_usable_sidecar(self, tmp_path, monkeypatch):
+        digests, digest = [], datamodel._digest_line
+        monkeypatch.setattr(datamodel, "_digest_line",
+                            lambda path, **kw: digests.append(path) or digest(path, **kw))
+        path = tmp_path / "d.csv"
+        save_dataset(scaled_dataset(6), path)
+        digests.clear()
+        load_dataset(path)
+        assert digests == [path]
+        _garbage_line(tmp_path / "d.csv.f64", None)
+        load_dataset(path)
+        assert digests == [path]
+        load_dataset(without_sidecar(path))
+        assert digests == [path]
+
+    def test_load_creates_no_file(self, tmp_path):
+        path = tmp_path / "d.csv"
+        save_dataset(scaled_dataset(6), path)
+        for change in (None, _other_digest, _empty):
+            if change is not None:
+                change(tmp_path / "d.csv.f64", None)
+            before = files_in(tmp_path)
+            load_dataset(path)
+            assert files_in(tmp_path) == before
+        before = files_in(without_sidecar(path).parent)
+        load_dataset(path)
+        assert files_in(tmp_path) == before
+
+    def test_no_temporary_file_left(self, tmp_path, monkeypatch):
+        path = tmp_path / "d.csv"
+        save_dataset(scaled_dataset(6), path)
+        save_dataset(scaled_dataset(7), path)
+        assert sorted(files_in(tmp_path)) == ["d.csv", "d.csv.f64"]
+        assert load_outcome(load_dataset, path)[2] == scaled_dataset(7).features.view(
+            np.uint64).tolist()
+
+        def failing(src, dst):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(datamodel.os, "replace", failing)
+        with pytest.raises(OSError, match="disk full"):
+            save_dataset(scaled_dataset(8), path)
+        assert sorted(files_in(tmp_path)) == ["d.csv", "d.csv.f64"]
+        # the sidecar left behind is the last save's, and no longer matches
+        assert load_outcome(load_dataset, path) == load_outcome(reference_load_dataset, path)
+
+    def test_save_makes_no_copy_of_the_arrays(self, tmp_path):
+        # the benchmark's 60k x (20 + 14) shape: a (n, D + L) copy is 16.3 MB
+        rng = np.random.default_rng(0)
+        ds = Dataset(features=rng.normal(size=(60_000, 20)),
+                     labels=(rng.random((60_000, 14)) < 0.2).astype(np.float64),
+                     label_names=[f"l{i}" for i in range(14)])
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            save_dataset(ds, tmp_path / "d.csv")
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert peak < (ds.features.nbytes + ds.labels.nbytes) / 4
 
 
 class TestJsonFiles:

@@ -97,13 +97,16 @@ def _new_run_dir(path) -> Path:
     return outdir
 
 
-def _write_timings(outdir: Path, seconds: dict[str, float], reports) -> None:
-    """`timings.json` of a run directory: the wall `seconds` of its stage's
-    phases, and the optimizer steps of every fold model with their rate
-    over `train_s`. It changes from run to run, so it stays out of
+def _write_timings(outdir: Path, marks: tuple[float, ...], reports) -> None:
+    """`timings.json` of a run directory from the clock `marks` taken before
+    and after the dataset load, before and after training, and after the
+    run directory is written; plus the optimizer steps of every fold model
+    and their rate. It changes from run to run, so it stays out of
     `report.json` and `ablation.json`."""
+    t0, t1, t2, t3, t4 = marks
     steps = sum(len(fr.train_log) for report in reports for fr in report.fold_results)
-    write_json({**seconds, "optimizer_steps": steps, "steps_per_s": steps / seconds["train_s"]},
+    write_json({"load_dataset_s": t1 - t0, "train_s": t3 - t2, "write_run_dir_s": t4 - t3,
+                "optimizer_steps": steps, "steps_per_s": steps / (t3 - t2)},
                outdir / "timings.json")
 
 
@@ -119,8 +122,7 @@ def _cmd_train(args) -> int:
     record = report.to_json_dict()
     harness.write_run_report(report, outdir, record)
     t4 = time.perf_counter()
-    _write_timings(outdir, {"load_dataset_s": t1 - t0, "train_s": t3 - t2,
-                            "write_run_dir_s": t4 - t3}, [report])
+    _write_timings(outdir, (t0, t1, t2, t3, t4), [report])
     print(f"run written to {args.out}")
     _print_auc_table(record)
     return 0
@@ -140,8 +142,7 @@ def _cmd_ablate(args) -> int:
     comparison = result.comparison()
     write_json(comparison, outdir / "ablation.json")
     t4 = time.perf_counter()
-    _write_timings(outdir, {"load_dataset_s": t1 - t0, "train_s": t3 - t2,
-                            "write_run_dir_s": t4 - t3}, [result.refined, result.baseline])
+    _write_timings(outdir, (t0, t1, t2, t3, t4), [result.refined, result.baseline])
     print(f"ablation written to {outdir}")
     _print_ablation(comparison)
     sign = comparison["coupling_sign_summary"]

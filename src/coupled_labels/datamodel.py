@@ -7,18 +7,18 @@ whose names carry a ``label:`` prefix. Label cells are strict ``0``/``1``.
 Beside a CSV it writes, `save_dataset` keeps a binary copy of the arrays
 (the sidecar, ``<csv>.f64``) that `load_dataset` reads instead of parsing
 the CSV for as long as the CSV keeps the bytes it was written with. No
-other module knows the sidecar exists.
+other module knows the sidecar exists. Any other CSV is parsed by one
+``csv`` row loop, which names the row and column of the first bad cell.
+Both files are written under a temporary name and renamed into place.
 """
 
 from __future__ import annotations
 
-import bisect
 import contextlib
 import csv
 import dataclasses
 import functools
 import hashlib
-import io
 import itertools
 import json
 import mmap
@@ -131,7 +131,7 @@ class Dataset:
 # ---------------------------------------------------------------------------
 # forked workers
 #
-# The CSV reader and writer and the training engine split their work across
+# The CSV writer and the training engine split their work across
 # processes forked from this one, which share its arrays copy-on-write and
 # answer through pipes read by the main thread.
 # ---------------------------------------------------------------------------
@@ -227,8 +227,9 @@ def load_dataset(path) -> Dataset:
     prefixed with ``label:``. Label cells are parsed strictly as ``0``/``1``.
     Once the header has passed, the arrays come from the CSV's sidecar when
     it records the SHA-256 of the CSV's current bytes (`_read_sidecar`);
-    otherwise, for whatever reason, the CSV is parsed, and a bad one raises
-    the same error either way. This never writes a file.
+    otherwise, for whatever reason, the CSV is parsed row by row
+    (`_read_csv_rows`), and a bad one raises the same error either way.
+    This never writes a file.
     """
     path = Path(path)
     if not path.exists():
@@ -259,154 +260,58 @@ def load_dataset(path) -> Dataset:
                     f"{path}: feature column {header[idx]!r} appears after label columns"
                 )
         label_names = [name[len(LABEL_PREFIX):] for name in header[label_start:]]
-        header_lines = reader.line_num
-    parsed = _read_sidecar(path, header_lines, label_start, n_cols)
-    if parsed is None:
-        parsed = _read_plain(path, header_lines, label_start, n_cols)
-    if parsed is None:
-        # not plain, or not valid: read it again cell by cell, which names
-        # the first bad row and column
-        with open(path, newline="", errors="surrogateescape") as fh:
-            reader = csv.reader(fh)
-            next(reader)
+        parsed = _read_sidecar(path, reader.line_num, label_start, n_cols)
+        if parsed is None:
             parsed = _read_csv_rows(reader, path, header, label_start)
     features, labels = parsed
     return Dataset(features=features, labels=labels, label_names=label_names)
 
 
-def _read_csv_rows(reader, path: Path, header: list[str], label_start: int):
-    """Parse the data rows one by one, raising on the first bad cell."""
-    n_cols = len(header)
-    feats: list[list[float]] = []
-    labs: list[list[float]] = []
-    for row_idx, row in enumerate(reader):
-        if len(row) != n_cols:
-            raise DataFormatError(
-                f"{path}: row {row_idx} has {len(row)} columns, expected {n_cols}"
-            )
-        try:
-            feats.append([float(cell) for cell in row[:label_start]])
-        except ValueError as exc:
-            raise DataFormatError(f"{path}: row {row_idx}: bad feature value ({exc})") from None
-        lab_row = []
-        for col_off, cell in enumerate(row[label_start:]):
-            if cell == "0":
-                lab_row.append(0.0)
-            elif cell == "1":
-                lab_row.append(1.0)
-            else:
-                raise DataFormatError(
-                    f"{path}: row {row_idx}, column {header[label_start + col_off]!r}: "
-                    f"label value {cell!r} is not 0 or 1"
-                )
-        labs.append(lab_row)
-    if not feats:
-        raise DataFormatError(f"{path}: no data rows")
-    return np.array(feats, dtype=np.float64), np.array(labs, dtype=np.float64)
-
-
-# Bytes read per step of the line count.
-_COUNT_CHUNK_BYTES = 1 << 20
-# Lines parsed per np.loadtxt call: bounds the text held in memory whatever N is.
+# Rows parsed into Python lists before they become float64 blocks: bounds
+# the Python objects held whatever N is.
 _LOAD_BLOCK_ROWS = 2048
-# Every character a plain block may hold: decimal float syntax, commas and
-# line ends.
-_PLAIN_BYTES = b"0123456789.,+-eE\r\n"
+# The only spellings of a label cell.
+_LABEL_VALUES = {"0": 0.0, "1": 1.0}
 
 
-def _read_plain(path: Path, header_lines: int, label_start: int, n_cols: int):
-    """Parse the data lines of ``path`` in C, if every one is plain
-    (`_read_plain_rows`), and return ``(features, labels)``; else None.
-
-    One pass counts the line ends and cuts the lines into one range per
-    process (`_row_ranges`). Each range is parsed by its own process into
-    shared buffers made before the fork. A data line here ends at ``\\n``,
-    as a text line does wherever no ``\\r`` stands alone; a header holding
-    one goes to the row loop, and a data line holding one is not plain.
-    """
-    chunk_offsets, ends_before = [], []
-    n_ends, offset, last = 0, 0, b""
-    with open(path, "rb", buffering=0) as fh:
-        while chunk := fh.read(_COUNT_CHUNK_BYTES):
-            chunk_offsets.append(offset)
-            ends_before.append(n_ends)
-            n_ends += chunk.count(b"\n")
-            offset += len(chunk)
-            last = chunk[-1:]
-
-        def line_start(line: int) -> int:
-            """Byte offset just after line end number `line` (from 1)."""
-            at = bisect.bisect_left(ends_before, line) - 1
-            chunk = os.pread(fh.fileno(), _COUNT_CHUNK_BYTES, chunk_offsets[at])
-            ends = np.flatnonzero(np.frombuffer(chunk, np.uint8) == ord("\n"))
-            return chunk_offsets[at] + int(ends[line - ends_before[at] - 1]) + 1
-
-        n_rows = n_ends - header_lines + (last != b"\n")
-        if n_rows < 1:
-            return None
-        rows = _row_ranges(n_rows, _LOAD_BLOCK_ROWS)
-        offsets = [line_start(header_lines + r) for r in rows[:-1]]
-        head = os.pread(fh.fileno(), offsets[0], 0)
-    if head.count(b"\r") != head.count(b"\r\n"):
-        return None
-    buf = mmap.mmap(-1, 8 * n_rows * n_cols)
-    features = np.frombuffer(buf, np.float64, n_rows * label_start).reshape(n_rows, label_start)
-    labels = np.frombuffer(buf, np.float64, offset=8 * n_rows * label_start).reshape(
-        n_rows, n_cols - label_start)
-
-    def parse(w: int) -> bool:
-        lo, hi = rows[w], rows[w + 1]
-        return _read_plain_rows(path, offsets[w], features[lo:hi], labels[lo:hi])
-
-    return (features, labels) if all(split_work(parse, len(offsets))) else None
-
-
-def _read_plain_rows(path: Path, start: int, features, labels) -> bool:
-    """Parse one line per row of ``features``/``labels`` from byte ``start``
-    of ``path`` in C, block by block, into those arrays; return whether
-    every line was plain.
-
-    A line is plain when it holds only ``_PLAIN_BYTES``, with ``\\r`` only
-    in a final ``\\r\\n``, has as many cells as the two arrays have
-    columns, at least one of them a feature, and spells every label cell as
-    a bare ``0`` or ``1``. For such lines ``np.loadtxt`` splits cells
-    exactly as ``csv`` does and parses each feature cell with the same
-    correctly rounded ``PyOS_string_to_double`` as ``float``, so the result
-    is bit-identical to ``_read_csv_rows``.
-    """
-    n_rows, label_start = features.shape
-    n_labels = labels.shape[1]
-    offsets = np.arange(2 * n_labels, 0, -1)
-    with open(path, "rb") as fh:
-        fh.seek(start)
-        for lo in range(0, n_rows, _LOAD_BLOCK_ROWS):
-            lines = list(itertools.islice(fh, min(_LOAD_BLOCK_ROWS, n_rows - lo)))
-            raw = b"".join(lines)
-            if raw.translate(None, _PLAIN_BYTES):
-                return False
-            lengths = np.array([len(line) for line in lines])
-            content = np.array([len(line.rstrip(b"\r\n")) for line in lines])
-            if content.min() <= 2 * n_labels:
-                return False  # blank, or too short for a feature and the labels
-            if raw.count(b"\r") != np.count_nonzero(lengths - content == 2):
-                return False  # a \r that is not part of a final \r\n
-            # the last 2L characters of each line must read ",d,d,...,d", d in {0, 1}
-            tails = np.frombuffer(raw, dtype=np.uint8)[
-                (np.cumsum(lengths) - lengths + content)[:, None] - offsets]
-            digits = tails[:, 1::2]
-            if not ((tails[:, 0::2] == ord(",")).all()
-                    and ((digits == ord("0")) | (digits == ord("1"))).all()):
-                return False
+def _read_csv_rows(reader, path: Path, header: list[str], label_start: int):
+    """Parse the data rows one by one, raising on the first bad cell, and
+    return ``(features, labels)``. Each block of `_LOAD_BLOCK_ROWS` parsed
+    rows becomes float64 arrays at once, and the blocks are joined at the
+    end, the feature blocks freed before the labels are joined."""
+    n_cols = len(header)
+    rows = enumerate(reader)
+    feat_blocks, lab_blocks = [], []
+    while True:
+        feats: list[list[float]] = []
+        labs: list[list[float]] = []
+        for row_idx, row in itertools.islice(rows, _LOAD_BLOCK_ROWS):
+            if len(row) != n_cols:
+                raise DataFormatError(
+                    f"{path}: row {row_idx} has {len(row)} columns, expected {n_cols}"
+                )
             try:
-                values = np.loadtxt(io.BytesIO(raw), delimiter=",", comments=None,
-                                    ndmin=2, encoding="ascii")
-            except ValueError:
-                return False
-            if values.shape != (len(lines), label_start + n_labels):
-                return False
-            features[lo:lo + len(lines)] = values[:, :label_start]
-            labels[lo:lo + len(lines)] = values[:, label_start:]
-    return True
+                feats.append(list(map(float, row[:label_start])))
+            except ValueError as exc:
+                raise DataFormatError(
+                    f"{path}: row {row_idx}: bad feature value ({exc})") from None
+            try:
+                labs.append([_LABEL_VALUES[cell] for cell in row[label_start:]])
+            except KeyError as exc:
+                cell = exc.args[0]
+                raise DataFormatError(
+                    f"{path}: row {row_idx}, column {header[row.index(cell, label_start)]!r}: "
+                    f"label value {cell!r} is not 0 or 1"
+                ) from None
+        if not feats:
+            break
+        feat_blocks.append(np.array(feats, dtype=np.float64))
+        lab_blocks.append(np.array(labs, dtype=np.float64))
+    if not feat_blocks:
+        raise DataFormatError(f"{path}: no data rows")
+    features = np.concatenate(feat_blocks)
+    del feat_blocks
+    return features, np.concatenate(lab_blocks)
 
 
 # Rows formatted per write: bounds the text held in memory whatever N is.
@@ -420,14 +325,17 @@ def save_dataset(ds: Dataset, path) -> None:
     ``[repr(x) for x in features] + [str(int(y)) for y in labels]``: no such
     cell needs quoting, so each row is its cells joined by commas plus the
     writer's ``\\r\\n``. The rows are cut into one range per process
-    (`_row_ranges`): this process writes range 0 straight into the file,
-    forked workers write the others into anonymous files made before the
-    fork, and those are appended in order. Once the CSV is complete, its
-    sidecar ``<path>.f64`` is written from the arrays (`_write_sidecar`).
+    (`_row_ranges`): this process writes range 0 into the new file, forked
+    workers write the others into anonymous files made before the fork, and
+    those are appended in order. The new file takes the place of ``path``
+    only once it is complete (`_replacing`), so a save that fails leaves
+    ``path`` as it was. Then its sidecar ``<path>.f64`` is written from the
+    arrays (`_write_sidecar`).
     """
     path = Path(path)
     rows = _row_ranges(ds.n_examples, _SAVE_BLOCK_ROWS)
-    with open(path, "w", newline="") as fh, contextlib.ExitStack() as stack:
+    with (_replacing(path, _new_file_bits(path), "w", newline="") as fh,
+          contextlib.ExitStack() as stack):
         header = [f"f{i}" for i in range(ds.n_features)]
         header += [LABEL_PREFIX + name for name in ds.label_names]
         csv.writer(fh).writerow(header)
@@ -452,6 +360,37 @@ def save_dataset(ds: Dataset, path) -> None:
     _write_sidecar(ds, path)
 
 
+def _new_file_bits(path: Path) -> int:
+    """The permission bits ``open(path, "w")`` would leave ``path`` with:
+    its own if it exists, else 0o666 less the umask. The umask can only be
+    read by setting it, so it is set back at once."""
+    try:
+        return stat.S_IMODE(os.stat(path).st_mode)
+    except FileNotFoundError:
+        umask = os.umask(0o022)
+        os.umask(umask)
+        return 0o666 & ~umask
+
+
+@contextlib.contextmanager
+def _replacing(path: Path, bits: int, mode: str, **open_args):
+    """Yield a file opened with ``mode`` under a temporary name in the
+    directory of ``path``. Once the block has written it, it gets the
+    permission ``bits`` and is renamed to ``path``, so that no reader sees
+    a partial file; if anything fails, it is unlinked and ``path`` is left
+    as it was."""
+    fd, tmp = tempfile.mkstemp(prefix=path.name + ".", suffix=".tmp", dir=path.parent)
+    try:
+        with open(fd, mode, **open_args) as fh:
+            yield fh
+        os.chmod(tmp, bits)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.unlink(tmp)
+        raise
+
+
 # ---------------------------------------------------------------------------
 # sidecar
 #
@@ -467,6 +406,8 @@ _SIDECAR_DTYPE = np.dtype("<f8")
 _DIGEST_PREFIX = b"sha256 "
 # the prefix, 64 hex digits and the line end
 _DIGEST_LINE_BYTES = len(_DIGEST_PREFIX) + 2 * hashlib.sha256().digest_size + 1
+# Bytes read per step of the digest pass.
+_COUNT_CHUNK_BYTES = 1 << 20
 
 
 def _sidecar_path(path: Path) -> Path:
@@ -489,21 +430,12 @@ def _digest_line(path: Path, count_ends: bool = False) -> tuple[bytes, int]:
 
 def _write_sidecar(ds: Dataset, path: Path) -> None:
     """Write the sidecar of the complete CSV at ``path`` straight from the
-    arrays of ``ds``, under a temporary name in the same directory that is
-    then renamed into place, so that no reader sees a partial sidecar."""
+    arrays of ``ds``, with the CSV's permission bits (`_replacing`)."""
     line, _ = _digest_line(path)
-    fd, tmp = tempfile.mkstemp(prefix=path.name + ".", suffix=".tmp", dir=path.parent)
-    try:
-        with open(fd, "wb") as fh:
-            fh.write(line)
-            for arr in (ds.features, ds.labels):
-                fh.write(np.ascontiguousarray(arr, _SIDECAR_DTYPE))
-        os.chmod(tmp, stat.S_IMODE(os.stat(path).st_mode))
-        os.replace(tmp, _sidecar_path(path))
-    except BaseException:
-        with contextlib.suppress(OSError):
-            os.unlink(tmp)
-        raise
+    with _replacing(_sidecar_path(path), stat.S_IMODE(os.stat(path).st_mode), "wb") as fh:
+        fh.write(line)
+        for arr in (ds.features, ds.labels):
+            fh.write(np.ascontiguousarray(arr, _SIDECAR_DTYPE))
 
 
 def _read_sidecar(path: Path, header_lines: int, label_start: int, n_cols: int):
@@ -514,8 +446,7 @@ def _read_sidecar(path: Path, header_lines: int, label_start: int, n_cols: int):
     each of the CSV's n data lines, n >= 1; the digest pass is skipped when
     the sidecar is missing or its size or first line cannot be right. Any
     problem with it (missing, unreadable, a directory, short, long, stale)
-    gives None. The cells go into one anonymous ``mmap``, features first,
-    as `_read_plain` lays them out.
+    gives None. The cells go into one anonymous ``mmap``, features first.
     """
     try:
         with open(_sidecar_path(path), "rb", buffering=0) as fh:

@@ -70,8 +70,9 @@ def asl_loss(logits, targets, gamma_pos: float = 0.0, gamma_neg: float = 4.0,
     """Asymmetric loss, mean-reduced over N*L entries, with exact gradient."""
     if not 0.0 <= clip < 1.0:
         raise LossInputError(f"clip must lie in [0, 1), got {clip}")
-    if gamma_pos < 0 or gamma_neg < 0:
-        raise LossInputError("focusing exponents must be >= 0")
+    if not (0.0 <= gamma_pos < np.inf and 0.0 <= gamma_neg < np.inf):
+        raise LossInputError(f"focusing exponents must be finite and >= 0, got "
+                             f"gamma_pos={gamma_pos}, gamma_neg={gamma_neg}")
     z, y = _check_pair(logits, targets)
 
     with np.errstate(over="ignore", invalid="ignore"):
@@ -121,7 +122,7 @@ def weighted_bce_loss(logits, targets, pos_weight) -> LossOutput:
     w = np.asarray(pos_weight, dtype=np.float64)
     if w.shape not in ((z.shape[-1],), z.shape[:-2] + (z.shape[-1],)):
         raise LossInputError(f"pos_weight must have shape ({z.shape[-1]},), got {w.shape}")
-    if (w < 1.0).any() or (w > 10.0).any():
+    if not ((w >= 1.0) & (w <= 10.0)).all():
         raise LossInputError("pos_weight entries must lie in [1, 10]")
     w = w[..., None, :]
 

@@ -263,7 +263,7 @@ def probability_histograms(probs, bins: int = 20) -> np.ndarray:
 
     Bins are half-open [lo, hi) with the last bin right-closed, i.e. the bin
     index is min(floor(p * bins), bins - 1); p = 0.5 with two bins lands in
-    the upper bin.
+    the upper bin. A value outside [0, 1], NaN included, raises.
     """
     if bins < 1:
         raise MetricError(f"bins must be >= 1, got {bins}")
@@ -273,9 +273,13 @@ def probability_histograms(probs, bins: int = 20) -> np.ndarray:
     n, L = p.shape
     counts = np.zeros(L * bins, dtype=np.intp)
     for rows in _blocks(n, L):
-        idx = np.minimum((p[rows] * bins).astype(np.int64), bins - 1)
-        # label l counts into bins l*bins .. l*bins + bins - 1; a negative
-        # index (p < 0 or NaN) stays negative so bincount rejects it
-        flat = np.where(idx >= 0, idx + np.arange(L) * bins, -1)
-        counts += np.bincount(flat.ravel(), minlength=L * bins)
+        block = p[rows]
+        outside = ~((block >= 0.0) & (block <= 1.0))
+        if outside.any():
+            row, col = np.argwhere(outside)[0]
+            raise MetricError(f"label column {col}: probability {float(block[row, col])!r} "
+                              "is outside [0, 1]")
+        # label l counts into bins l*bins .. l*bins + bins - 1
+        idx = np.minimum((block * bins).astype(np.int64), bins - 1)
+        counts += np.bincount((idx + np.arange(L) * bins).ravel(), minlength=L * bins)
     return counts.reshape(L, bins)

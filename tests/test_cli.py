@@ -476,7 +476,7 @@ class TestImportWeight:
         # multiprocessing.Pool and the concurrent.futures executors unpickle
         # results on helper threads, into a second malloc arena (+2.9 MiB
         # peak RSS on the default workload); the training engine's and the
-        # CSV path's forked workers answer through plain pipes read by the
+        # CSV writer's forked workers answer through plain pipes read by the
         # main thread. numpy.testing imports concurrent.futures, and nothing
         # on the CLI's import path imports numpy.testing.
         code = f"""

@@ -191,8 +191,8 @@ def near_plain_csv(draw):
     return text
 
 
-# Odd data rows under the header 'a,label:x,label:y', most of them not plain:
-# the loader must treat each as the row loop does.
+# Odd data rows under the header 'a,label:x,label:y', most of them not what
+# `save_dataset` writes: the loader must treat each as the row loop does.
 MALFORMED_BODIES = [
     pytest.param("1.5,0,1\n2,1\n", id="ragged-row"),
     pytest.param("1.5,0,1\n2,1,0,1\n", id="extra-cell"),
@@ -287,6 +287,26 @@ class TestMatchesRowLoopReference:
         path.write_bytes(("a,label:x,label:y\n" + body).encode())
         assert load_outcome(load_dataset, path) == load_outcome(reference_load_dataset, path)
 
+    def test_parse_peak_below_three_times_the_arrays(self, tmp_path):
+        # the benchmark's 20 x 14 columns; Python lists of every row peak
+        # at about 4.5 times the arrays' bytes
+        rng = np.random.default_rng(0)
+        ds = Dataset(features=rng.normal(size=(20_000, 20)),
+                     labels=(rng.random((20_000, 14)) < 0.2).astype(np.float64),
+                     label_names=[f"l{i}" for i in range(14)])
+        path = tmp_path / "d.csv"
+        save_dataset(ds, path)
+        without_sidecar(path)
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            back = load_dataset(path)
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        np.testing.assert_array_equal(back.features, ds.features)
+        assert peak < 3 * (ds.features.nbytes + ds.labels.nbytes)
+
     @pytest.mark.parametrize("header,body", [
         pytest.param("label:x,label:y", "0,1\n", id="no-feature-columns"),
         pytest.param("a,label:x", "1.5,0\n", id="single-label"),
@@ -308,9 +328,9 @@ def scaled_dataset(n, seed=0):
 
 @pytest.fixture
 def tiny_blocks(monkeypatch):
-    """Blocks of 2 rows and line counts 7 bytes at a time, so that tiny
-    files cross range, block and chunk bounds; returns a setter for the
-    usable CPUs."""
+    """Blocks of 2 rows and digest reads of 7 bytes, so that tiny files
+    cross range, block and chunk bounds; returns a setter for the usable
+    CPUs."""
     monkeypatch.setattr(datamodel, "_SAVE_BLOCK_ROWS", 2)
     monkeypatch.setattr(datamodel, "_LOAD_BLOCK_ROWS", 2)
     monkeypatch.setattr(datamodel, "_COUNT_CHUNK_BYTES", 7)
@@ -318,10 +338,11 @@ def tiny_blocks(monkeypatch):
 
 
 @pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
-                    reason="the CSV path splits across processes only where it can fork")
+                    reason="the CSV writer splits across processes only where it can fork")
 class TestRangesAcrossProcesses:
-    """save_dataset/load_dataset with the rows cut into one range per
-    process: the same bytes, bits and errors as the row loops for W = 1, 2, 3."""
+    """save_dataset with the rows cut into one range per process: the same
+    bytes as the row-loop writer for W = 1, 2, 3, and the same bits and
+    errors when loaded."""
 
     @pytest.mark.parametrize("cpus", [1, 2, 3])
     @pytest.mark.parametrize("n", [5, 6, 13])
@@ -340,8 +361,8 @@ class TestRangesAcrossProcesses:
 
     @pytest.mark.parametrize("body", MALFORMED_BODIES)
     def test_malformed_last_range_named_as_in_one_process(self, tmp_path, tiny_blocks, body):
-        # 12 plain rows, then the odd ones: with 2 ranges of at most 15
-        # rows, the last range starts by row 7
+        # 12 plain rows make six full blocks of the row loop before the odd
+        # ones; a load parses in this process whatever the usable CPUs
         path = tmp_path / "bad.csv"
         path.write_bytes(("a,label:x,label:y\n" + "0.5,1,0\n" * 12 + body).encode())
         outcomes = []
@@ -363,7 +384,8 @@ class TestRangesAcrossProcesses:
             tiny_blocks(cpus)
             save_dataset(scaled_dataset(n), path)
             load_dataset(without_sidecar(path))
-        assert forks == [0, 0, 0, 0, 2, 2]
+        # only the saves fork: a load parses in this process
+        assert forks == [0, 0, 2]
 
     @pytest.mark.parametrize("fail, message", [
         ("raise", "worker for part 2 failed: OSError: disk gone"),
@@ -373,25 +395,36 @@ class TestRangesAcrossProcesses:
                                                        fail, message):
         tiny_blocks(3)
         path = tmp_path / "d.csv"
-        save_dataset(scaled_dataset(13), path)
-        without_sidecar(path)
-        parent, read = os.getpid(), datamodel._read_plain_rows
-        half = path.stat().st_size // 2   # ranges 1 and 2 start before and after it
+        parent, split_work = os.getpid(), datamodel.split_work
 
-        def failing(path, start, features, labels):
-            if os.getpid() != parent:
-                if fail == "exit":
-                    os._exit(3)
-                if start > half:
-                    raise OSError("disk gone")
-            return read(path, start, features, labels)
+        def failing_split(work, n_parts):
+            def failing(part):
+                if os.getpid() != parent:
+                    if fail == "exit":
+                        os._exit(3)
+                    if part == 2:
+                        raise OSError("disk gone")
+                return work(part)
+            return split_work(failing, n_parts)
 
-        monkeypatch.setattr(datamodel, "_read_plain_rows", failing)
         threads = threading.active_count()
-        with time_limit(60), pytest.raises(CoupledLabelsError, match=message):
-            load_dataset(path)
-        assert multiprocessing.active_children() == []
-        assert threading.active_count() == threads
+
+        def save_failing():
+            with monkeypatch.context() as patch:
+                patch.setattr(datamodel, "split_work", failing_split)
+                with time_limit(60), pytest.raises(CoupledLabelsError, match=message):
+                    save_dataset(scaled_dataset(13), path)
+            assert multiprocessing.active_children() == []
+            assert threading.active_count() == threads
+
+        save_failing()
+        assert files_in(tmp_path) == {}
+        save_dataset(scaled_dataset(12), path)
+        before = files_in(tmp_path)
+        save_failing()
+        assert files_in(tmp_path) == before
+        assert load_outcome(load_dataset, path)[2] == scaled_dataset(12).features.view(
+            np.uint64).tolist()
 
 
 TINY = 2.2250738585072014e-308   # the smallest normal float64
@@ -413,13 +446,13 @@ def special_dataset(n):
 @pytest.fixture
 def parser_calls(monkeypatch):
     """The list of paths `load_dataset` handed to the CSV parser."""
-    calls, parse = [], datamodel._read_plain
+    calls, parse = [], datamodel._read_csv_rows
 
-    def counting(path, *args):
+    def counting(reader, path, *args):
         calls.append(path)
-        return parse(path, *args)
+        return parse(reader, path, *args)
 
-    monkeypatch.setattr(datamodel, "_read_plain", counting)
+    monkeypatch.setattr(datamodel, "_read_csv_rows", counting)
     return calls
 
 
@@ -579,8 +612,12 @@ class TestSidecar:
         assert load_outcome(load_dataset, path)[2] == scaled_dataset(7).features.view(
             np.uint64).tolist()
 
+        replace = os.replace
+
         def failing(src, dst):
-            raise OSError("disk full")
+            if str(dst).endswith(".f64"):
+                raise OSError("disk full")
+            replace(src, dst)
 
         monkeypatch.setattr(datamodel.os, "replace", failing)
         with pytest.raises(OSError, match="disk full"):
@@ -588,6 +625,22 @@ class TestSidecar:
         assert sorted(files_in(tmp_path)) == ["d.csv", "d.csv.f64"]
         # the sidecar left behind is the last save's, and no longer matches
         assert load_outcome(load_dataset, path) == load_outcome(reference_load_dataset, path)
+
+    def test_save_keeps_the_permission_bits_of_open(self, tmp_path):
+        # a new CSV gets 0o666 less the umask, a saved-over one keeps its
+        # own bits, and the sidecar takes the CSV's
+        path = tmp_path / "d.csv"
+        umask = os.umask(0o027)
+        try:
+            save_dataset(scaled_dataset(6), path)
+        finally:
+            os.umask(umask)
+        modes = [p.stat().st_mode & 0o777 for p in (path, tmp_path / "d.csv.f64")]
+        assert modes == [0o640, 0o640]
+        path.chmod(0o604)
+        save_dataset(scaled_dataset(7), path)
+        modes = [p.stat().st_mode & 0o777 for p in (path, tmp_path / "d.csv.f64")]
+        assert modes == [0o604, 0o604]
 
     def test_save_makes_no_copy_of_the_arrays(self, tmp_path):
         # the benchmark's 60k x (20 + 14) shape: a (n, D + L) copy is 16.3 MB

@@ -102,6 +102,14 @@ class TestAslLoss:
         with pytest.raises(LossInputError):
             asl_loss(np.zeros((1, 2)), np.zeros((1, 2)), clip=1.0)
 
+    @pytest.mark.parametrize("gamma", [
+        {"gamma_neg": math.nan}, {"gamma_pos": math.nan},
+        {"gamma_neg": math.inf}, {"gamma_pos": math.inf}, {"gamma_neg": -1.0}])
+    def test_non_finite_or_negative_gamma_rejected(self, gamma):
+        # gamma < 0 is false for NaN, which then gave a NaN loss
+        with pytest.raises(LossInputError, match="focusing exponents must be finite and >= 0"):
+            asl_loss(np.zeros((1, 2)), np.zeros((1, 2)), **gamma)
+
 
 class TestWeightedBce:
     def test_unit_weights_equal_bce(self):
@@ -127,6 +135,14 @@ class TestWeightedBce:
             weighted_bce_loss(np.zeros((1, 2)), np.zeros((1, 2)), np.array([0.5, 1.0]))
         with pytest.raises(LossInputError):
             weighted_bce_loss(np.zeros((1, 2)), np.zeros((1, 2)), np.array([1.0, 11.0]))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_weight_rejected(self, bad):
+        # (w < 1) and (w > 10) are both false for NaN, which then gave a
+        # NaN loss and a silently skipped step
+        with pytest.raises(LossInputError, match=r"pos_weight entries must lie in \[1, 10\]"):
+            weighted_bce_loss(np.zeros((3, 1, 2)), np.zeros((3, 1, 2)),
+                              np.array([[1.0, 2.0], [1.0, bad], [3.0, 1.0]]))
 
     def test_nonfinite_flagged(self):
         z = np.array([[np.inf, 0.0]])

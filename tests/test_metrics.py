@@ -367,13 +367,20 @@ class TestHistograms:
                                           reference_probability_histograms(probs, bins=bins))
         np.testing.assert_array_equal(probability_histograms(probs, bins=2), [[1, 2], [0, 3]])
 
-    @pytest.mark.parametrize("bad", [-0.5, np.nan])
-    def test_out_of_range_probability_rejected_as_by_the_loop(self, bad):
+    # the loop's bincount rejects an index below 0, but counts -0.01 in
+    # bin 0 and 1.7 in the last bin
+    @pytest.mark.parametrize("bad,loop_rejects", [
+        pytest.param(bad, rejects, id=repr(bad)) for bad, rejects in [
+            (-0.5, True), (np.nan, True), (-0.01, False), (1.7, False),
+            (np.inf, True), (-np.inf, True)]])
+    def test_out_of_range_probability_rejected_as_by_the_loop(self, bad, loop_rejects):
         probs = np.array([[0.2, 0.7], [0.1, bad]])  # not in label 0's bins
         with np.errstate(invalid="ignore"):
-            with pytest.raises(ValueError):
-                reference_probability_histograms(probs, bins=4)
-            with pytest.raises(ValueError):
+            if loop_rejects:
+                with pytest.raises(ValueError):
+                    reference_probability_histograms(probs, bins=4)
+            with pytest.raises(MetricError,
+                               match=rf"label column 1: probability {bad!r} is outside \[0, 1\]"):
                 probability_histograms(probs, bins=4)
 
 

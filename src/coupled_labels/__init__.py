@@ -15,7 +15,6 @@ from .datamodel import (
     config_from_dict,
     load_dataset,
     save_dataset,
-    validate_config,
 )
 
 __all__ = [
@@ -27,7 +26,6 @@ __all__ = [
     "config_from_dict",
     "load_dataset",
     "save_dataset",
-    "validate_config",
 ]
 
 __version__ = "0.1.0"

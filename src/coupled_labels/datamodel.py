@@ -477,6 +477,21 @@ def _read_sidecar(path: Path, header_lines: int, label_start: int, n_cols: int):
 # ---------------------------------------------------------------------------
 
 
+def _number(value, kind=(int, float)) -> bool:
+    """Whether `value` is a finite number of `kind`. JSON true/false load as
+    bool, which Python counts as int; they are flags, not numbers."""
+    return (isinstance(value, kind) and not isinstance(value, bool)
+            and abs(value) <= sys.float_info.max)
+
+
+def field_problems(values: dict, rules: dict) -> list[str]:
+    """One ``"<field>: must be <what>, got <value!r>"`` for each field of
+    the ``{field: (what, test)}`` table `rules` whose value in `values`
+    fails its test, in table order."""
+    return [f"{name}: must be {what}, got {values[name]!r}"
+            for name, (what, ok) in rules.items() if not ok(values[name])]
+
+
 @dataclass(frozen=True)
 class AslParams:
     gamma_pos: float = 0.0
@@ -487,7 +502,8 @@ class AslParams:
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Every tunable of the training/evaluation pipeline, with the published
-    defaults baked in."""
+    defaults baked in. Building one, `dataclasses.replace` included, raises
+    a ConfigError naming each field that breaks its rule (`_CONFIG_RULES`)."""
 
     K: int = 3
     alpha: float = 0.3
@@ -504,10 +520,16 @@ class ExperimentConfig:
     seed: int = 0
     refinement_enabled: bool = True
 
+    def __post_init__(self):
+        if not isinstance(self.asl, AslParams):
+            raise ConfigError(f"invalid config: asl: must be an AslParams, got {self.asl!r}")
+        values = {**vars(self), **{f"asl.{k}": v for k, v in vars(self.asl).items()}}
+        problems = field_problems(values, _CONFIG_RULES)
+        if problems:
+            raise ConfigError("invalid config: " + "; ".join(problems))
+
     def to_json_dict(self) -> dict:
-        d = dataclasses.asdict(self)
-        d["asl"] = dataclasses.asdict(self.asl)
-        return d
+        return dataclasses.asdict(self)
 
     def hash(self) -> str:
         blob = json.dumps(self.to_json_dict(), sort_keys=True)
@@ -517,11 +539,33 @@ class ExperimentConfig:
 _CONFIG_FIELDS = {f.name for f in dataclasses.fields(ExperimentConfig)}
 _ASL_FIELDS = {f.name for f in dataclasses.fields(AslParams)}
 LOSS_KINDS = ("ASL", "WeightedBCE")
+_NON_NEGATIVE = ("a finite number >= 0", lambda v: _number(v) and v >= 0)
+_POSITIVE = ("a finite number > 0", lambda v: _number(v) and v > 0)
+_COUNT = ("a positive integer", lambda v: _number(v, int) and v >= 1)
+# field -> (what it must be, test), the `asl` fields by their dotted names
+_CONFIG_RULES = {
+    "K": ("an integer >= 2", lambda v: _number(v, int) and v >= 2),
+    "alpha": _NON_NEGATIVE,
+    "lambda_l1": _NON_NEGATIVE,
+    "loss_kind": (f"one of {LOSS_KINDS}", lambda v: v in LOSS_KINDS),
+    "asl.gamma_pos": _NON_NEGATIVE,
+    "asl.gamma_neg": _NON_NEGATIVE,
+    "asl.clip": ("a number in [0, 1)", lambda v: _number(v) and 0.0 <= v < 1.0),
+    "lr": _POSITIVE,
+    "weight_decay": _NON_NEGATIVE,
+    "batch_size": _COUNT,
+    "epochs": _COUNT,
+    "patience": _COUNT,
+    "ema_decay": ("a number in (0, 1)", lambda v: _number(v) and 0.0 < v < 1.0),
+    "grad_clip_norm": _POSITIVE,
+    "seed": ("an integer >= 0", lambda v: _number(v, int) and v >= 0),
+    "refinement_enabled": ("a boolean", lambda v: isinstance(v, bool)),
+}
 
 
 def config_from_dict(raw: dict) -> ExperimentConfig:
     """Build a config from a (possibly partial) JSON dict, filling defaults
-    for absent fields and rejecting unknown ones. Validates before returning."""
+    for absent fields and rejecting unknown ones."""
     unknown = set(raw) - _CONFIG_FIELDS
     if unknown:
         raise ConfigError(f"unknown config field(s): {sorted(unknown)}")
@@ -534,7 +578,7 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
         if bad:
             raise ConfigError(f"unknown asl field(s): {sorted(bad)}")
         kwargs["asl"] = AslParams(**asl_raw)
-    return validate_config(ExperimentConfig(**kwargs))
+    return ExperimentConfig(**kwargs)
 
 
 def load_config(path) -> ExperimentConfig:
@@ -564,51 +608,3 @@ def write_json(obj, path) -> None:
 
 def save_config(cfg: ExperimentConfig, path) -> None:
     write_json(cfg.to_json_dict(), path)
-
-
-def _number(value, kind=(int, float)) -> bool:
-    """Whether `value` is a finite number of `kind`. JSON true/false load as
-    bool, which Python counts as int; they are flags, not numbers."""
-    return (isinstance(value, kind) and not isinstance(value, bool)
-            and abs(value) <= sys.float_info.max)
-
-
-def validate_config(cfg: ExperimentConfig) -> ExperimentConfig:
-    """Return cfg unchanged if every invariant holds; otherwise raise a
-    ConfigError naming each violated field."""
-    problems = []
-    if not _number(cfg.K, int) or cfg.K < 2:
-        problems.append(f"K: must be an integer >= 2, got {cfg.K!r}")
-    if not _number(cfg.alpha) or cfg.alpha < 0:
-        problems.append(f"alpha: must be a finite number >= 0, got {cfg.alpha!r}")
-    if not _number(cfg.lambda_l1) or cfg.lambda_l1 < 0:
-        problems.append(f"lambda_l1: must be a finite number >= 0, got {cfg.lambda_l1!r}")
-    if cfg.loss_kind not in LOSS_KINDS:
-        problems.append(f"loss_kind: must be one of {LOSS_KINDS}, got {cfg.loss_kind!r}")
-    if not _number(cfg.asl.gamma_pos) or cfg.asl.gamma_pos < 0:
-        problems.append(f"asl.gamma_pos: must be a finite number >= 0, got {cfg.asl.gamma_pos!r}")
-    if not _number(cfg.asl.gamma_neg) or cfg.asl.gamma_neg < 0:
-        problems.append(f"asl.gamma_neg: must be a finite number >= 0, got {cfg.asl.gamma_neg!r}")
-    if not _number(cfg.asl.clip) or not 0.0 <= cfg.asl.clip < 1.0:
-        problems.append(f"asl.clip: must be a number in [0, 1), got {cfg.asl.clip!r}")
-    if not _number(cfg.lr) or cfg.lr <= 0:
-        problems.append(f"lr: must be a finite number > 0, got {cfg.lr!r}")
-    if not _number(cfg.weight_decay) or cfg.weight_decay < 0:
-        problems.append(f"weight_decay: must be a finite number >= 0, got {cfg.weight_decay!r}")
-    if not _number(cfg.batch_size, int) or cfg.batch_size < 1:
-        problems.append(f"batch_size: must be a positive integer, got {cfg.batch_size!r}")
-    if not _number(cfg.epochs, int) or cfg.epochs < 1:
-        problems.append(f"epochs: must be a positive integer, got {cfg.epochs!r}")
-    if not _number(cfg.patience, int) or cfg.patience < 1:
-        problems.append(f"patience: must be a positive integer, got {cfg.patience!r}")
-    if not _number(cfg.ema_decay) or not 0.0 < cfg.ema_decay < 1.0:
-        problems.append(f"ema_decay: must be a number in (0, 1), got {cfg.ema_decay!r}")
-    if not _number(cfg.grad_clip_norm) or cfg.grad_clip_norm <= 0:
-        problems.append(f"grad_clip_norm: must be a finite number > 0, got {cfg.grad_clip_norm!r}")
-    if not _number(cfg.seed, int) or cfg.seed < 0:
-        problems.append(f"seed: must be an integer >= 0, got {cfg.seed!r}")
-    if not isinstance(cfg.refinement_enabled, bool):
-        problems.append(f"refinement_enabled: must be a boolean, got {cfg.refinement_enabled!r}")
-    if problems:
-        raise ConfigError("invalid config: " + "; ".join(problems))
-    return cfg

@@ -36,7 +36,6 @@ from .datamodel import (
     read_json,
     save_config,
     split_work,
-    validate_config,
     write_json,
 )
 from .losses import compute_pos_weights
@@ -185,7 +184,6 @@ def train_folds(features, labels, runs) -> list[FoldResult]:
 
 def _new_run(features, labels, index: int, run: tuple) -> _Run:
     fold, seed, train_idx, val_idx, cfg = run
-    cfg = validate_config(cfg)
     n_train = train_idx.shape[0]
     if n_train < 1 or val_idx.shape[0] < 1:
         raise HarnessError(f"fold {fold}: empty train or validation subset")
@@ -248,9 +246,9 @@ def _train_lockstep(features, labels, runs: list[_Run]) -> list[tuple]:
         for i in sorted(range(len(runs)), key=lambda i: runs[i].index):
             run = runs[i]
             model = state.ema_snapshot(i)
-            val_probs = predict_probs(model, cfg.alpha, features[run.val_idx])
             try:
-                report = metrics.macro_auc(val_probs, labels[run.val_idx])
+                report = metrics.macro_auc(predict_probs(model, cfg.alpha, features[run.val_idx]),
+                                           labels[run.val_idx])
             except metrics.UndefinedAucError as exc:
                 return [(run.index, HarnessError(f"fold {run.fold}: {exc}"))]
             if run.best is None or report.macro_auc > run.best.best_val_macro_auc:
@@ -345,7 +343,6 @@ def _jsonify(obj):
 def run_experiments(dataset: Dataset, cfgs: list[ExperimentConfig]) -> list[RunReport]:
     """Each config's stratified K-fold experiment report, in order: one
     `mis_split` per distinct (K, seed), one `train_folds` call for all."""
-    cfgs = [validate_config(cfg) for cfg in cfgs]
     keys = [(cfg.K, cfg.seed) for cfg in cfgs]
     splits = {key: mis_split(dataset.labels, *key) for key in dict.fromkeys(keys)}
     # the runs' row indices are freed before the reports are built
@@ -527,7 +524,8 @@ def _expect_length(path, key: str, value, length: int) -> None:
 def read_report_json(rundir) -> dict:
     """A run's report.json, checked by `REPORT_KEYS` and for the shapes
     `report` indexes: the diagnostics hold one entry per label, histogram
-    rows hold `bins` counts, and fold-agreement keys are integers."""
+    rows hold `bins` counts, the fold pair agreement is a square matrix,
+    and fold-agreement keys are integers."""
     path = Path(rundir) / "report.json"
     if not path.exists():
         raise HarnessError(f"no report.json under {rundir}")
@@ -535,11 +533,13 @@ def read_report_json(rundir) -> dict:
     n = len(doc["label_names"])
     diag = doc["diagnostics"]
     hist = diag["probability_histograms"]
+    pairs = diag["fold_agreement"]["pair_agreement"]
     _expect_length(path, "diagnostics.per_label_fold_std", diag["per_label_fold_std"], n)
-    for key, rows, width in (
-            ("diagnostics.pearson_correlation", diag["pearson_correlation"], n),
-            ("diagnostics.probability_histograms.counts", hist["counts"], hist["bins"])):
-        _expect_length(path, key, rows, n)
+    for key, rows, length, width in (
+            ("diagnostics.pearson_correlation", diag["pearson_correlation"], n, n),
+            ("diagnostics.probability_histograms.counts", hist["counts"], n, hist["bins"]),
+            ("diagnostics.fold_agreement.pair_agreement", pairs, len(pairs), len(pairs))):
+        _expect_length(path, key, rows, length)
         for i, row in enumerate(rows):
             _expect_length(path, f"{key}.{i}", row, width)
     for key in diag["fold_agreement"]["majority_counts"]:
@@ -582,6 +582,5 @@ class AblationResult:
 def run_ablation(dataset: Dataset, cfg: ExperimentConfig) -> AblationResult:
     """Same data, folds and seeds, refinement on vs off: both arms' 2K
     models train in one `train_folds` call."""
-    cfg = validate_config(cfg)
     return AblationResult(*run_experiments(
         dataset, [dataclasses.replace(cfg, refinement_enabled=flag) for flag in (True, False)]))

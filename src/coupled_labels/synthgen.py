@@ -21,7 +21,7 @@ from graphlib import CycleError, TopologicalSorter
 
 import numpy as np
 
-from .datamodel import CoupledLabelsError, Dataset, _number, read_json, write_json
+from .datamodel import CoupledLabelsError, Dataset, _number, field_problems, read_json, write_json
 from .metrics import _blocks
 from .predictor import expit
 
@@ -50,13 +50,9 @@ class GenSpec:
     base_weights: np.ndarray = field(default=None, compare=False)
 
     def __post_init__(self):
-        if self.n_examples < 1 or self.n_features < 1 or self.n_labels < 2:
-            raise GenSpecError(
-                f"need N >= 1, D >= 1, L >= 2; got {self.n_examples}/"
-                f"{self.n_features}/{self.n_labels}"
-            )
-        if self.noise_scale < 0:
-            raise GenSpecError(f"noise_scale must be >= 0, got {self.noise_scale}")
+        problems = field_problems(vars(self), _SPEC_RULES)
+        if problems:
+            raise GenSpecError("invalid generator spec: " + "; ".join(problems))
         edges = tuple(
             e if isinstance(e, PlantedEdge) else PlantedEdge(*e) for e in self.planted_edges
         )
@@ -117,31 +113,36 @@ def _edge(e) -> bool:
             and _number(e[0], int) and _number(e[1], int) and _number(e[2]))
 
 
-# field -> (what it must be, test) for spec files; GenSpec checks the ranges
+# field -> (what it must be, test) of the scalar fields, checked by GenSpec
 _SPEC_RULES = {
-    "n_examples": ("an integer", lambda v: _number(v, int)),
-    "n_features": ("an integer", lambda v: _number(v, int)),
-    "n_labels": ("an integer", lambda v: _number(v, int)),
-    "planted_edges": ("a list of [source, target, strength] with integer labels and "
-                      "a finite strength", lambda v: isinstance(v, list) and all(map(_edge, v))),
-    "noise_scale": ("a finite number", _number),
+    "n_examples": ("an integer >= 1", lambda v: _number(v, int) and v >= 1),
+    "n_features": ("an integer >= 1", lambda v: _number(v, int) and v >= 1),
+    "n_labels": ("an integer >= 2", lambda v: _number(v, int) and v >= 2),
+    "noise_scale": ("a finite number >= 0", lambda v: _number(v) and v >= 0),
     "seed": ("an integer >= 0", lambda v: _number(v, int) and v >= 0),
 }
+# planted_edges as a spec file holds it, before it becomes PlantedEdge records
+_JSON_EDGES_RULE = {"planted_edges": (
+    "a list of [source, target, strength] with integer labels and a finite strength",
+    lambda v: isinstance(v, list) and all(map(_edge, v)))}
 
 
 def spec_from_dict(raw: dict) -> GenSpec:
-    unknown = set(raw) - set(_SPEC_RULES)
+    """The GenSpec a spec file's object holds; GenSpec checks the values."""
+    fields = set(_SPEC_RULES) | set(_JSON_EDGES_RULE)
+    unknown = set(raw) - fields
     if unknown:
         raise GenSpecError(f"unknown generator spec field(s): {sorted(unknown)}")
-    missing = set(_SPEC_RULES) - set(raw)
+    missing = fields - set(raw)
     if missing:
         raise GenSpecError(f"generator spec missing field(s): {sorted(missing)}")
-    problems = [f"{name}: must be {rule}, got {raw[name]!r}"
-                for name, (rule, ok) in _SPEC_RULES.items() if not ok(raw[name])]
+    problems = field_problems(raw, _JSON_EDGES_RULE)
     if problems:
         raise GenSpecError("invalid generator spec: " + "; ".join(problems))
     edges = tuple(PlantedEdge(s, t, float(b)) for s, t, b in raw["planted_edges"])
-    return GenSpec(**{**raw, "planted_edges": edges, "noise_scale": float(raw["noise_scale"])})
+    noise = raw["noise_scale"]
+    return GenSpec(**{**raw, "planted_edges": edges,
+                      "noise_scale": float(noise) if _number(noise) else noise})
 
 
 def load_spec(path) -> GenSpec:

@@ -750,6 +750,10 @@ BAD_SPEC_PATCHES = [
     ("seed", -1),
     ("planted_edges", [[0, 1]]),
     ("planted_edges", 5),
+    ("n_examples", 0),
+    ("n_features", 0),
+    ("n_labels", 1),
+    ("noise_scale", -1.0),
 ]
 
 

@@ -329,8 +329,11 @@ class TestMisshapenReportJson:
          lambda d: d["fold_agreement"]["majority_counts"].update(x=1)),
         ("diagnostics.per_label_fold_std",
          lambda d: d.update(per_label_fold_std=d["per_label_fold_std"][:2])),
+        ("diagnostics.fold_agreement.pair_agreement.0",
+         lambda d: d["fold_agreement"].update(pair_agreement=[1, 2, 3])),
     ], ids=["counts-one-row", "counts-short-row", "correlation-extra-row",
-            "correlation-short-row", "majority-key-not-integer", "fold-std-two-entries"])
+            "correlation-short-row", "majority-key-not-integer", "fold-std-two-entries",
+            "pair-agreement-rows-numbers"])
     def test_value_of_wrong_shape(self, ablation_dir, capsys, key, misshape):
         # report indexes these by label and bin: a wrong length must stop it
         # before any CSV is written, not part way through

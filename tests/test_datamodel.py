@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from coupled_labels import datamodel
 from coupled_labels.datamodel import (
+    AslParams,
     ConfigError,
     CoupledLabelsError,
     DataFormatError,
@@ -24,7 +25,6 @@ from coupled_labels.datamodel import (
     load_dataset,
     save_config,
     save_dataset,
-    validate_config,
 )
 from helpers import reference_load_dataset, reference_save_dataset, time_limit
 
@@ -714,7 +714,7 @@ class TestConfig:
 
     def test_defaulting_idempotent(self):
         cfg = config_from_dict({"K": 5, "lr": 1e-3})
-        assert validate_config(validate_config(cfg)) == cfg
+        assert dataclasses.replace(cfg) == cfg
         assert config_from_dict(cfg.to_json_dict()) == cfg
 
     @pytest.mark.parametrize("patch", [
@@ -744,6 +744,24 @@ class TestConfig:
             config_from_dict(patch)
         field = next(iter(patch))
         assert field in str(exc.value)
+        # the same check runs whenever a config is built, not only on load
+        built = {k: AslParams(**v) if k == "asl" else v for k, v in patch.items()}
+        with pytest.raises(ConfigError) as replaced:
+            dataclasses.replace(ExperimentConfig(), **built)
+        assert str(replaced.value) == str(exc.value)
+
+    def test_rules_cover_every_field(self):
+        # a field without a rule would go unchecked
+        asl_fields = [f"asl.{f.name}" for f in dataclasses.fields(AslParams)]
+        config_fields = [f.name for f in dataclasses.fields(ExperimentConfig)]
+        i = config_fields.index("asl")
+        assert list(datamodel._CONFIG_RULES) == (
+            config_fields[:i] + asl_fields + config_fields[i + 1:])
+
+    @pytest.mark.parametrize("asl", [{"clip": 0.1}, None, 0.05])
+    def test_asl_of_another_type_rejected(self, asl):
+        with pytest.raises(ConfigError, match=r"^invalid config: asl: must be"):
+            ExperimentConfig(asl=asl)
 
     def test_unknown_field_rejected(self):
         with pytest.raises(ConfigError) as exc:

@@ -306,9 +306,8 @@ class TestRunExperiments:
         assert [r.coupling_mean is None for r in together] == [False, True, False, True]
 
     def test_ablation_validates_before_setting_refinement(self):
-        cfg = dataclasses.replace(fast_cfg(), refinement_enabled="yes")
         with pytest.raises(ConfigError, match="refinement_enabled"):
-            run_ablation(toy_dataset(), cfg)
+            run_ablation(toy_dataset(), dataclasses.replace(fast_cfg(), refinement_enabled="yes"))
 
 
 def _outcome(train):

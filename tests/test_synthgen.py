@@ -44,6 +44,12 @@ class TestSpecValidation:
         with pytest.raises(GenSpecError):
             small_spec(planted_edges=(PlantedEdge(0, 5, 1.0),))
 
+    @pytest.mark.parametrize("field,value", [(f, v) for f, v in BAD_SPEC_PATCHES
+                                             if f != "planted_edges"])
+    def test_bad_scalar_rejected_when_built(self, field, value):
+        with pytest.raises(GenSpecError, match=rf"^invalid generator spec: {field}: must be"):
+            small_spec(**{field: value})
+
     def test_chain_is_acyclic(self):
         spec = small_spec(planted_edges=(PlantedEdge(0, 1, 1.0), PlantedEdge(1, 2, 1.0)))
         order = topo_order(spec)

@@ -19,6 +19,7 @@ from .datamodel import (
     CoupledLabelsError,
     load_config,
     load_dataset,
+    read_json,
     save_dataset,
     write_json,
 )
@@ -210,7 +211,8 @@ def _cmd_report(args) -> int:
     rundir = Path(args.run)
     # an ablation directory holds two sub-runs: read every file, then report
     if (rundir / "ablation.json").exists():
-        comparison = harness.read_json_keys(rundir / "ablation.json", harness.ABLATION_KEYS)
+        path = rundir / "ablation.json"
+        comparison = harness.checked(path, read_json(path), harness.ABLATION_RULES)
         arms = {arm: harness.read_report_json(rundir / arm)
                 for arm in ("with_refinement", "no_refinement")}
         _print_ablation(comparison)

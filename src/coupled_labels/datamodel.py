@@ -484,12 +484,33 @@ def _number(value, kind=(int, float)) -> bool:
             and abs(value) <= sys.float_info.max)
 
 
-def field_problems(values: dict, rules: dict) -> list[str]:
-    """One ``"<field>: must be <what>, got <value!r>"`` for each field of
-    the ``{field: (what, test)}`` table `rules` whose value in `values`
-    fails its test, in table order."""
-    return [f"{name}: must be {what}, got {values[name]!r}"
-            for name, (what, ok) in rules.items() if not ok(values[name])]
+def field_problems(doc, rules: dict) -> list[str]:
+    """The problems of `doc` under the ``{path: (what, test)}`` table `rules`,
+    in table order without repeats: ``"<path>: must be <what>, got <value!r>"``
+    (the repr cut to 60 characters) where a value fails its test, and
+    ``"<path>: missing"`` where a path stops short. A path walks nested
+    objects by dotted keys; ``*`` stands for each entry of a list (none of a
+    non-list, which a rule of its own checks) and is named by its index."""
+    problems = []
+    for key, (what, ok) in rules.items():
+        nodes = [("", doc)]   # (the path walked so far, the value there)
+        for part in key.split("."):
+            found = []
+            for at, node in nodes:
+                if isinstance(node, list) and part == "*":
+                    found += [(f"{at}{i}.", v) for i, v in enumerate(node)]
+                elif isinstance(node, dict) and part in node:
+                    found.append((f"{at}{part}.", node[part]))
+                elif part != "*":
+                    problems.append(f"{at}{part}: missing")
+            nodes = found
+        problems += [f"{at[:-1]}: must be {what}, got {_cut(repr(v))}"
+                     for at, v in nodes if not ok(v)]
+    return list(dict.fromkeys(problems))
+
+
+def _cut(text: str) -> str:
+    return text if len(text) <= 60 else text[:57] + "..."
 
 
 @dataclass(frozen=True)
@@ -523,8 +544,7 @@ class ExperimentConfig:
     def __post_init__(self):
         if not isinstance(self.asl, AslParams):
             raise ConfigError(f"invalid config: asl: must be an AslParams, got {self.asl!r}")
-        values = {**vars(self), **{f"asl.{k}": v for k, v in vars(self.asl).items()}}
-        problems = field_problems(values, _CONFIG_RULES)
+        problems = field_problems({**vars(self), "asl": vars(self.asl)}, _CONFIG_RULES)
         if problems:
             raise ConfigError("invalid config: " + "; ".join(problems))
 
@@ -542,7 +562,7 @@ LOSS_KINDS = ("ASL", "WeightedBCE")
 _NON_NEGATIVE = ("a finite number >= 0", lambda v: _number(v) and v >= 0)
 _POSITIVE = ("a finite number > 0", lambda v: _number(v) and v > 0)
 _COUNT = ("a positive integer", lambda v: _number(v, int) and v >= 1)
-# field -> (what it must be, test), the `asl` fields by their dotted names
+# field -> (what it must be, test), the `asl` fields by their dotted paths
 _CONFIG_RULES = {
     "K": ("an integer >= 2", lambda v: _number(v, int) and v >= 2),
     "alpha": _NON_NEGATIVE,

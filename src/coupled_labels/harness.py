@@ -32,6 +32,8 @@ from .datamodel import (
     CoupledLabelsError,
     Dataset,
     ExperimentConfig,
+    _number,
+    field_problems,
     fork_cpus,
     read_json,
     save_config,
@@ -469,86 +471,66 @@ def load_checkpoint(path) -> tuple[dict[str, np.ndarray], str]:
 
 # The key paths `report` reads from a run's report.json and from
 # ablation.json, `*` standing for every entry of a list, each with the
-# (kind, test) of the value it formats, iterates or counts with.
-_NUMBER = ("a number", lambda v: isinstance(v, (int, float)) and not isinstance(v, bool))
+# (what, test) of the value it formats, iterates or counts with.
+_NUMBER = ("a finite number", _number)
+_COUNT = ("an integer >= 0", lambda v: _number(v, int) and v >= 0)
+_STRING = ("a string", lambda v: isinstance(v, str))
 _LIST = ("a list", lambda v: isinstance(v, list))
-REPORT_KEYS = {
+REPORT_RULES = {
+    "folds": _LIST,
     "folds.*.fold": _NUMBER,
     "folds.*.best_epoch": _NUMBER,
     "folds.*.best_val_macro_auc": _NUMBER,
-    "ensemble.source": ("a string", lambda v: isinstance(v, str)),
+    "ensemble.source": _STRING,
     "ensemble.auc.macro_auc": _NUMBER,
     "label_names": _LIST,
-    "diagnostics.pearson_correlation": _LIST,
-    "diagnostics.per_label_fold_std": _LIST,
-    "diagnostics.fold_agreement.majority_counts": ("an object", lambda v: isinstance(v, dict)),
-    "diagnostics.fold_agreement.pair_agreement": _LIST,
+    "label_names.*": _STRING,
     "diagnostics.probability_histograms.bins": (
-        "an integer >= 1", lambda v: type(v) is int and v >= 1),
-    "diagnostics.probability_histograms.counts": _LIST,
+        "an integer >= 1", lambda v: _number(v, int) and v >= 1),
+    "diagnostics.fold_agreement.majority_counts": (
+        "an object of integer keys and counts >= 0",
+        lambda v: isinstance(v, dict) and all(
+            k.isdecimal() and _number(c, int) and c >= 0 for k, c in v.items())),
 }
-ABLATION_KEYS = dict.fromkeys(("macro_auc_refined", "macro_auc_baseline", "delta"), _NUMBER)
+ABLATION_RULES = dict.fromkeys(("macro_auc_refined", "macro_auc_baseline", "delta"), _NUMBER)
 
 
-def read_json_keys(path, keys: Mapping) -> dict:
-    """The JSON object in `path`, which must hold each dotted key path of
-    `keys` with a value of the kind given there; if not, a HarnessError
-    names the file and the first key missing or of another kind, with the
-    index of the list entry in place of `*`."""
-    doc = read_json(path)
-    for key, (kind, is_kind) in keys.items():
-        nodes = {"": doc}   # the path walked so far -> the value there
-        for part in key.split("."):
-            found = {}
-            for at, node in nodes.items():
-                if part == "*" and isinstance(node, list):
-                    found.update((f"{at}{i}.", entry) for i, entry in enumerate(node))
-                elif isinstance(node, dict) and part in node:
-                    found[f"{at}{part}."] = node[part]
-                else:
-                    raise HarnessError(f"{path}: expected a JSON object with key {at + part!r}")
-            nodes = found
-        for at, value in nodes.items():
-            if not is_kind(value):
-                raise HarnessError(f"{path}: expected {kind} at key {at[:-1]!r}, "
-                                   f"got {json.dumps(value)[:40]}")
+def _list_of(n: int) -> tuple:
+    return f"a list of {n} entries", lambda v: isinstance(v, list) and len(v) == n
+
+
+def _sized_rules(n_labels: int, bins: int, n_folds: int) -> dict:
+    """The rules of the lists `report` indexes by label, bin or fold."""
+    rules = {"diagnostics.per_label_fold_std": _list_of(n_labels),
+             "diagnostics.per_label_fold_std.*": _NUMBER}
+    for key, rows, cols, entry in (
+            ("diagnostics.pearson_correlation", n_labels, n_labels,
+             ("a finite number or null", lambda v: v is None or _number(v))),
+            ("diagnostics.probability_histograms.counts", n_labels, bins, _COUNT),
+            ("diagnostics.fold_agreement.pair_agreement", n_folds, n_folds, _NUMBER)):
+        rules.update({key: _list_of(rows), f"{key}.*": _list_of(cols),
+                      f"{key}.*.*": entry})
+    return rules
+
+
+def checked(path, doc, rules: Mapping):
+    """`doc`, read from `path`, if it has no `field_problems` under `rules`;
+    if it has, a HarnessError names the file and every problem."""
+    problems = field_problems(doc, rules)
+    if problems:
+        raise HarnessError(f"{path}: " + "; ".join(problems))
     return doc
-
-
-def _expect_length(path, key: str, value, length: int) -> None:
-    if not isinstance(value, list) or len(value) != length:
-        raise HarnessError(f"{path}: expected a list of {length} entries at key {key!r}, "
-                           f"got {json.dumps(value)[:40]}")
 
 
 def read_report_json(rundir) -> dict:
-    """A run's report.json, checked by `REPORT_KEYS` and for the shapes
-    `report` indexes: the diagnostics hold one entry per label, histogram
-    rows hold `bins` counts, the fold pair agreement is a square matrix,
-    and fold-agreement keys are integers."""
+    """A run's report.json, checked by `REPORT_RULES` and then by the
+    `_sized_rules` of its label count, bins and number of folds."""
     path = Path(rundir) / "report.json"
     if not path.exists():
         raise HarnessError(f"no report.json under {rundir}")
-    doc = read_json_keys(path, REPORT_KEYS)
-    n = len(doc["label_names"])
-    diag = doc["diagnostics"]
-    hist = diag["probability_histograms"]
-    pairs = diag["fold_agreement"]["pair_agreement"]
-    _expect_length(path, "diagnostics.per_label_fold_std", diag["per_label_fold_std"], n)
-    for key, rows, length, width in (
-            ("diagnostics.pearson_correlation", diag["pearson_correlation"], n, n),
-            ("diagnostics.probability_histograms.counts", hist["counts"], n, hist["bins"]),
-            ("diagnostics.fold_agreement.pair_agreement", pairs, len(pairs), len(pairs))):
-        _expect_length(path, key, rows, length)
-        for i, row in enumerate(rows):
-            _expect_length(path, f"{key}.{i}", row, width)
-    for key in diag["fold_agreement"]["majority_counts"]:
-        try:
-            int(key)
-        except ValueError:
-            raise HarnessError(f"{path}: expected integer keys at key "
-                               f"'diagnostics.fold_agreement.majority_counts', got {key!r}") from None
-    return doc
+    doc = checked(path, read_json(path), REPORT_RULES)
+    bins = doc["diagnostics"]["probability_histograms"]["bins"]
+    return checked(path, doc, _sized_rules(len(doc["label_names"]), bins, len(doc["folds"])))
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ matrix itself in the report.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -99,11 +99,7 @@ class AucReport:
     skipped_labels: list[int]
 
     def to_json_dict(self) -> dict:
-        return {
-            "per_label_auc": self.per_label_auc,
-            "macro_auc": self.macro_auc,
-            "skipped_labels": self.skipped_labels,
-        }
+        return asdict(self)
 
 
 def macro_auc(probs, labels) -> AucReport:

@@ -11,7 +11,14 @@ from scipy.special import expit
 import coupled_labels
 from coupled_labels import harness
 from coupled_labels.cli import cli_main
-from coupled_labels.datamodel import Dataset, load_config, load_dataset, save_dataset, write_json
+from coupled_labels.datamodel import (
+    Dataset,
+    field_problems,
+    load_config,
+    load_dataset,
+    save_dataset,
+    write_json,
+)
 from coupled_labels.stratify import load_folds
 from helpers import BAD_SPEC_PATCHES, GOOD_SPEC
 
@@ -241,8 +248,8 @@ class TestUnreadableJson:
 
 class TestMisshapenReportJson:
     """`report` on valid JSON that is not the object it reads exits 1,
-    naming the file and the first key missing or holding a value of
-    another type, and prints and writes nothing."""
+    naming the file and each key missing or holding a value it may not
+    hold, and prints and writes nothing."""
 
     @pytest.fixture
     def ablation_dir(self, tiny_data, tiny_config, tmp_path, capsys):
@@ -252,12 +259,28 @@ class TestMisshapenReportJson:
         capsys.readouterr()
         return rundir
 
+    def test_every_rule_reads_a_value_of_a_fresh_run(self, ablation_dir):
+        # a rule whose path the writer no longer produces would check nothing
+        tables = [(json.loads((ablation_dir / "ablation.json").read_text()),
+                   harness.ABLATION_RULES)]
+        for arm in ("with_refinement", "no_refinement"):
+            doc = json.loads((ablation_dir / arm / "report.json").read_text())
+            bins = doc["diagnostics"]["probability_histograms"]["bins"]
+            tables += [(doc, harness.REPORT_RULES), (doc, harness._sized_rules(
+                len(doc["label_names"]), bins, len(doc["folds"])))]
+        for doc, rules in tables:
+            seen = set()
+            spied = {key: (what, lambda v, key=key, ok=ok: seen.add(key) or ok(v))
+                     for key, (what, ok) in rules.items()}
+            assert field_problems(doc, spied) == []
+            assert seen == set(rules)
+
     def _rejected(self, run, path, key, capsys):
         before = sorted(Path(run).rglob("*"))
         assert cli_main(["report", "--run", str(run)]) == 1
         out, err = capsys.readouterr()
         assert out == ""
-        assert str(path) in err and repr(key) in err
+        assert str(path) in err and f"{key}: " in err
         assert sorted(Path(run).rglob("*")) == before
 
     @pytest.mark.parametrize("drop", [None, "ensemble", "diagnostics"],
@@ -304,7 +327,18 @@ class TestMisshapenReportJson:
         ("ensemble.auc.macro_auc", None),
         ("diagnostics.probability_histograms.bins", "20"),
         ("diagnostics.probability_histograms.counts", 5),
-    ], ids=["fold-auc-null", "ensemble-auc-null", "bins-string", "counts-number"])
+        ("folds.1.best_val_macro_auc", float("inf")),
+        ("ensemble.auc.macro_auc", float("nan")),
+        ("label_names.1", 7),
+        ("diagnostics.pearson_correlation.0.1", "abc"),
+        ("diagnostics.per_label_fold_std.1", {"x": 1}),
+        ("diagnostics.probability_histograms.counts.1.3", "lots"),
+        ("diagnostics.probability_histograms.counts.0.0", 2.5),
+        ("diagnostics.fold_agreement.pair_agreement.0.1", [0.5]),
+    ], ids=["fold-auc-null", "ensemble-auc-null", "bins-string", "counts-number",
+            "fold-auc-infinity", "ensemble-auc-nan", "label-name-number",
+            "correlation-string", "fold-std-object", "count-string", "count-fraction",
+            "pair-agreement-list"])
     def test_value_of_wrong_type(self, ablation_dir, capsys, key, value):
         path = ablation_dir / "with_refinement" / "report.json"
         record = json.loads(path.read_text())
@@ -312,7 +346,7 @@ class TestMisshapenReportJson:
         node = record
         for part in parents:
             node = node[int(part)] if isinstance(node, list) else node[part]
-        node[last] = value
+        node[int(last) if isinstance(node, list) else last] = value
         path.write_text(json.dumps(record))
         for run in (path.parent, ablation_dir):
             self._rejected(run, path, key, capsys)
@@ -331,9 +365,13 @@ class TestMisshapenReportJson:
          lambda d: d.update(per_label_fold_std=d["per_label_fold_std"][:2])),
         ("diagnostics.fold_agreement.pair_agreement.0",
          lambda d: d["fold_agreement"].update(pair_agreement=[1, 2, 3])),
+        ("diagnostics.fold_agreement.majority_counts",
+         lambda d: d["fold_agreement"]["majority_counts"].update({"1": -1})),
+        ("diagnostics.fold_agreement.majority_counts",
+         lambda d: d["fold_agreement"]["majority_counts"].update({"1": "many"})),
     ], ids=["counts-one-row", "counts-short-row", "correlation-extra-row",
             "correlation-short-row", "majority-key-not-integer", "fold-std-two-entries",
-            "pair-agreement-rows-numbers"])
+            "pair-agreement-rows-numbers", "majority-count-negative", "majority-count-string"])
     def test_value_of_wrong_shape(self, ablation_dir, capsys, key, misshape):
         # report indexes these by label and bin: a wrong length must stop it
         # before any CSV is written, not part way through
@@ -344,10 +382,12 @@ class TestMisshapenReportJson:
         for run in (path.parent, ablation_dir):
             self._rejected(run, path, key, capsys)
 
-    def test_ablation_json_delta_null(self, ablation_dir, capsys):
+    @pytest.mark.parametrize("value", [None, float("nan"), float("inf")],
+                             ids=["null", "nan", "infinity"])
+    def test_ablation_json_delta_null(self, ablation_dir, capsys, value):
         path = ablation_dir / "ablation.json"
         record = json.loads(path.read_text())
-        record["delta"] = None
+        record["delta"] = value
         path.write_text(json.dumps(record))
         self._rejected(ablation_dir, path, "delta", capsys)
 

@@ -21,6 +21,7 @@ from coupled_labels.datamodel import (
     Dataset,
     ExperimentConfig,
     config_from_dict,
+    field_problems,
     load_config,
     load_dataset,
     save_config,
@@ -656,6 +657,42 @@ class TestSidecar:
         finally:
             tracemalloc.stop()
         assert peak < (ds.features.nbytes + ds.labels.nbytes) / 4
+
+
+class TestFieldProblems:
+    INT = ("an integer", lambda v: type(v) is int)
+
+    def test_star_names_each_failing_index(self):
+        doc = {"a": [{"b": 1}, {"b": "x"}, {"b": 2}, {"b": None}]}
+        assert field_problems(doc, {"a.*.b": self.INT}) == [
+            "a.1.b: must be an integer, got 'x'", "a.3.b: must be an integer, got None"]
+        assert field_problems({"m": [[1, 2], [3, 4.0]]}, {"m.*.*": self.INT}) == [
+            "m.1.1: must be an integer, got 4.0"]
+
+    @pytest.mark.parametrize("doc, key, problem", [
+        ({}, "a.b.c", "a: missing"),
+        ([], "a", "a: missing"),
+        ({"a": {"b": 5}}, "a.b.c", "a.b.c: missing"),
+        ({"a": [{"c": 1}, {}]}, "a.*.c", "a.1.c: missing"),
+    ])
+    def test_missing_named_where_the_path_stops(self, doc, key, problem):
+        assert field_problems(doc, {key: self.INT}) == [problem]
+
+    def test_star_over_a_non_list_matches_nothing(self):
+        assert field_problems({"a": 5, "b": {"0": "x"}}, {"a.*": self.INT, "b.*": self.INT}) == []
+
+    def test_long_repr_cut(self):
+        kept, cut = "x" * 58, list(range(100))
+        assert field_problems({"a": kept, "b": cut}, {"a": self.INT, "b": self.INT}) == [
+            f"a: must be an integer, got {kept!r}",
+            f"b: must be an integer, got {repr(cut)[:57]}..."]
+
+    def test_table_order_without_repeats(self):
+        rules = {"z": self.INT, "a.x": self.INT, "a.y": self.INT, "m": self.INT,
+                 "n.*": self.INT}
+        assert field_problems({"z": "1", "m": 1.5, "n": [0, "1"]}, rules) == [
+            "z: must be an integer, got '1'", "a: missing", "m: must be an integer, got 1.5",
+            "n.1: must be an integer, got '1'"]
 
 
 class TestJsonFiles:

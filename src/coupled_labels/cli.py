@@ -136,28 +136,28 @@ def _cmd_ablate(args) -> int:
     t1 = time.perf_counter()
     cfg = load_config(args.config)
     t2 = time.perf_counter()
-    result = harness.run_ablation(dataset, cfg)
+    arms = harness.run_ablation(dataset, cfg)
     t3 = time.perf_counter()
-    harness.write_run_report(result.refined, outdir / "with_refinement")
-    harness.write_run_report(result.baseline, outdir / "no_refinement")
-    comparison = result.comparison()
-    write_json(comparison, outdir / "ablation.json")
+    for name, report in arms.items():
+        harness.write_run_report(report, outdir / name)
+    record = harness.ablation_record(arms)
+    write_json(record, outdir / "ablation.json")
     t4 = time.perf_counter()
-    _write_timings(outdir, (t0, t1, t2, t3, t4), [result.refined, result.baseline])
+    _write_timings(outdir, (t0, t1, t2, t3, t4), arms.values())
     print(f"ablation written to {outdir}")
-    _print_ablation(comparison)
-    sign = comparison["coupling_sign_summary"]
+    _print_ablation(record)
+    sign = record["coupling_sign_summary"]
     print(f"learned couplings (|A| > {sign['near_zero_threshold']}): "
           f"{sign['n_positive']} positive, {sign['n_negative']} negative, "
           f"{sign['n_near_zero']} near zero")
     return 0
 
 
-def _print_ablation(comparison: dict) -> None:
+def _print_ablation(record: dict) -> None:
     print(f"{'arm':<18} macro_auc")
-    print(f"{'with_refinement':<18} {comparison['macro_auc_refined']:.6f}")
-    print(f"{'no_refinement':<18} {comparison['macro_auc_baseline']:.6f}")
-    print(f"delta: {comparison['delta']:+.6f}")
+    for name, (_, key) in harness.ABLATION_ARMS.items():
+        print(f"{name:<18} {record[key]:.6f}")
+    print(f"delta: {record['delta']:+.6f}")
 
 
 def _print_auc_table(report: dict) -> None:
@@ -209,13 +209,12 @@ def _write_plot_csvs(rundir: Path, report: dict) -> list[Path]:
 
 def _cmd_report(args) -> int:
     rundir = Path(args.run)
-    # an ablation directory holds two sub-runs: read every file, then report
+    # an ablation directory holds one run per arm: read every file, then report
     if (rundir / "ablation.json").exists():
         path = rundir / "ablation.json"
-        comparison = harness.checked(path, read_json(path), harness.ABLATION_RULES)
-        arms = {arm: harness.read_report_json(rundir / arm)
-                for arm in ("with_refinement", "no_refinement")}
-        _print_ablation(comparison)
+        record = harness.checked(path, read_json(path), harness.ABLATION_RULES)
+        arms = {arm: harness.read_report_json(rundir / arm) for arm in harness.ABLATION_ARMS}
+        _print_ablation(record)
         for arm, report in arms.items():
             print(f"--- {arm}")
             _print_auc_table(report)

@@ -429,53 +429,14 @@ def write_run_report(report: RunReport, outdir, record: dict | None = None) -> P
     return outdir
 
 
-def save_checkpoint(path, model: Mapping, config_hash: str) -> None:
-    """No alpha: a refined model's rate is its run config's, matched by hash."""
-    record = {"config_hash": config_hash,
-              "arrays": {name: np.asarray(arr).tolist() for name, arr in model.items()}}
-    Path(path).parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w") as fh:
-        json.dump(record, fh, sort_keys=True)
-        fh.write("\n")
-
-
-def load_checkpoint(path) -> tuple[dict[str, np.ndarray], str]:
-    """Returns (model, config hash). The record must hold a string config
-    hash and finite arrays W2 (D, L) and b2 (L,), plus A (L, L) for a
-    refined model, and no others."""
-    record = read_json(path)
-    if not (isinstance(record, dict) and isinstance(record.get("arrays"), dict)
-            and isinstance(record.get("config_hash"), str)):
-        raise PredictorShapeError(f"{path}: a checkpoint is an object with an 'arrays' "
-                                  f"object and a string 'config_hash'")
-    raw = record["arrays"]
-    if not {"W2", "b2"} <= raw.keys() <= {"W2", "b2", "A"}:
-        raise PredictorShapeError(f"{path}: checkpoint arrays {sorted(raw)} are not W2, b2 "
-                                  f"and an optional A")
-    model = {}
-    for name, value in raw.items():
-        try:
-            model[name] = np.array(value, dtype=np.float64)
-        except (TypeError, ValueError):
-            raise PredictorShapeError(f"{path}: {name} is not an array of numbers") from None
-        if not np.isfinite(model[name]).all():
-            raise PredictorShapeError(f"{path}: {name} contains non-finite entries")
-    d = model["W2"].shape[0] if model["W2"].ndim == 2 else "D"
-    n = model["b2"].shape[0] if model["b2"].ndim == 1 else "L"
-    for name, shape in (("b2", (n,)), ("W2", (d, n)), ("A", (n, n))):
-        if name in model and model[name].shape != shape:
-            raise PredictorShapeError(f"{path}: {name} has shape {model[name].shape}, "
-                                      f"expected {shape}")
-    return model, record["config_hash"]
-
-
-# The key paths `report` reads from a run's report.json and from
-# ablation.json, `*` standing for every entry of a list, each with the
-# (what, test) of the value it formats, iterates or counts with.
+# The key paths read back from a run's report.json, ablation.json and
+# checkpoints, `*` standing for every entry of a list, each with the
+# (what, test) of the value it formats, iterates, counts or loads.
 _NUMBER = ("a finite number", _number)
 _COUNT = ("an integer >= 0", lambda v: _number(v, int) and v >= 0)
 _STRING = ("a string", lambda v: isinstance(v, str))
 _LIST = ("a list", lambda v: isinstance(v, list))
+_NONEMPTY = ("a non-empty list", lambda v: isinstance(v, list) and len(v) > 0)
 REPORT_RULES = {
     "folds": _LIST,
     "folds.*.fold": _NUMBER,
@@ -492,7 +453,14 @@ REPORT_RULES = {
         lambda v: isinstance(v, dict) and all(
             k.isdecimal() and _number(c, int) and c >= 0 for k, c in v.items())),
 }
-ABLATION_RULES = dict.fromkeys(("macro_auc_refined", "macro_auc_baseline", "delta"), _NUMBER)
+CHECKPOINT_RULES = {
+    "config_hash": _STRING,
+    "arrays": ("an object of W2, b2 and an optional A",
+               lambda v: isinstance(v, dict) and {"W2", "b2"} <= v.keys() <= {"W2", "b2", "A"}),
+    "arrays.W2": _NONEMPTY,
+    "arrays.b2": _NONEMPTY,
+    "arrays.b2.*": _NUMBER,
+}
 
 
 def _list_of(n: int) -> tuple:
@@ -513,12 +481,12 @@ def _sized_rules(n_labels: int, bins: int, n_folds: int) -> dict:
     return rules
 
 
-def checked(path, doc, rules: Mapping):
+def checked(path, doc, rules: Mapping, error: type[CoupledLabelsError] = HarnessError):
     """`doc`, read from `path`, if it has no `field_problems` under `rules`;
-    if it has, a HarnessError names the file and every problem."""
+    if it has, an `error` names the file and every problem."""
     problems = field_problems(doc, rules)
     if problems:
-        raise HarnessError(f"{path}: " + "; ".join(problems))
+        raise error(f"{path}: " + "; ".join(problems))
     return doc
 
 
@@ -533,36 +501,65 @@ def read_report_json(rundir) -> dict:
     return checked(path, doc, _sized_rules(len(doc["label_names"]), bins, len(doc["folds"])))
 
 
+def save_checkpoint(path, model: Mapping, config_hash: str) -> None:
+    """No alpha: a refined model's rate is its run config's, matched by hash."""
+    record = {"config_hash": config_hash,
+              "arrays": {name: np.asarray(arr).tolist() for name, arr in model.items()}}
+    Path(path).parent.mkdir(parents=True, exist_ok=True)
+    with open(path, "w") as fh:
+        json.dump(record, fh, sort_keys=True)
+        fh.write("\n")
+
+
+def load_checkpoint(path) -> tuple[dict[str, np.ndarray], str]:
+    """Returns (model, config hash): finite W2 (D, L), b2 (L,) and, for a
+    refined model, A (L, L), checked by `CHECKPOINT_RULES`, then by L."""
+    record = checked(path, read_json(path), CHECKPOINT_RULES, PredictorShapeError)
+    arrays, row = record["arrays"], _list_of(len(record["arrays"]["b2"]))
+    rules = {"arrays.W2.*": row, "arrays.W2.*.*": _NUMBER}
+    if "A" in arrays:
+        rules.update({"arrays.A": row, "arrays.A.*": row, "arrays.A.*.*": _NUMBER})
+    checked(path, record, rules, PredictorShapeError)
+    return ({name: np.array(value, dtype=np.float64) for name, value in arrays.items()},
+            record["config_hash"])
+
+
 # ---------------------------------------------------------------------------
 # ablation
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class AblationResult:
-    refined: RunReport
-    baseline: RunReport
-
-    def comparison(self) -> dict:
-        A = self.refined.coupling_mean
-        off = A[~np.eye(A.shape[0], dtype=bool)]
-        summary = {
-            "n_positive": int((off > NEAR_ZERO).sum()),
-            "n_negative": int((off < -NEAR_ZERO).sum()),
-            "n_near_zero": int((np.abs(off) <= NEAR_ZERO).sum()),
-            "near_zero_threshold": NEAR_ZERO,
-        }
-        return _jsonify({
-            "macro_auc_refined": self.refined.ensemble_auc.macro_auc,
-            "macro_auc_baseline": self.baseline.ensemble_auc.macro_auc,
-            "delta": self.refined.ensemble_auc.macro_auc - self.baseline.ensemble_auc.macro_auc,
-            "source": self.refined.ensemble_source,
-            "coupling_sign_summary": summary,
-        })
+# The ablation's arms in training order: run-directory name -> (refinement
+# flag, the ablation.json key of the arm's macro-AUC). The first arm is the
+# refined one: `delta` is its macro-AUC minus the second arm's, and the
+# coupling summary reads its mean A.
+ABLATION_ARMS = {
+    "with_refinement": (True, "macro_auc_refined"),
+    "no_refinement": (False, "macro_auc_baseline"),
+}
+ABLATION_RULES = dict.fromkeys([key for _, key in ABLATION_ARMS.values()] + ["delta"], _NUMBER)
 
 
-def run_ablation(dataset: Dataset, cfg: ExperimentConfig) -> AblationResult:
-    """Same data, folds and seeds, refinement on vs off: both arms' 2K
-    models train in one `train_folds` call."""
-    return AblationResult(*run_experiments(
-        dataset, [dataclasses.replace(cfg, refinement_enabled=flag) for flag in (True, False)]))
+def run_ablation(dataset: Dataset, cfg: ExperimentConfig) -> dict[str, RunReport]:
+    """Same data, folds and seeds, one experiment per arm of `ABLATION_ARMS`
+    in table order: all arms' models train in one `train_folds` call."""
+    return dict(zip(ABLATION_ARMS, run_experiments(dataset, [
+        dataclasses.replace(cfg, refinement_enabled=flag) for flag, _ in ABLATION_ARMS.values()])))
+
+
+def ablation_record(arms: Mapping[str, RunReport]) -> dict:
+    """The ablation.json record of `run_ablation`'s arms."""
+    first, second = (arms[name] for name in ABLATION_ARMS)
+    off = first.coupling_mean[~np.eye(len(first.label_names), dtype=bool)]
+    summary = {
+        "n_positive": int((off > NEAR_ZERO).sum()),
+        "n_negative": int((off < -NEAR_ZERO).sum()),
+        "n_near_zero": int((np.abs(off) <= NEAR_ZERO).sum()),
+        "near_zero_threshold": NEAR_ZERO,
+    }
+    return _jsonify({
+        **{key: arms[name].ensemble_auc.macro_auc for name, (_, key) in ABLATION_ARMS.items()},
+        "delta": first.ensemble_auc.macro_auc - second.ensemble_auc.macro_auc,
+        "source": first.ensemble_source,
+        "coupling_sign_summary": summary,
+    })

@@ -32,6 +32,8 @@ class UndefinedAucError(MetricError):
 # matrix, the other metrics' blocks are whole rows, of all K folds in
 # `FoldStats`.
 _BLOCK_CELLS = 1 << 16
+# A fold model votes for a label where its probability is at least this.
+VOTE_THRESHOLD = 0.5
 
 
 def _blocks(n_items: int, cells_per_item: int):
@@ -182,12 +184,12 @@ class FoldStats:
     """The cross-fold diagnostics of K fold models' (n, L) predictions, fed
     one (K, b, L) block of rows at a time, so no (K, n, L) stack needs to
     exist: the majority levels and pairwise agreement of the votes
-    p >= threshold, as integer counts, and a running (L,) sum of each
+    p >= `VOTE_THRESHOLD`, as integer counts, and a running (L,) sum of each
     cell's population std across the folds. The blocks must come in row
     order; then any blocking gives the same bits."""
 
-    def __init__(self, K: int, n: int, L: int, threshold: float = 0.5):
-        self.K, self.n, self.L, self.threshold = K, n, L, threshold
+    def __init__(self, K: int, n: int, L: int):
+        self.K, self.n, self.L = K, n, L
         self.levels = np.zeros(K + 1, dtype=np.int64)   # majority size -> cells
         self.agree = np.zeros((K, K), dtype=np.int64)   # cells on which folds a < b agree
         self.std_sum = np.zeros(L)
@@ -195,7 +197,7 @@ class FoldStats:
     def add(self, block: np.ndarray) -> None:
         """Count the (K, b, L) predictions `block` of the next b rows."""
         K = self.K
-        votes = block >= self.threshold
+        votes = block >= VOTE_THRESHOLD
         ones = np.count_nonzero(votes, axis=0)
         self.levels += np.bincount(np.maximum(ones, K - ones).ravel(), minlength=K + 1)
         for a in range(K):
@@ -227,7 +229,7 @@ class FoldStats:
         return self.std_sum / self.n
 
 
-def _stacked_stats(fold_probs, threshold: float = 0.5) -> FoldStats:
+def _stacked_stats(fold_probs) -> FoldStats:
     """`FoldStats` of fold predictions already held in full: a (K, n, L)
     array, read without a copy, or a list of (n, L) matrices, stacked."""
     try:
@@ -237,16 +239,16 @@ def _stacked_stats(fold_probs, threshold: float = 0.5) -> FoldStats:
     if stack is None or stack.ndim != 3 or len(stack) < 2:
         raise MetricError("need at least two fold prediction matrices of one 2-D shape")
     K, n, L = stack.shape
-    stats = FoldStats(K, n, L, threshold)
+    stats = FoldStats(K, n, L)
     for rows in _blocks(n, K * L):
         stats.add(stack[:, rows])
     return stats
 
 
-def fold_agreement(fold_probs, threshold: float = 0.5) -> FoldAgreement:
-    """Binarize each fold's probabilities at the threshold (p >= t -> 1) and
-    count, per cell, how many folds voted with the majority."""
-    return _stacked_stats(fold_probs, threshold).agreement()
+def fold_agreement(fold_probs) -> FoldAgreement:
+    """Binarize each fold's probabilities at `VOTE_THRESHOLD` (p >= t -> 1)
+    and count, per cell, how many folds voted with the majority."""
+    return _stacked_stats(fold_probs).agreement()
 
 
 def per_label_fold_std(fold_probs) -> np.ndarray:

@@ -393,20 +393,31 @@ class TestMisshapenReportJson:
 
 
 class TestAblate:
-    def test_ablate_writes_comparison(self, tiny_data, tiny_config, tmp_path, capsys):
+    def test_ablate_and_report_print_the_arms_in_order(self, tiny_data, tiny_config,
+                                                       tmp_path, capsys):
         rundir = tmp_path / "ab"
         assert cli_main(["ablate", "--data", str(tiny_data), "--config",
                          str(tiny_config), "--out", str(rundir)]) == 0
         out = capsys.readouterr().out
-        assert "with_refinement" in out and "no_refinement" in out
-        comparison = json.loads((rundir / "ablation.json").read_text())
-        assert {"macro_auc_refined", "macro_auc_baseline", "delta"} <= set(comparison)
-        assert (rundir / "with_refinement" / "report.json").exists()
-        assert (rundir / "no_refinement" / "report.json").exists()
+        record = json.loads((rundir / "ablation.json").read_text())
+        sign = record["coupling_sign_summary"]
+        arms = ("arm                macro_auc\n"
+                f"with_refinement    {record['macro_auc_refined']:.6f}\n"
+                f"no_refinement      {record['macro_auc_baseline']:.6f}\n"
+                f"delta: {record['delta']:+.6f}\n")
+        assert out == (f"ablation written to {rundir}\n" + arms
+                       + f"learned couplings (|A| > 0.05): {sign['n_positive']} positive, "
+                         f"{sign['n_negative']} negative, {sign['n_near_zero']} near zero\n")
 
         assert cli_main(["report", "--run", str(rundir)]) == 0
-        out = capsys.readouterr().out
-        assert "delta" in out
+        tables = ""
+        for arm in ("with_refinement", "no_refinement"):
+            report = json.loads((rundir / arm / "report.json").read_text())
+            tables += f"--- {arm}\nfold       best_epoch  macro_auc\n"
+            tables += "".join(f"{f['fold']}          {f['best_epoch']:<11} "
+                              f"{f['best_val_macro_auc']:.6f}\n" for f in report["folds"])
+            tables += f"ensemble   (oof)       {report['ensemble']['auc']['macro_auc']:.6f}\n"
+        assert capsys.readouterr().out == arms + tables
 
 
 def _log_rows(rundir):
@@ -441,16 +452,17 @@ class TestTimings:
         rundir, lib = tmp_path / "ab", tmp_path / "lib"
         assert cli_main(["ablate", "--data", str(tiny_data), "--config", str(tiny_config),
                          "--out", str(rundir)]) == 0
-        arms = ("with_refinement", "no_refinement")
-        self._timings(rundir, sum(_log_rows(rundir / arm) for arm in arms))
-        result = harness.run_ablation(load_dataset(tiny_data), load_config(tiny_config))
+        names = ("with_refinement", "no_refinement")
+        self._timings(rundir, sum(_log_rows(rundir / name) for name in names))
+        arms = harness.run_ablation(load_dataset(tiny_data), load_config(tiny_config))
+        assert list(arms) == list(names)
         lib.mkdir()
-        write_json(result.comparison(), lib / "ablation.json")
-        for arm, report in zip(arms, (result.refined, result.baseline)):
-            harness.write_run_report(report, lib / arm)
-        for name in ["ablation.json"] + [f"{arm}/report.json" for arm in arms]:
+        write_json(harness.ablation_record(arms), lib / "ablation.json")
+        for name, report in arms.items():
+            harness.write_run_report(report, lib / name)
+        for name in ["ablation.json"] + [f"{name}/report.json" for name in names]:
             assert (rundir / name).read_bytes() == (lib / name).read_bytes(), name
-        assert not (rundir / arms[0] / "timings.json").exists()
+        assert not (rundir / names[0] / "timings.json").exists()
 
 
 class TestRunDirectory:

@@ -635,8 +635,10 @@ class TestAblationExactness:
 class TestRunAblation:
     def test_comparison_contents(self):
         ds = toy_dataset()
-        result = run_ablation(ds, fast_cfg())
-        comp = result.comparison()
+        arms = run_ablation(ds, fast_cfg())
+        assert list(arms) == list(harness.ABLATION_ARMS) == ["with_refinement", "no_refinement"]
+        assert [r.config.refinement_enabled for r in arms.values()] == [True, False]
+        comp = harness.ablation_record(arms)
         assert set(comp) == {"macro_auc_refined", "macro_auc_baseline", "delta",
                              "source", "coupling_sign_summary"}
         assert comp["delta"] == pytest.approx(

@@ -207,35 +207,58 @@ class TestCheckpoint:
 
 class TestValidation:
     """A checkpoint is the one model that arrives from outside: a record
-    it cannot use raises PredictorShapeError naming the file and array."""
+    it cannot use raises PredictorShapeError naming the file and every
+    key whose value it cannot load."""
 
-    def _load(self, tmp_path, record, match):
+    def _load(self, tmp_path, record, problems):
         path = tmp_path / "ckpt.json"
         path.write_text(json.dumps(record))
-        with pytest.raises(PredictorShapeError, match=match) as exc:
+        with pytest.raises(PredictorShapeError) as exc:
             load_checkpoint(path)
-        assert str(path) in str(exc.value)
+        assert str(exc.value) == f"{path}: " + "; ".join(problems)
 
-    def test_nonfinite_rejected(self, tmp_path):
-        # Python's json writes and reads NaN
-        self._load(tmp_path, {"arrays": {"W2": [[float("nan"), 0.0]], "b2": [0.0, 0.0]},
-                              "config_hash": "ab"}, "W2 contains non-finite")
+    @pytest.mark.parametrize("arrays, problem", [
+        # Python's json writes and reads NaN and Infinity
+        ({"W2": [[float("nan"), 0.0]], "b2": [0.0, 0.0]},
+         "arrays.W2.0.0: must be a finite number, got nan"),
+        ({"W2": [[1.0]], "b2": [float("inf")]}, "arrays.b2.0: must be a finite number, got inf"),
+        ({"W2": [[1.0]], "b2": [0.0], "A": [[float("nan")]]},
+         "arrays.A.0.0: must be a finite number, got nan"),
+    ], ids=["W2-nan", "b2-infinity", "A-nan"])
+    def test_nonfinite_rejected(self, tmp_path, arrays, problem):
+        self._load(tmp_path, {"arrays": arrays, "config_hash": "ab"}, [problem])
 
-    @pytest.mark.parametrize("record", [
-        [1, 2], {"config_hash": "ab"}, {"arrays": [], "config_hash": "ab"},
-        {"arrays": {"W2": [[1.0]], "b2": [0.0]}}, {"arrays": {"W2": [[1.0]], "b2": [0.0]},
-                                                   "config_hash": 7},
+    @pytest.mark.parametrize("record, problems", [
+        ([1, 2], ["config_hash: missing", "arrays: missing"]),
+        ({"config_hash": "ab"}, ["arrays: missing"]),
+        ({"arrays": [], "config_hash": "ab"},
+         ["arrays: must be an object of W2, b2 and an optional A, got []",
+          "arrays.W2: missing", "arrays.b2: missing"]),
+        ({"arrays": {"W2": [[1.0]], "b2": [0.0]}}, ["config_hash: missing"]),
+        ({"arrays": {"W2": [[1.0]], "b2": [0.0]}, "config_hash": 7},
+         ["config_hash: must be a string, got 7"]),
     ], ids=["list", "no-arrays", "arrays-list", "no-hash", "hash-number"])
-    def test_record_not_a_checkpoint_object(self, tmp_path, record):
-        self._load(tmp_path, record, "'arrays' object")
+    def test_record_not_a_checkpoint_object(self, tmp_path, record, problems):
+        self._load(tmp_path, record, problems)
 
-    @pytest.mark.parametrize("arrays, name", [
-        ({"W2": [[1.0]], "b2": [0.0], "A": [[0.0, 0.0, 0.0]]}, "A"),
-        ({"W2": [1.0, 2.0], "b2": [0.0]}, "W2"),
-        ({"W2": [[1.0, 2.0]], "b2": [0.0]}, "W2"),
-        ({"W2": [[1.0]], "b2": [[0.0]]}, "b2"),
-        ({"W2": [[1.0], [2.0, 3.0]], "b2": [0.0]}, "W2"),
-        ({"W2": [["x"]], "b2": [0.0]}, "W2"),
-    ], ids=["A-1x3", "W2-1d", "W2-width", "b2-2d", "W2-ragged", "W2-text"])
-    def test_misshapen_array_named(self, tmp_path, arrays, name):
-        self._load(tmp_path, {"arrays": arrays, "config_hash": "ab"}, f"{name} ")
+    @pytest.mark.parametrize("arrays, problems", [
+        ({"W2": [[1.0]], "b2": [0.0], "A": [[0.0, 0.0, 0.0]]},
+         ["arrays.A.0: must be a list of 1 entries, got [0.0, 0.0, 0.0]"]),
+        ({"W2": [[1.0]], "b2": [0.0], "A": []}, ["arrays.A: must be a list of 1 entries, got []"]),
+        ({"W2": [1.0, 2.0], "b2": [0.0]}, ["arrays.W2.0: must be a list of 1 entries, got 1.0",
+                                           "arrays.W2.1: must be a list of 1 entries, got 2.0"]),
+        ({"W2": [[1.0, 2.0]], "b2": [0.0]},
+         ["arrays.W2.0: must be a list of 1 entries, got [1.0, 2.0]"]),
+        ({"W2": [], "b2": [0.0]}, ["arrays.W2: must be a non-empty list, got []"]),
+        ({"W2": [[1.0]], "b2": [[0.0]]}, ["arrays.b2.0: must be a finite number, got [0.0]"]),
+        ({"W2": [[1.0]], "b2": 0.5}, ["arrays.b2: must be a non-empty list, got 0.5"]),
+        ({"W2": [[]], "b2": []}, ["arrays.b2: must be a non-empty list, got []"]),
+        ({"W2": [[1.0], [2.0, 3.0]], "b2": [0.0]},
+         ["arrays.W2.1: must be a list of 1 entries, got [2.0, 3.0]"]),
+        ({"W2": [["x"]], "b2": [0.0]}, ["arrays.W2.0.0: must be a finite number, got 'x'"]),
+        ({"W2": [["1.5"]], "b2": [0.0]}, ["arrays.W2.0.0: must be a finite number, got '1.5'"]),
+        ({"W2": [[True]], "b2": [0.0]}, ["arrays.W2.0.0: must be a finite number, got True"]),
+    ], ids=["A-1x3", "A-empty", "W2-1d", "W2-width", "W2-empty", "b2-2d", "b2-number",
+            "no-labels", "W2-ragged", "W2-text", "W2-numeric-text", "W2-bool"])
+    def test_misshapen_array_named(self, tmp_path, arrays, problems):
+        self._load(tmp_path, {"arrays": arrays, "config_hash": "ab"}, problems)

@@ -8,7 +8,6 @@ Exit codes: 0 success, 1 validation error (bad flags, bad config, bad data),
 from __future__ import annotations
 
 import argparse
-import csv
 import sys
 import time
 import traceback
@@ -17,10 +16,12 @@ from pathlib import Path
 from . import harness, stratify, synthgen
 from .datamodel import (
     CoupledLabelsError,
+    checked,
     load_config,
     load_dataset,
     read_json,
     save_dataset,
+    write_csv,
     write_json,
 )
 
@@ -175,12 +176,8 @@ def _write_plot_csvs(rundir: Path, report: dict) -> list[Path]:
     written = []
 
     def emit(name: str, header: list[str], rows) -> None:
-        path = rundir / name
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(header)
-            writer.writerows(rows)
-        written.append(path)
+        write_csv(rundir / name, header, rows)
+        written.append(rundir / name)
 
     corr = diag["pearson_correlation"]
     emit("pearson_correlation.csv", ["label"] + labels,
@@ -212,7 +209,7 @@ def _cmd_report(args) -> int:
     # an ablation directory holds one run per arm: read every file, then report
     if (rundir / "ablation.json").exists():
         path = rundir / "ablation.json"
-        record = harness.checked(path, read_json(path), harness.ABLATION_RULES)
+        record = checked(path, read_json(path), harness.ABLATION_RULES, harness.HarnessError)
         arms = {arm: harness.read_report_json(rundir / arm) for arm in harness.ABLATION_ARMS}
         _print_ablation(record)
         for arm, report in arms.items():

@@ -15,11 +15,9 @@ Logits (M, B, L) with a stacked (M, L, L) matrix refine M models at once.
 
 from __future__ import annotations
 
-import csv
-
 import numpy as np
 
-from .datamodel import CoupledLabelsError
+from .datamodel import CoupledLabelsError, write_csv
 from .predictor import expit
 
 
@@ -82,10 +80,7 @@ def save_coupling_csv(A, label_names: list[str], path) -> None:
         raise CouplingShapeError(
             f"matrix shape {A.shape} does not match {len(label_names)} label names"
         )
-    out = zero_diag(A.copy())
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["source"] + list(label_names))
-        for i, name in enumerate(label_names):
-            writer.writerow([name] + [repr(float(v)) for v in out[i]])
+    write_csv(path, ["source"] + list(label_names),
+              ([name] + [repr(float(v)) for v in row]
+               for name, row in zip(label_names, zero_diag(A.copy()))))
 

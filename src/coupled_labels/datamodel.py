@@ -321,7 +321,7 @@ _SAVE_BLOCK_ROWS = 256
 def save_dataset(ds: Dataset, path) -> None:
     """Write a Dataset as CSV; floats use repr so a reload is bit-exact.
 
-    The body bytes equal what ``csv.writer`` gives for the rows
+    The body bytes equal what `write_csv` gives for the rows
     ``[repr(x) for x in features] + [str(int(y)) for y in labels]``: no such
     cell needs quoting, so each row is its cells joined by commas plus the
     writer's ``\\r\\n``. The rows are cut into one range per process
@@ -334,11 +334,11 @@ def save_dataset(ds: Dataset, path) -> None:
     """
     path = Path(path)
     rows = _row_ranges(ds.n_examples, _SAVE_BLOCK_ROWS)
-    with (_replacing(path, _new_file_bits(path), "w", newline="") as fh,
+    with (_replacing(path, path, "w", newline="") as fh,
           contextlib.ExitStack() as stack):
         header = [f"f{i}" for i in range(ds.n_features)]
         header += [LABEL_PREFIX + name for name in ds.label_names]
-        csv.writer(fh).writerow(header)
+        write_csv(fh, header)
         sinks = [fh] + [
             stack.enter_context(tempfile.TemporaryFile(
                 "w", newline="", encoding=fh.encoding, dir=path.parent))
@@ -360,30 +360,25 @@ def save_dataset(ds: Dataset, path) -> None:
     _write_sidecar(ds, path)
 
 
-def _new_file_bits(path: Path) -> int:
-    """The permission bits ``open(path, "w")`` would leave ``path`` with:
-    its own if it exists, else 0o666 less the umask. The umask can only be
-    read by setting it, so it is set back at once."""
-    try:
-        return stat.S_IMODE(os.stat(path).st_mode)
-    except FileNotFoundError:
-        umask = os.umask(0o022)
-        os.umask(umask)
-        return 0o666 & ~umask
-
-
 @contextlib.contextmanager
-def _replacing(path: Path, bits: int, mode: str, **open_args):
+def _replacing(path: Path, like: Path, mode: str, **open_args):
     """Yield a file opened with ``mode`` under a temporary name in the
-    directory of ``path``. Once the block has written it, it gets the
-    permission ``bits`` and is renamed to ``path``, so that no reader sees
-    a partial file; if anything fails, it is unlinked and ``path`` is left
-    as it was."""
-    fd, tmp = tempfile.mkstemp(prefix=path.name + ".", suffix=".tmp", dir=path.parent)
+    directory of ``path``, created as ``open`` creates a file, so that the
+    umask applies. Once the block has written it, it gets the permission
+    bits of ``like`` if that exists, and is renamed to ``path``, so that no
+    reader sees a partial file; if anything fails, it is unlinked and
+    ``path`` is left as it was."""
+    try:
+        bits = stat.S_IMODE(os.stat(like).st_mode)
+    except FileNotFoundError:
+        bits = None
+    tmp = path.with_name(f"{path.name}.{os.urandom(8).hex()}.tmp")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with open(fd, mode, **open_args) as fh:
             yield fh
-        os.chmod(tmp, bits)
+        if bits is not None:
+            os.chmod(tmp, bits)
         os.replace(tmp, path)
     except BaseException:
         with contextlib.suppress(OSError):
@@ -432,7 +427,7 @@ def _write_sidecar(ds: Dataset, path: Path) -> None:
     """Write the sidecar of the complete CSV at ``path`` straight from the
     arrays of ``ds``, with the CSV's permission bits (`_replacing`)."""
     line, _ = _digest_line(path)
-    with _replacing(_sidecar_path(path), stat.S_IMODE(os.stat(path).st_mode), "wb") as fh:
+    with _replacing(_sidecar_path(path), path, "wb") as fh:
         fh.write(line)
         for arr in (ds.features, ds.labels):
             fh.write(np.ascontiguousarray(arr, _SIDECAR_DTYPE))
@@ -513,6 +508,15 @@ def _cut(text: str) -> str:
     return text if len(text) <= 60 else text[:57] + "..."
 
 
+def checked(where, doc, rules: dict, error: type[CoupledLabelsError]):
+    """`doc` if it has no `field_problems` under `rules`; if it has, an
+    `error` names `where` (a file, or what `doc` is) and every problem."""
+    problems = field_problems(doc, rules)
+    if problems:
+        raise error(f"{where}: " + "; ".join(problems))
+    return doc
+
+
 @dataclass(frozen=True)
 class AslParams:
     gamma_pos: float = 0.0
@@ -544,9 +548,8 @@ class ExperimentConfig:
     def __post_init__(self):
         if not isinstance(self.asl, AslParams):
             raise ConfigError(f"invalid config: asl: must be an AslParams, got {self.asl!r}")
-        problems = field_problems({**vars(self), "asl": vars(self.asl)}, _CONFIG_RULES)
-        if problems:
-            raise ConfigError("invalid config: " + "; ".join(problems))
+        checked("invalid config", {**vars(self), "asl": vars(self.asl)}, _CONFIG_RULES,
+                ConfigError)
 
     def to_json_dict(self) -> dict:
         return dataclasses.asdict(self)
@@ -624,6 +627,15 @@ def write_json(obj, path) -> None:
     with open(path, "w") as fh:
         json.dump(obj, fh, indent=2, sort_keys=True)
         fh.write("\n")
+
+
+def write_csv(out, header: list, rows=()) -> None:
+    """Write the `header` row, then `rows`, with the ``csv`` module's quoting
+    (only where a cell needs it) and ``\\r\\n`` line ends. `out` is a path,
+    or a text file opened with ``newline=""``, which stays open."""
+    opened = isinstance(out, (str, os.PathLike))
+    with open(out, "w", newline="") if opened else contextlib.nullcontext(out) as fh:
+        csv.writer(fh).writerows(itertools.chain([header], rows))
 
 
 def save_config(cfg: ExperimentConfig, path) -> None:

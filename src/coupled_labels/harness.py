@@ -33,7 +33,7 @@ from .datamodel import (
     Dataset,
     ExperimentConfig,
     _number,
-    field_problems,
+    checked,
     fork_cpus,
     read_json,
     save_config,
@@ -121,7 +121,6 @@ class _Run:
     rng_shuffle: np.random.Generator
     state: TrainState
     best: FoldResult | None = None
-    epochs_without_improvement: int = 0
 
 
 def _plan_shards(cfgs: list[ExperimentConfig]) -> tuple[list[list[int]], bool]:
@@ -259,11 +258,8 @@ def _train_lockstep(features, labels, runs: list[_Run]) -> list[tuple]:
                     epochs_run=0, skipped_steps=0, checkpoint=model,
                     val_auc=report, train_log=state.logs[i],
                 )
-                run.epochs_without_improvement = 0
-            else:
-                run.epochs_without_improvement += 1
-                if run.epochs_without_improvement >= cfg.patience:
-                    stopped.append(i)
+            elif epoch - run.best.best_epoch >= cfg.patience:
+                stopped.append(i)
         if epoch == cfg.epochs:
             stopped = list(range(len(runs)))
         results += [(runs[i].index, dataclasses.replace(runs[i].best, epochs_run=epoch,
@@ -481,24 +477,16 @@ def _sized_rules(n_labels: int, bins: int, n_folds: int) -> dict:
     return rules
 
 
-def checked(path, doc, rules: Mapping, error: type[CoupledLabelsError] = HarnessError):
-    """`doc`, read from `path`, if it has no `field_problems` under `rules`;
-    if it has, an `error` names the file and every problem."""
-    problems = field_problems(doc, rules)
-    if problems:
-        raise error(f"{path}: " + "; ".join(problems))
-    return doc
-
-
 def read_report_json(rundir) -> dict:
     """A run's report.json, checked by `REPORT_RULES` and then by the
     `_sized_rules` of its label count, bins and number of folds."""
     path = Path(rundir) / "report.json"
     if not path.exists():
         raise HarnessError(f"no report.json under {rundir}")
-    doc = checked(path, read_json(path), REPORT_RULES)
+    doc = checked(path, read_json(path), REPORT_RULES, HarnessError)
     bins = doc["diagnostics"]["probability_histograms"]["bins"]
-    return checked(path, doc, _sized_rules(len(doc["label_names"]), bins, len(doc["folds"])))
+    return checked(path, doc, _sized_rules(len(doc["label_names"]), bins, len(doc["folds"])),
+                   HarnessError)
 
 
 def save_checkpoint(path, model: Mapping, config_hash: str) -> None:

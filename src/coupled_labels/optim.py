@@ -19,7 +19,6 @@ meaning; parameters, moments and EMA are left untouched.
 from __future__ import annotations
 
 import copy
-import csv
 import dataclasses
 import math
 from collections.abc import Mapping
@@ -29,7 +28,7 @@ import numpy as np
 
 from . import losses
 from .coupling import refine_backward, refine_forward, zero_diag
-from .datamodel import CoupledLabelsError, ExperimentConfig
+from .datamodel import CoupledLabelsError, ExperimentConfig, write_csv
 from .predictor import predict_backward, predict_forward
 
 
@@ -326,8 +325,5 @@ def _update(state: TrainState, grads: ParamBuffer, lr: np.ndarray,
 
 
 def save_train_log(log: list[StepLog], path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["step", "lr", "loss", "grad_norm", "skipped"])
-        for e in log:
-            writer.writerow([e.step, repr(e.lr), repr(e.loss), repr(e.grad_norm), int(e.skipped)])
+    write_csv(path, ["step", "lr", "loss", "grad_norm", "skipped"],
+              ([e.step, repr(e.lr), repr(e.loss), repr(e.grad_norm), int(e.skipped)] for e in log))

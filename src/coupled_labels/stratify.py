@@ -63,7 +63,7 @@ _FOLD_BLOCK_ROWS = 4096
 
 
 def save_folds(assign: FoldAssignment, path) -> None:
-    """Write ``example_index,fold`` rows, byte for byte as ``csv.writer`` would,
+    """Write ``example_index,fold`` rows, byte for byte as `write_csv` would,
     one block of `_FOLD_BLOCK_ROWS` rows at a time."""
     folds = assign.fold_of
     with open(path, "w", newline="") as fh:

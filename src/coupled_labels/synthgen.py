@@ -21,7 +21,7 @@ from graphlib import CycleError, TopologicalSorter
 
 import numpy as np
 
-from .datamodel import CoupledLabelsError, Dataset, _number, field_problems, read_json, write_json
+from .datamodel import CoupledLabelsError, Dataset, _number, checked, read_json, write_json
 from .metrics import _blocks
 from .predictor import expit
 
@@ -50,9 +50,7 @@ class GenSpec:
     base_weights: np.ndarray = field(default=None, compare=False)
 
     def __post_init__(self):
-        problems = field_problems(vars(self), _SPEC_RULES)
-        if problems:
-            raise GenSpecError("invalid generator spec: " + "; ".join(problems))
+        checked("invalid generator spec", vars(self), _SPEC_RULES, GenSpecError)
         edges = tuple(
             e if isinstance(e, PlantedEdge) else PlantedEdge(*e) for e in self.planted_edges
         )
@@ -136,9 +134,7 @@ def spec_from_dict(raw: dict) -> GenSpec:
     missing = fields - set(raw)
     if missing:
         raise GenSpecError(f"generator spec missing field(s): {sorted(missing)}")
-    problems = field_problems(raw, _JSON_EDGES_RULE)
-    if problems:
-        raise GenSpecError("invalid generator spec: " + "; ".join(problems))
+    checked("invalid generator spec", raw, _JSON_EDGES_RULE, GenSpecError)
     edges = tuple(PlantedEdge(s, t, float(b)) for s, t, b in raw["planted_edges"])
     noise = raw["noise_scale"]
     return GenSpec(**{**raw, "planted_edges": edges,

@@ -502,6 +502,41 @@ class TestRunDirectory:
         assert (rundir / "report.json").exists()
 
 
+
+class TestPlotCsvBytes:
+    """The bytes of the plot CSVs `report --run` writes from a hand-made
+    report.json: `csv` quoting, `\\r\\n` line ends, repr floats."""
+
+    def test_bytes(self, tmp_path, capsys):
+        doc = {
+            "folds": [{"fold": 0, "best_epoch": 1, "best_val_macro_auc": 0.5},
+                      {"fold": 1, "best_epoch": 2, "best_val_macro_auc": 0.75}],
+            "ensemble": {"source": "oof", "auc": {"macro_auc": 0.625}},
+            "label_names": ["a,b", "c"],
+            "diagnostics": {
+                "pearson_correlation": [[1.0, None], [None, 1.0]],
+                "fold_agreement": {"majority_counts": {"2": 3, "1": 1},
+                                   "pair_agreement": [[1.0, 0.1 + 0.2], [0.1 + 0.2, 1.0]]},
+                "per_label_fold_std": [0.1, 0.0],
+                "probability_histograms": {"bins": 2, "counts": [[1, 0], [0, 1]]},
+            },
+        }
+        write_json(doc, tmp_path / "report.json")
+        assert cli_main(["report", "--run", str(tmp_path)]) == 0
+        capsys.readouterr()
+        expected = {
+            "pearson_correlation.csv": b'label,"a,b",c\r\n"a,b",1.0,\r\nc,,1.0\r\n',
+            "fold_agreement.csv": b"majority_votes,cells\r\n1,1\r\n2,3\r\n",
+            "fold_pair_agreement.csv":
+                b"fold_a,fold_b,agreement_rate\r\n0,1,0.30000000000000004\r\n",
+            "per_label_fold_std.csv": b'label,mean_std\r\n"a,b",0.1\r\nc,0.0\r\n',
+            "probability_histograms.csv": (b'label,bin_low,bin_high,count\r\n'
+                                           b'"a,b",0.0,0.5,1\r\n"a,b",0.5,1.0,0\r\n'
+                                           b'c,0.0,0.5,0\r\nc,0.5,1.0,1\r\n'),
+        }
+        for name, data in expected.items():
+            assert (tmp_path / name).read_bytes() == data, name
+
 def _python(code: str) -> str:
     """Standard output of `code` run by a fresh interpreter on this package."""
     src = str(Path(coupled_labels.__file__).resolve().parents[1])

@@ -149,3 +149,10 @@ class TestCsv:
         back, _ = load_coupling_csv(path)
         np.testing.assert_array_equal(np.diag(back), [0.0, 0.0])
         assert back[0, 1] == 3.0
+
+    def test_bytes_quote_a_name_with_a_comma(self, tmp_path):
+        path = tmp_path / "coupling.csv"
+        save_coupling_csv(np.array([[5.0, 0.1 + 0.2], [-0.25, 5.0]]), ["a,b", "c"], path)
+        assert path.read_bytes() == (b'source,"a,b",c\r\n'
+                                     b'"a,b",0.0,0.30000000000000004\r\n'
+                                     b'c,-0.25,0.0\r\n')

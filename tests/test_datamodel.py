@@ -643,6 +643,17 @@ class TestSidecar:
         modes = [p.stat().st_mode & 0o777 for p in (path, tmp_path / "d.csv.f64")]
         assert modes == [0o604, 0o604]
 
+    def test_save_never_sets_the_umask(self, tmp_path, monkeypatch):
+        # the umask is the whole process's: a thread creating a file while a
+        # save had changed it would get the wrong bits
+        def no_umask(mask):
+            raise AssertionError("os.umask called")
+
+        monkeypatch.setattr(os, "umask", no_umask)
+        path = tmp_path / "d.csv"
+        save_dataset(scaled_dataset(6), path)
+        assert sorted(files_in(tmp_path)) == ["d.csv", "d.csv.f64"]
+
     def test_save_makes_no_copy_of_the_arrays(self, tmp_path):
         # the benchmark's 60k x (20 + 14) shape: a (n, D + L) copy is 16.3 MB
         rng = np.random.default_rng(0)

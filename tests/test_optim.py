@@ -20,6 +20,7 @@ from coupled_labels.optim import (
     ema_update,
     init_train_state,
     lr_at,
+    save_train_log,
     stack_states,
     train_step,
 )
@@ -355,3 +356,14 @@ class TestRefinementOffPath:
         assert state.params.get("A") is None
         # the shadow has the parameters' layout, so it holds no coupling either
         assert state.shadow.shape == state.params.data.shape == (1, 6 * 3 + 3)
+
+
+class TestTrainLogCsv:
+    def test_bytes(self, tmp_path):
+        # repr floats, a skipped step's nan grad norm as `nan`, `\r\n` ends
+        path = tmp_path / "log.csv"
+        save_train_log([StepLog(0, 1e-4, 0.1 + 0.2, 2.5, False),
+                        StepLog(1, 2e-4, 0.7, math.nan, True)], path)
+        assert path.read_bytes() == (b"step,lr,loss,grad_norm,skipped\r\n"
+                                     b"0,0.0001,0.30000000000000004,2.5,0\r\n"
+                                     b"1,0.0002,0.7,nan,1\r\n")

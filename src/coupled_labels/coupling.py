@@ -5,10 +5,11 @@ Row-wise, with p = sigmoid(z):
 
     z' = z + alpha * (p @ A)
 
-A has a zero diagonal at all times and starts at zero, so the untrained
-model is exactly the independent per-label predictor. Entry A[i, j] routes
-evidence for label i into label j's logit: positive entries boost, negative
-entries suppress.
+A starts at zero, so the untrained model is exactly the independent
+per-label predictor, and its diagonal stays +0.0 with no projection: the
+gradients of `refine_backward` and `losses.l1_penalty` are +0.0 there, which
+clipping, Adam, weight decay and the EMA keep at +0.0. Entry A[i, j] routes
+evidence for label i into label j's logit: positive boosts, negative suppresses.
 
 Logits (M, B, L) with a stacked (M, L, L) matrix refine M models at once.
 """
@@ -53,7 +54,7 @@ def refine_backward(grad_zprime, cache: dict, A: np.ndarray,
     """Exact chain rule through the refinement step.
 
     grad_z = g + alpha * (g @ A^T) * sigmoid'(z)
-    grad_A = alpha * p^T @ g, diagonal zeroed (constraint projection)
+    grad_A = alpha * p^T @ g, diagonal zeroed (A's diagonal stays zero)
     """
     g = np.asarray(grad_zprime, dtype=np.float64)
     p = cache["p"]

@@ -21,7 +21,6 @@ import functools
 import hashlib
 import itertools
 import json
-import mmap
 import multiprocessing
 import os
 import stat
@@ -441,7 +440,7 @@ def _read_sidecar(path: Path, header_lines: int, label_start: int, n_cols: int):
     each of the CSV's n data lines, n >= 1; the digest pass is skipped when
     the sidecar is missing or its size or first line cannot be right. Any
     problem with it (missing, unreadable, a directory, short, long, stale)
-    gives None. The cells go into one anonymous ``mmap``, features first.
+    gives None. The cells are read into one array, features first.
     """
     try:
         with open(_sidecar_path(path), "rb", buffering=0) as fh:
@@ -452,19 +451,15 @@ def _read_sidecar(path: Path, header_lines: int, label_start: int, n_cols: int):
                     or not line.startswith(_DIGEST_PREFIX)
                     or _digest_line(path, count_ends=True) != (line, header_lines + n_rows)):
                 return None
-            buf = mmap.mmap(-1, n_bytes)
-            with memoryview(buf) as view:
-                done = 0
-                while done < n_bytes and (size := fh.readinto(view[done:])):
-                    done += size
+            # a short read gives a short array, not an error
+            cells = np.fromfile(fh, _SIDECAR_DTYPE, n_rows * n_cols)
     except OSError:
         return None
-    if done != n_bytes:
+    if cells.size != n_rows * n_cols:
         return None
-    features = np.frombuffer(buf, _SIDECAR_DTYPE, n_rows * label_start)
-    labels = np.frombuffer(buf, _SIDECAR_DTYPE, offset=8 * n_rows * label_start)
-    return (features.reshape(n_rows, label_start),
-            labels.reshape(n_rows, n_cols - label_start))
+    split = n_rows * label_start
+    return (cells[:split].reshape(n_rows, label_start),
+            cells[split:].reshape(n_rows, n_cols - label_start))
 
 
 # ---------------------------------------------------------------------------
@@ -547,7 +542,8 @@ class ExperimentConfig:
 
     def __post_init__(self):
         if not isinstance(self.asl, AslParams):
-            raise ConfigError(f"invalid config: asl: must be an AslParams, got {self.asl!r}")
+            raise ConfigError(
+                f"invalid config: asl: must be an AslParams, got {_cut(repr(self.asl))}")
         checked("invalid config", {**vars(self), "asl": vars(self.asl)}, _CONFIG_RULES,
                 ConfigError)
 

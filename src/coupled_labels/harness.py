@@ -3,9 +3,9 @@ and best-checkpoint selection, cross-fold ensembling, ablation, report
 assembly and run directories. A fold model is one mapping of named float64
 arrays (`predictor`), and its checkpoint file holds exactly those arrays.
 
-All training goes through `train_folds`: a list of runs (fold, seed, rows,
-config) cut into shards of runs whose configs are equal apart from `seed`,
-each shard in lockstep, one shard per CPU through `datamodel.split_work`
+All training goes through `train_folds`: runs (fold, train rows, validation
+rows, config) cut into shards of runs whose configs are equal apart from
+`seed`, each shard in lockstep, one shard per CPU through `split_work`
 where the runs divide evenly. One `train_step` per batch position advances
 every model of a shard that has a full batch there, and each model
 computes bit for bit what it would compute trained alone. Every experiment
@@ -125,8 +125,7 @@ class _Run:
 
 def _plan_shards(cfgs: list[ExperimentConfig]) -> tuple[list[list[int]], bool]:
     """Cut the run indices into shards of runs whose configs are equal apart
-    from `seed`, which each run carries itself, and say whether to split
-    them across processes with `split_work`.
+    from `seed`, and say whether to fork them with `split_work`.
 
     Split shards are W of one size, for the largest W up to `fork_cpus`
     that the runs and their config groups divide evenly: a process with
@@ -145,8 +144,8 @@ def _plan_shards(cfgs: list[ExperimentConfig]) -> tuple[list[list[int]], bool]:
 
 def fold_runs(assign: FoldAssignment, cfg: ExperimentConfig) -> list[tuple]:
     """The K runs of one experiment for `train_folds`: fold k validates on
-    its own rows, trains on the rest, and has seed `cfg.seed + k`."""
-    return [(k, cfg.seed + k, np.flatnonzero(assign.fold_of != k), assign.indices(k), cfg)
+    its own rows and trains on the rest."""
+    return [(k, np.flatnonzero(assign.fold_of != k), assign.indices(k), cfg)
             for k in range(assign.K)]
 
 
@@ -154,9 +153,9 @@ def train_folds(features, labels, runs) -> list[FoldResult]:
     """Train one model per run and return their results in the order of
     `runs`.
 
-    `runs` holds (fold index, seed, train row indices, validation row
-    indices, config) into the shared `features` and `labels`. Each model
-    has its own seed streams, schedule, Adam clock and early stopping:
+    `runs` holds (fold index, train row indices, validation row indices,
+    config) into the shared `features` and `labels`. Each model has its own
+    seed streams (`_new_run`), schedule, Adam clock and early stopping:
     per-epoch validation on EMA weights, keep the best checkpoint, stop
     after `patience` epochs without improvement.
 
@@ -184,13 +183,13 @@ def train_folds(features, labels, runs) -> list[FoldResult]:
 
 
 def _new_run(features, labels, index: int, run: tuple) -> _Run:
-    fold, seed, train_idx, val_idx, cfg = run
+    fold, train_idx, val_idx, cfg = run
     n_train = train_idx.shape[0]
     if n_train < 1 or val_idx.shape[0] < 1:
         raise HarnessError(f"fold {fold}: empty train or validation subset")
-    # Child 2 seeds the shuffle stream and child 1 goes unused: spawning
-    # fewer than three would change the shuffles and every trained result.
-    init_seed, _, shuffle_seed = np.random.SeedSequence(seed).spawn(3)
+    # Fold k's model is seeded from cfg.seed + k. Child 1 goes unused and child
+    # 2 seeds the shuffles: spawning fewer would change every trained result.
+    init_seed, _, shuffle_seed = np.random.SeedSequence(cfg.seed + fold).spawn(3)
     rng_shuffle = np.random.default_rng(shuffle_seed)
     model = init_params(features.shape[1], labels.shape[1], np.random.default_rng(init_seed))
     if cfg.refinement_enabled:
@@ -229,7 +228,6 @@ def _train_lockstep(features, labels, runs: list[_Run]) -> list[tuple]:
         rows = np.zeros((len(runs), max(sizes)), dtype=np.intp)
         for i, run in enumerate(runs):
             rows[i, :sizes[i]] = run.train_idx[run.rng_shuffle.permutation(sizes[i])]
-        models = {(0, len(runs)): state}   # (first row, end row) -> those models
         for j in range(math.ceil(max(sizes) / bs)):
             lo, hi = j * bs, (j + 1) * bs
             c = sum(f > j for f in full)
@@ -238,10 +236,9 @@ def _train_lockstep(features, labels, runs: list[_Run]) -> list[tuple]:
             groups += [(i, i + 1, n) for i, (f, n) in enumerate(zip(full, sizes))
                        if f == j and n > lo]
             for a, b, end in groups:
-                if (a, b) not in models:
-                    models[a, b] = state.select(slice(a, b))
                 batch = rows[a:b, lo:end]
-                train_step(features[batch], labels[batch], models[a, b], cfg)
+                train_step(features[batch], labels[batch],
+                           state if b - a == len(runs) else state.select(slice(a, b)), cfg)
 
         stopped = []
         for i in sorted(range(len(runs)), key=lambda i: runs[i].index):

@@ -12,8 +12,8 @@ keeps its own schedule, Adam clock and log. The state holds only what
 training mutates; every config scalar (`lr`, `weight_decay`, `ema_decay`,
 `alpha`, `lambda_l1`, `grad_clip_norm`) is read from the config at each step.
 
-A skipped step still advances the schedule clock so total_steps keeps its
-meaning; parameters, moments and EMA are left untouched.
+A skipped step still advances a model's schedule clock, the length of its
+log, and leaves its parameters, moments and EMA untouched.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import losses
-from .coupling import refine_backward, refine_forward, zero_diag
+from .coupling import refine_backward, refine_forward
 from .datamodel import CoupledLabelsError, ExperimentConfig, write_csv
 from .predictor import predict_backward, predict_forward
 
@@ -192,11 +192,10 @@ class TrainState:
     v: np.ndarray
     shadow: np.ndarray
     t: np.ndarray                       # (M,) Adam clock
-    step: np.ndarray                    # (M,) schedule clock
     skips: np.ndarray                   # (M,)
     pos_weight: np.ndarray | None       # (M, L)
     schedules: list[Schedule]
-    logs: list[list[StepLog]]
+    logs: list[list[StepLog]]           # a log's length is its schedule clock
 
     def select(self, rows: slice) -> "TrainState":
         """The models at `rows`, sharing this state's buffers, clocks and logs."""
@@ -244,7 +243,6 @@ def init_train_state(model: Mapping, schedule: Schedule,
         v=np.zeros_like(params.data),
         shadow=params.data.copy(),
         t=np.zeros(1, dtype=np.int64),
-        step=np.zeros(1, dtype=np.int64),
         skips=np.zeros(1, dtype=np.int64),
         pos_weight=None if pos_weight is None else np.asarray(pos_weight)[None],
         schedules=[schedule],
@@ -264,8 +262,8 @@ def train_step(x, y, state: TrainState, cfg: ExperimentConfig) -> list[StepLog]:
     own batch: x (M, B, D) and y (M, B, L). A model whose loss or any
     gradient is non-finite skips its update entirely. Returns one StepLog
     per model."""
-    lr = np.array([lr_at(sched, t, cfg.lr)
-                   for sched, t in zip(state.schedules, state.step.tolist())])
+    clock = [len(log) for log in state.logs]
+    lr = np.array([lr_at(sched, t, cfg.lr) for sched, t in zip(state.schedules, clock)])
     A = state.params["A"] if "A" in state.params else None
     z, pcache = predict_forward(x, state.params)
     if A is not None:
@@ -306,12 +304,11 @@ def train_step(x, y, state: TrainState, cfg: ExperimentConfig) -> list[StepLog]:
 
     entries = [
         StepLog(step=t, lr=r, loss=v, grad_norm=g, skipped=not k)
-        for t, r, v, g, k in zip(state.step.tolist(), lr.tolist(), total.tolist(),
+        for t, r, v, g, k in zip(clock, lr.tolist(), total.tolist(),
                                  grad_norm.tolist(), ok.tolist())
     ]
     for log, entry in zip(state.logs, entries):
         log.append(entry)
-    state.step += 1
     state.skips += ~ok
     return entries
 
@@ -319,8 +316,6 @@ def train_step(x, y, state: TrainState, cfg: ExperimentConfig) -> list[StepLog]:
 def _update(state: TrainState, grads: ParamBuffer, lr: np.ndarray,
             cfg: ExperimentConfig) -> None:
     adamw_step(state, grads, lr, cfg.weight_decay)
-    if "A" in state.params:
-        zero_diag(state.params["A"])
     ema_update(state, cfg.ema_decay)
 
 

@@ -45,9 +45,11 @@ class GenSpec:
     planted_edges: tuple[PlantedEdge, ...]
     noise_scale: float
     seed: int
-    # (D, L); drawn from seed when omitted. Excluded from equality: ndarray
-    # comparison is ambiguous and the array is derivable from the seed.
+    # (D, L); drawn from seed when omitted. A spec file holds only the seed,
+    # so `to_json_dict` refuses weights the seed does not draw.
     base_weights: np.ndarray = field(default=None, compare=False)
+    # the weights' bytes, by which specs compare (ndarray == is elementwise)
+    _weight_bytes: bytes = field(init=False, repr=False)
 
     def __post_init__(self):
         checked("invalid generator spec", vars(self), _SPEC_RULES, GenSpecError)
@@ -65,9 +67,7 @@ class GenSpec:
         topo_order(self)  # raises on cycles
         w = self.base_weights
         if w is None:
-            rng = np.random.default_rng(self.seed)
-            w = rng.normal(0.0, 1.0 / np.sqrt(self.n_features),
-                           size=(self.n_features, self.n_labels))
+            w = _seed_weights(self)
         else:
             w = np.asarray(w, dtype=np.float64)
             if w.shape != (self.n_features, self.n_labels):
@@ -76,8 +76,12 @@ class GenSpec:
                 )
         w.setflags(write=False)
         object.__setattr__(self, "base_weights", w)
+        object.__setattr__(self, "_weight_bytes", w.tobytes())
 
     def to_json_dict(self) -> dict:
+        if self._weight_bytes != _seed_weights(self).tobytes():
+            raise GenSpecError("base_weights: not the draw of the spec's seed, which is "
+                               "all a spec file holds")
         return {
             "n_examples": self.n_examples,
             "n_features": self.n_features,
@@ -86,6 +90,12 @@ class GenSpec:
             "noise_scale": self.noise_scale,
             "seed": self.seed,
         }
+
+
+def _seed_weights(spec: GenSpec) -> np.ndarray:
+    """The (D, L) base weights that `spec.seed` draws."""
+    rng = np.random.default_rng(spec.seed)
+    return rng.normal(0.0, 1.0 / np.sqrt(spec.n_features), size=(spec.n_features, spec.n_labels))
 
 
 def topo_order(spec: GenSpec) -> list[int]:

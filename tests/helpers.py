@@ -14,7 +14,7 @@ for tests that wait on forked workers."""
 import contextlib
 import math
 import signal
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.special import expit
@@ -211,13 +211,13 @@ def reference_generate(spec):
 
 def run_fold(train_x, train_y, val_x, val_y, cfg, seed, fold_index=0):
     """`train_folds` for one model on its own train and validation arrays,
-    under `cfg` with seed `seed`."""
+    under `cfg` with its seed set to `seed`."""
     from coupled_labels.harness import train_folds
 
     n_train = len(train_x)
     features, labels = np.concatenate([train_x, val_x]), np.concatenate([train_y, val_y])
     rows = np.arange(len(features))
-    run = (fold_index, seed, rows[:n_train], rows[n_train:], cfg)
+    run = (fold_index, rows[:n_train], rows[n_train:], replace(cfg, seed=seed))
     return train_folds(features, labels, [run])[0]
 
 

@@ -587,7 +587,7 @@ save_dataset(Dataset(features=x, labels=y, label_names=["a", "b"]), {str(tmp_pat
 assert load_dataset({str(tmp_path / "d.csv")!r}).features.tobytes() == x.tobytes()
 rows = np.arange(40)
 cfg = config_from_dict({{"epochs": 2, "batch_size": 8}})
-runs = [(k, k, np.roll(rows, 10 * k)[:30], np.roll(rows, 10 * k)[30:], cfg) for k in range(2)]
+runs = [(k, np.roll(rows, 10 * k)[:30], np.roll(rows, 10 * k)[30:], cfg) for k in range(2)]
 harness.train_folds(x, y, runs)
 print(sorted(m for m in sys.modules if m in POOLS))
 """

@@ -811,6 +811,13 @@ class TestConfig:
         with pytest.raises(ConfigError, match=r"^invalid config: asl: must be"):
             ExperimentConfig(asl=asl)
 
+    def test_asl_of_another_type_long_repr_cut(self):
+        # cut to 60 characters, as `field_problems` cuts every other value
+        with pytest.raises(ConfigError) as exc:
+            ExperimentConfig(asl="x" * 300)
+        assert str(exc.value) == (
+            "invalid config: asl: must be an AslParams, got '" + "x" * 56 + "...")
+
     def test_unknown_field_rejected(self):
         with pytest.raises(ConfigError) as exc:
             config_from_dict({"learning_rate": 1e-3})

@@ -319,8 +319,8 @@ def _outcome(train):
 
 
 def _reference(x, y, runs):
-    return [reference_run_fold(x[tr], y[tr], x[va], y[va], cfg, seed, k)
-            for k, seed, tr, va, cfg in runs]
+    return [reference_run_fold(x[tr], y[tr], x[va], y[va], cfg, cfg.seed + k, k)
+            for k, tr, va, cfg in runs]
 
 
 def _with_workers(n, train):
@@ -367,7 +367,7 @@ def lockstep_problems(draw):
         train = np.flatnonzero(fold_of != k)
         if k == nan_fold:
             train = np.append(train, n)
-        runs.append((k, cfg.seed + k, train, np.flatnonzero(fold_of == k),
+        runs.append((k, train, np.flatnonzero(fold_of == k),
                      dataclasses.replace(cfg, refinement_enabled=refine[k], lr=lrs[k])))
     return x, y, runs, cfg
 
@@ -412,7 +412,7 @@ class TestLockstepMatchesReference:
                                 "lr": 0.05, "seed": 2, "ema_decay": 0.9})
         train = [np.flatnonzero(fold_of != k) for k in range(K)]
         train[1] = np.append(train[1], n)
-        runs = [(k, cfg.seed + k, train[k], np.flatnonzero(fold_of == k),
+        runs = [(k, train[k], np.flatnonzero(fold_of == k),
                  dataclasses.replace(cfg, refinement_enabled=k != 2)) for k in range(K)]
         results = _with_workers(1, lambda: train_folds(x, y, runs))
         assert [fr.skipped_steps > 0 for fr in results] == [False, True, False, False]
@@ -428,7 +428,8 @@ class TestLockstepMatchesReference:
         ds = toy_dataset(n=72, seed=4)
         cfg = fast_cfg(batch_size=24, epochs=2)
         rows = np.arange(72)
-        runs = [(0, 11, rows[:48], rows[48:], dataclasses.replace(cfg, refinement_enabled=flag))
+        runs = [(0, rows[:48], rows[48:],
+                 dataclasses.replace(cfg, seed=11, refinement_enabled=flag))
                 for flag in (True, False)]
         refined, plain = _with_workers(workers,
                                        lambda: train_folds(ds.features, ds.labels, runs))
@@ -469,7 +470,7 @@ class TestShardedEngine:
          ([[0, 2], [1, 3]], True)),
     ])
     def test_shard_plan_ignores_seed(self, cpus, overrides, plan):
-        # each run carries its own seed: configs that differ only in seed
+        # the seed only seeds the models: configs that differ only in seed
         # share one group, configs that differ in lr do not
         cfgs = [fast_cfg(**over) for over in overrides]
         assert _with_workers(cpus, lambda: harness._plan_shards(cfgs)) == plan
@@ -477,8 +478,8 @@ class TestShardedEngine:
     def _problem(self, n_runs=4, **over):
         ds = toy_dataset(n=80, seed=5)
         rows = np.arange(80)
-        runs = [(k, 20 + k, np.roll(rows, 20 * k)[:60], np.roll(rows, 20 * k)[60:],
-                 fast_cfg(refinement_enabled=k % 2 == 0, **over)) for k in range(n_runs)]
+        runs = [(k, np.roll(rows, 20 * k)[:60], np.roll(rows, 20 * k)[60:],
+                 fast_cfg(seed=20, refinement_enabled=k % 2 == 0, **over)) for k in range(n_runs)]
         return ds, runs
 
     def test_worker_counts_give_same_bits(self):
@@ -494,10 +495,9 @@ class TestShardedEngine:
         # the first failing run, as training them one by one does
         ds, runs = self._problem()
         labels = ds.labels.copy()
-        runs = [(fold, seed, tr, va, cfg)
-                for fold, (_, seed, tr, va, cfg) in zip((9, 5, 7, 3), runs)]
+        runs = [(fold, tr, va, cfg) for fold, (_, tr, va, cfg) in zip((9, 5, 7, 3), runs)]
         for k in (1, 2):
-            labels[runs[k][3]] = 0.0
+            labels[runs[k][2]] = 0.0
         texts = []
         for workers in (1, 2):
             with pytest.raises(HarnessError) as exc:

@@ -223,7 +223,6 @@ class TestStateStacking:
         state.v[:] = i + 0.2
         state.shadow[:] = i + 0.3
         state.t[:] = 100 + i
-        state.step[:] = 200 + i
         state.skips[:] = 300 + i
         state.logs[0].append(StepLog(step=i, lr=0.1 * i, loss=float(i), grad_norm=1.0,
                                      skipped=bool(i % 2)))
@@ -242,7 +241,7 @@ class TestStateStacking:
 
     @staticmethod
     def _arrays(state):
-        names = ("m", "v", "shadow", "t", "step", "skips", "pos_weight")
+        names = ("m", "v", "shadow", "t", "skips", "pos_weight")
         return {"params": state.params.data, **{n: getattr(state, n) for n in names}}
 
     def test_selection_writes_reach_the_stack(self):
@@ -285,7 +284,7 @@ class TestTrainStep:
         entry = train_step(x[None], y[None], state, cfg)[0]
         assert entry.skipped is True
         assert state.skips == 1
-        assert state.step == 1  # schedule clock still advances
+        assert len(state.logs[0]) == 1  # schedule clock still advances
         for k, v in state.params.items():
             np.testing.assert_array_equal(v, params_before[k])
         np.testing.assert_array_equal(state.shadow, ema_before)
@@ -297,7 +296,7 @@ class TestTrainStep:
         y = np.zeros((2, 3))
         train_step(x[None], y[None], state, cfg)
         train_step(x[None], y[None], state, cfg)
-        assert state.step == 2 and state.skips == 2
+        assert len(state.logs[0]) == 2 and state.skips == 2
 
     def test_normal_step_updates_and_logs(self):
         cfg = ExperimentConfig()
@@ -346,6 +345,38 @@ class TestTrainStep:
         y = (rng.random((4, 3)) < 0.5).astype(float)
         with pytest.raises(LossInputError):
             train_step(x[None], y[None], state, cfg)
+
+
+class TestCouplingDiagonal:
+    @pytest.mark.parametrize("lambda_l1", [3e-3, 0.0])
+    def test_stays_positive_zero(self, lambda_l1):
+        # three stacked models with weight decay, one skipping mid-run: A's
+        # diagonal and its EMA shadow stay bit-exactly +0.0, through the
+        # all-stepping and the mixed-skip updates alike
+        cfg = config_from_dict({"lr": 0.05, "weight_decay": 0.1, "ema_decay": 0.9,
+                                "lambda_l1": lambda_l1})
+        rng = np.random.default_rng(8)
+        states = []
+        for seed in range(3):
+            model = init_params(4, 3, np.random.default_rng(seed))
+            A = rng.normal(size=(3, 3))
+            np.fill_diagonal(A, 0.0)
+            model["A"] = A
+            states.append(init_train_state(model, Schedule(warmup_steps=2, total_steps=20)))
+        state = stack_states(states)
+        x = rng.normal(size=(3, 6, 4))
+        y = (rng.random((3, 6, 3)) < 0.5).astype(float)
+        y[:, 0], y[:, 1] = 1.0, 0.0
+        for step in range(12):
+            xb = x.copy()
+            if step == 5:
+                xb[1, 2, 0] = np.nan
+            train_step(xb, y, state, cfg)
+        assert state.skips.tolist() == [0, 1, 0]
+        i = np.arange(3)
+        for A in (state.params["A"], state.params.like(state.shadow)["A"]):
+            assert np.any(A != 0.0)
+            assert (A[:, i, i].view(np.uint64) == 0).all()
 
 
 class TestRefinementOffPath:

@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -18,7 +19,7 @@ from coupled_labels.synthgen import (
     spec_from_dict,
     topo_order,
 )
-from helpers import BAD_SPEC_PATCHES, GOOD_SPEC, reference_generate
+from helpers import BAD_SPEC_PATCHES, GOOD_SPEC, identifiable_spec, reference_generate
 
 # rows in one of the blocks `generate` draws and samples by, at 4 labels
 BLOCK_ROWS = metrics._BLOCK_CELLS // 4
@@ -223,6 +224,22 @@ class TestSpecJson:
         back = load_spec(path)
         assert back == spec
         np.testing.assert_array_equal(back.base_weights, spec.base_weights)
+
+    def test_given_weights_neither_saved_nor_equal_to_the_seed_draw(self, tmp_path):
+        # a spec file holds only the seed, so weights it does not draw
+        # cannot be saved, and their spec is not its seed-drawn twin
+        spec = identifiable_spec()
+        twin = dataclasses.replace(spec, base_weights=None)
+        assert spec != twin
+        path = tmp_path / "spec.json"
+        with pytest.raises(GenSpecError, match="^base_weights: "):
+            save_spec(spec, path)
+        assert not path.exists()
+        # the seed's own draw, given as an array: equal, saved and read back
+        same = dataclasses.replace(spec, base_weights=twin.base_weights.copy())
+        assert same == twin
+        save_spec(same, path)
+        assert load_spec(path) == same
 
     def test_unknown_field_rejected(self):
         with pytest.raises(GenSpecError):

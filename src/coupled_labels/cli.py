@@ -106,7 +106,7 @@ def _write_timings(outdir: Path, marks: tuple[float, ...], reports) -> None:
     and their rate. It changes from run to run, so it stays out of
     `report.json` and `ablation.json`."""
     t0, t1, t2, t3, t4 = marks
-    steps = sum(len(fr.train_log) for report in reports for fr in report.fold_results)
+    steps = sum(fr.train_log.lr.size for report in reports for fr in report.fold_results)
     write_json({"load_dataset_s": t1 - t0, "train_s": t3 - t2, "write_run_dir_s": t4 - t3,
                 "optimizer_steps": steps, "steps_per_s": steps / (t3 - t2)},
                outdir / "timings.json")

@@ -43,7 +43,7 @@ from .datamodel import (
 from .losses import compute_pos_weights
 from .optim import (
     Schedule,
-    StepLog,
+    TrainLog,
     TrainState,
     init_train_state,
     save_train_log,
@@ -105,13 +105,14 @@ class FoldResult:
     skipped_steps: int
     checkpoint: Mapping   # EMA weights at the best epoch: W2, b2 and, if refined, A
     val_auc: metrics.AucReport
-    train_log: list[StepLog]
+    train_log: TrainLog
 
 
 @dataclass
 class _Run:
     """One model: its place in the caller's list, config, data rows,
-    shuffle stream, one-model starting state and early-stopping record."""
+    shuffle stream, one-model starting state (until the lockstep stacks it)
+    and early-stopping record."""
 
     index: int
     fold: int
@@ -119,7 +120,7 @@ class _Run:
     train_idx: np.ndarray
     val_idx: np.ndarray
     rng_shuffle: np.random.Generator
-    state: TrainState
+    state: TrainState | None
     best: FoldResult | None = None
 
 
@@ -220,6 +221,8 @@ def _train_lockstep(features, labels, runs: list[_Run]) -> list[tuple]:
     # models with a full batch at a position are always a leading slice.
     runs = sorted(runs, key=lambda run: -(run.train_idx.shape[0] // bs))
     state = stack_states([run.state for run in runs])
+    for run in runs:
+        run.state = None   # the stack holds the models now
     results = []
 
     for epoch in range(1, cfg.epochs + 1):
@@ -253,15 +256,17 @@ def _train_lockstep(features, labels, runs: list[_Run]) -> list[tuple]:
                 run.best = FoldResult(
                     fold=run.fold, best_epoch=epoch, best_val_macro_auc=report.macro_auc,
                     epochs_run=0, skipped_steps=0, checkpoint=model,
-                    val_auc=report, train_log=state.logs[i],
+                    val_auc=report, train_log=None,
                 )
             elif epoch - run.best.best_epoch >= cfg.patience:
                 stopped.append(i)
         if epoch == cfg.epochs:
             stopped = list(range(len(runs)))
-        results += [(runs[i].index, dataclasses.replace(runs[i].best, epochs_run=epoch,
-                                                        skipped_steps=int(state.skips[i])))
-                    for i in stopped]
+        for i in stopped:
+            log = state.log_of(i)
+            results.append((runs[i].index, dataclasses.replace(
+                runs[i].best, epochs_run=epoch, skipped_steps=int(log.skipped.sum()),
+                train_log=log)))
         keep = [i for i in range(len(runs)) if i not in stopped]
         if not keep:
             break

@@ -47,35 +47,42 @@ def _column_aucs(scores, pos) -> list[float]:
     """ROC-AUC of every row of (L, n) scores against (L, n) positive flags,
     all rows ranked by one argsort.
 
-    A tie group at sorted positions first..last has midrank
-    (first + last + 2) / 2, so twice the positives' midrank sum is an exact
-    integer and R_pos = that / 2 is the float a float64 midrank sum gives.
+    Past the sort the kernel holds two block-sized arrays, the sorted scores
+    and their positive flags, besides the positives' positions. A positive
+    at sorted position j of its row has rank j + 1 when untied; a tie group
+    at positions first..last gives each of its k positives the midrank
+    (first + last + 2) / 2 instead. So twice the positives' midrank sum is
+    the no-tie sum 2 * sum(j + 1) plus k * (first + last) - 2 * sum(j) over
+    each tie group: an exact integer, and R_pos = that / 2 is the float a
+    float64 midrank sum gives.
     A row whose scores contain NaN gets NaN, as NaN ranks propagate.
     """
     L, n = scores.shape
     n_pos = pos.sum(axis=1)
     if np.any((n_pos == 0) | (n_pos == n)):
         raise UndefinedAucError("AUC undefined: only one class present")
-    # flat indices into the (L, n) buffers, so one gather serves every row
+    # flat indices into the (L, n) buffers, so one gather serves every row;
+    # flat position f of row r is sorted position f - r * n
     order = np.argsort(scores, axis=1)
     order += np.arange(0, L * n, n)[:, None]
-    order = order.ravel()
-    s = scores.ravel()[order]
-    p = pos.ravel()[order]
-    starts = np.empty(L * n, dtype=bool)
-    starts[0] = True
-    np.not_equal(s[1:], s[:-1], out=starts[1:])
-    starts[::n] = True
+    s = scores.ravel()[order.ravel()]
+    p = pos.ravel()[order.ravel()]
+    del order
     has_nan = np.isnan(s[n - 1::n])  # NaN sorts last
-    # tie groups in flat positions: a group at first..last of row r has
-    # 2 * midrank = first + last + 2 - 2 * r * n = 2 * first + size + 1 - 2 * r * n
-    first = np.flatnonzero(starts)
-    size = np.diff(first, append=L * n)
-    first *= 2
-    first += size
-    twice_mid = np.repeat(first, size)
-    twice_mid *= p
-    twice_r_pos = twice_mid.reshape(L, n).sum(axis=1) - (2 * n * np.arange(L) - 1) * n_pos
+    at = np.flatnonzero(p)            # the positives' flat positions, row by row
+    twice_r_pos = 2 * np.add.reduceat(at, np.cumsum(n_pos) - n_pos)
+    twice_r_pos -= (2 * n * np.arange(L) - 2) * n_pos
+    # tied[f]: s[f] == s[f + 1] within one row; a tie group is a run of them
+    tied = s[1:] == s[:-1]
+    del s
+    tied[n - 1::n] = False
+    edges = np.flatnonzero(np.diff(tied, prepend=False, append=False))
+    if edges.size:
+        first, last = edges[0::2], edges[1::2]
+        lo, hi = np.searchsorted(at, first), np.searchsorted(at, last, side="right")
+        sums = np.zeros(at.size + 1, dtype=np.int64)   # sums[i]: at[:i].sum()
+        np.cumsum(at, out=sums[1:])
+        np.add.at(twice_r_pos, first // n, (hi - lo) * (first + last) - 2 * (sums[hi] - sums[lo]))
     aucs = []
     for twice, k, nan in zip(twice_r_pos.tolist(), n_pos.tolist(), has_nan.tolist()):
         r_pos = math.nan if nan else twice / 2.0

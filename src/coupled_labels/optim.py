@@ -8,12 +8,15 @@ moments and the EMA shadow are plain (M, P) arrays of the same layout. Each
 update is then a few vector operations whatever M is, and `train_step`
 advances M models by one batch each with one pass through the layer
 functions. Every model computes exactly what it would compute alone: it
-keeps its own schedule, Adam clock and log. The state holds only what
+keeps its own schedule, Adam clock and log. A model's log is a row of
+preallocated columns with room for its whole schedule, and the count of
+entries filled in that row is its schedule clock; a step writes four
+values per model into the columns. The state holds only what
 training mutates; every config scalar (`lr`, `weight_decay`, `ema_decay`,
 `alpha`, `lambda_l1`, `grad_clip_norm`) is read from the config at each step.
 
-A skipped step still advances a model's schedule clock, the length of its
-log, and leaves its parameters, moments and EMA untouched.
+A skipped step still fills its log entry, so it advances the model's
+schedule clock, and leaves its parameters, moments and EMA untouched.
 """
 
 from __future__ import annotations
@@ -171,13 +174,21 @@ def ema_update(state: TrainState, decay: float) -> None:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(slots=True)
-class StepLog:
-    step: int
-    lr: float
-    loss: float
-    grad_norm: float
-    skipped: bool
+@dataclass
+class TrainLog:
+    """Training-log columns, an entry per step: the learning rate, the
+    total loss, the pre-clip gradient norm (NaN where none was computed)
+    and whether the step was skipped. In a `TrainState` each column is
+    (M, T), a row per model; a finished model's log is (steps,) columns."""
+
+    lr: np.ndarray          # float64
+    loss: np.ndarray        # float64
+    grad_norm: np.ndarray   # float64
+    skipped: np.ndarray     # bool
+
+    @classmethod
+    def empty(cls, shape: tuple[int, ...]) -> "TrainLog":
+        return cls(np.zeros(shape), np.zeros(shape), np.zeros(shape), np.zeros(shape, dtype=bool))
 
 
 @dataclass
@@ -192,13 +203,13 @@ class TrainState:
     v: np.ndarray
     shadow: np.ndarray
     t: np.ndarray                       # (M,) Adam clock
-    skips: np.ndarray                   # (M,)
     pos_weight: np.ndarray | None       # (M, L)
     schedules: list[Schedule]
-    logs: list[list[StepLog]]           # a log's length is its schedule clock
+    log: TrainLog                       # (M, T) columns
+    steps: np.ndarray                   # (M,) entries filled in each log row: the schedule clock
 
     def select(self, rows: slice) -> "TrainState":
-        """The models at `rows`, sharing this state's buffers, clocks and logs."""
+        """The models at `rows`, sharing this state's buffers, clocks and log."""
         return TrainState(**{f.name: _rows(getattr(self, f.name), rows)
                              for f in dataclasses.fields(TrainState)})
 
@@ -206,10 +217,17 @@ class TrainState:
         """A copy of model `row`'s EMA weights: one model."""
         return self.params.like(self.shadow[row].copy())
 
+    def log_of(self, row: int) -> TrainLog:
+        """A copy of model `row`'s log, cut to the steps it has taken."""
+        n = self.steps[row]
+        return TrainLog(*(column[row, :n].copy() for column in vars(self.log).values()))
+
 
 def _rows(value, rows: slice):
     if isinstance(value, ParamBuffer):
         return value.like(value.data[rows])
+    if isinstance(value, TrainLog):
+        return TrainLog(*(column[rows] for column in vars(value).values()))
     return None if value is None else value[rows]
 
 
@@ -219,14 +237,20 @@ def _joined(parts: list):
         return None
     if isinstance(first, ParamBuffer):
         return first.like(np.concatenate([part.data for part in parts]))
+    if isinstance(first, TrainLog):
+        # rows of different schedule lengths, padded to the longest
+        width = max(part.lr.shape[1] for part in parts)
+        return TrainLog(*(np.concatenate([np.pad(c, ((0, 0), (0, width - c.shape[1])))
+                                          for c in columns])
+                          for columns in zip(*(vars(part).values() for part in parts))))
     if isinstance(first, np.ndarray):
         return np.concatenate(parts)
     return [x for part in parts for x in part]
 
 
 def stack_states(states: list[TrainState]) -> TrainState:
-    """One state holding the models of `states` in order. Buffers and clocks
-    are copied; schedules and logs are shared."""
+    """One state holding the models of `states` in order. Buffers, clocks
+    and logs are copied; schedules are shared."""
     return TrainState(**{f.name: _joined([getattr(s, f.name) for s in states])
                          for f in dataclasses.fields(TrainState)})
 
@@ -234,7 +258,7 @@ def stack_states(states: list[TrainState]) -> TrainState:
 def init_train_state(model: Mapping, schedule: Schedule,
                      pos_weight: np.ndarray | None = None) -> TrainState:
     """A one-model state starting from a copy of `model` (`W2`, `b2` and,
-    for refinement, `A`)."""
+    for refinement, `A`), with log room for every step `lr_at` accepts."""
     row = ParamBuffer.of(model)
     params = row.like(row.data[None].copy())
     return TrainState(
@@ -243,10 +267,10 @@ def init_train_state(model: Mapping, schedule: Schedule,
         v=np.zeros_like(params.data),
         shadow=params.data.copy(),
         t=np.zeros(1, dtype=np.int64),
-        skips=np.zeros(1, dtype=np.int64),
         pos_weight=None if pos_weight is None else np.asarray(pos_weight)[None],
         schedules=[schedule],
-        logs=[[]],
+        log=TrainLog.empty((1, schedule.total_steps + 1)),
+        steps=np.zeros(1, dtype=np.int64),
     )
 
 
@@ -257,13 +281,13 @@ def _supervised_loss(z, y, cfg: ExperimentConfig, pos_weight) -> losses.LossOutp
     return losses.weighted_bce_loss(z, y, pos_weight)
 
 
-def train_step(x, y, state: TrainState, cfg: ExperimentConfig) -> list[StepLog]:
+def train_step(x, y, state: TrainState, cfg: ExperimentConfig) -> None:
     """One optimization step for each of the state's M models, each on its
     own batch: x (M, B, D) and y (M, B, L). A model whose loss or any
-    gradient is non-finite skips its update entirely. Returns one StepLog
-    per model."""
-    clock = [len(log) for log in state.logs]
-    lr = np.array([lr_at(sched, t, cfg.lr) for sched, t in zip(state.schedules, clock)])
+    gradient is non-finite skips its update entirely. Each model's step
+    fills the next entry of its log row."""
+    steps = state.steps
+    lr = np.array([lr_at(sched, t, cfg.lr) for sched, t in zip(state.schedules, steps.tolist())])
     A = state.params["A"] if "A" in state.params else None
     z, pcache = predict_forward(x, state.params)
     if A is not None:
@@ -302,15 +326,12 @@ def train_step(x, y, state: TrainState, cfg: ExperimentConfig) -> list[StepLog]:
                 rows = slice(r, r + 1)
                 _update(state.select(rows), grads.like(grads.data[rows]), lr[rows], cfg)
 
-    entries = [
-        StepLog(step=t, lr=r, loss=v, grad_norm=g, skipped=not k)
-        for t, r, v, g, k in zip(clock, lr.tolist(), total.tolist(),
-                                 grad_norm.tolist(), ok.tolist())
-    ]
-    for log, entry in zip(state.logs, entries):
-        log.append(entry)
-    state.skips += ~ok
-    return entries
+    at = (np.arange(steps.size), steps)
+    state.log.lr[at] = lr
+    state.log.loss[at] = total
+    state.log.grad_norm[at] = grad_norm
+    state.log.skipped[at] = ~ok
+    steps += 1
 
 
 def _update(state: TrainState, grads: ParamBuffer, lr: np.ndarray,
@@ -319,6 +340,8 @@ def _update(state: TrainState, grads: ParamBuffer, lr: np.ndarray,
     ema_update(state, cfg.ema_decay)
 
 
-def save_train_log(log: list[StepLog], path) -> None:
+def save_train_log(log: TrainLog, path) -> None:
+    """One row per step of a one-model log, its index as `step`."""
     write_csv(path, ["step", "lr", "loss", "grad_norm", "skipped"],
-              ([e.step, repr(e.lr), repr(e.loss), repr(e.grad_norm), int(e.skipped)] for e in log))
+              ([t, repr(r), repr(v), repr(g), int(k)] for t, (r, v, g, k)
+               in enumerate(zip(*(column.tolist() for column in vars(log).values())))))

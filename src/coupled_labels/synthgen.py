@@ -69,7 +69,7 @@ class GenSpec:
         if w is None:
             w = _seed_weights(self)
         else:
-            w = np.asarray(w, dtype=np.float64)
+            w = np.array(w, dtype=np.float64)   # a copy: the caller's array stays writeable
             if w.shape != (self.n_features, self.n_labels):
                 raise GenSpecError(
                     f"base_weights shape {w.shape} != ({self.n_features}, {self.n_labels})"

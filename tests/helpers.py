@@ -604,7 +604,7 @@ def reference_run_fold(train_x, train_y, val_x, val_y, cfg, seed, fold_index=0):
     from coupled_labels import losses, metrics
     from coupled_labels.coupling import new_coupling, refine_backward, refine_forward, zero_diag
     from coupled_labels.harness import FoldResult, HarnessError, predict_probs
-    from coupled_labels.optim import Schedule, StepLog, lr_at
+    from coupled_labels.optim import Schedule, TrainLog, lr_at
     from coupled_labels.predictor import init_params, predict_backward, predict_forward
 
     train_x = np.asarray(train_x, dtype=np.float64)
@@ -669,8 +669,7 @@ def reference_run_fold(train_x, train_y, val_x, val_y, cfg, seed, fold_index=0):
                 if A is not None:
                     zero_diag(A)
                 _reference_ema(shadow, params, cfg.ema_decay)
-        log.append(StepLog(step=step, lr=lr, loss=total, grad_norm=grad_norm,
-                           skipped=skipped))
+        log.append((lr, total, grad_norm, skipped))
         step += 1
         skips += skipped
 
@@ -699,7 +698,7 @@ def reference_run_fold(train_x, train_y, val_x, val_y, cfg, seed, fold_index=0):
     return FoldResult(
         fold=fold_index, best_epoch=best_epoch, best_val_macro_auc=best_auc,
         epochs_run=epochs_run, skipped_steps=skips, checkpoint=best[0],
-        val_auc=best[1], train_log=log,
+        val_auc=best[1], train_log=TrainLog(*(np.array(column) for column in zip(*log))),
     )
 
 
@@ -714,8 +713,9 @@ def fold_result_bits(fr):
         "val_auc": repr(fr.val_auc),
         "arrays": {k: (a.shape, np.asarray(a, dtype=np.float64).view(np.uint64).tolist())
                    for k, a in fr.checkpoint.items()},
-        "train_log": [(e.step, repr(e.lr), repr(e.loss), repr(e.grad_norm), e.skipped)
-                      for e in fr.train_log],
+        "train_log": [(step, repr(lr), repr(loss), repr(grad_norm), skipped)
+                      for step, (lr, loss, grad_norm, skipped) in enumerate(zip(
+                          *(column.tolist() for column in vars(fr.train_log).values())))],
     }
 
 

@@ -29,6 +29,7 @@ from coupled_labels.harness import (
     train_folds,
     write_run_report,
 )
+from coupled_labels.optim import TrainLog
 from coupled_labels.predictor import init_params
 from coupled_labels.stratify import FoldAssignment, mis_split
 from coupled_labels.synthgen import default_spec, generate
@@ -172,7 +173,8 @@ def _fold_result(k, rng, d, l, refined):
         model["A"] = rng.normal(scale=0.1, size=(l, l))
         np.fill_diagonal(model["A"], 0.0)
     return FoldResult(fold=k, best_epoch=1, best_val_macro_auc=0.5, epochs_run=1,
-                      skipped_steps=0, checkpoint=model, val_auc=None, train_log=[])
+                      skipped_steps=0, checkpoint=model, val_auc=None,
+                      train_log=TrainLog.empty((0,)))
 
 
 class TestRunExperiment:
@@ -243,6 +245,25 @@ class TestRunExperiment:
         n, l = ds.labels.shape
         peak = _traced_peak(lambda: run_experiment(ds, config_from_dict({"epochs": 1})))
         assert peak <= 2.4 * n * l * 8, peak / (n * l * 8)
+
+    def test_trained_folds_retain_little_per_model_step(self):
+        """Once `train_folds` returns, its results hold at most 64 traced
+        bytes per model-step: a log entry is 25 bytes of columns, and the
+        checkpoints and AUC reports are a few KiB per model (a `StepLog`
+        object per step kept about 180 bytes)."""
+        ds = generate(default_spec())
+        cfg = config_from_dict({"epochs": 4})
+        runs = fold_runs(mis_split(ds.labels, cfg.K, cfg.seed), cfg)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            results = train_folds(ds.features, ds.labels, runs)
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        steps = sum(fr.train_log.lr.size for fr in results)
+        assert steps == 2004
+        assert retained <= 64 * steps, retained / steps
 
     @pytest.mark.parametrize("K", [2, 3, 5])
     @pytest.mark.parametrize("refined", [True, False])

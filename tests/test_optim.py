@@ -13,7 +13,7 @@ from coupled_labels.optim import (
     ParamBuffer,
     Schedule,
     ScheduleError,
-    StepLog,
+    TrainLog,
     TrainState,
     adamw_step,
     clip_global_norm,
@@ -206,9 +206,15 @@ class TestEma:
 def _same(a, b) -> bool:
     if isinstance(a, ParamBuffer):
         return a.shapes == b.shapes and _same(a.data, b.data)
+    if isinstance(a, TrainLog):
+        return all(_same(x, y) for x, y in zip(vars(a).values(), vars(b).values()))
     if isinstance(a, np.ndarray):
         return a.dtype == b.dtype and np.array_equal(a, b)
     return a == b
+
+
+def _bumped(a: np.ndarray) -> np.ndarray:
+    return ~a if a.dtype == bool else a + 1
 
 
 class TestStateStacking:
@@ -223,9 +229,9 @@ class TestStateStacking:
         state.v[:] = i + 0.2
         state.shadow[:] = i + 0.3
         state.t[:] = 100 + i
-        state.skips[:] = 300 + i
-        state.logs[0].append(StepLog(step=i, lr=0.1 * i, loss=float(i), grad_norm=1.0,
-                                     skipped=bool(i % 2)))
+        state.steps[:] = 1
+        state.log.lr[0, 0], state.log.loss[0, 0] = 0.1 * i, float(i)
+        state.log.grad_norm[0, 0], state.log.skipped[0, 0] = 1.0, bool(i % 2)
         return state
 
     def test_select_and_stack_round_trip(self):
@@ -236,13 +242,22 @@ class TestStateStacking:
         back = stack_states(parts)
         for f in dataclasses.fields(TrainState):
             for i, part in enumerate(parts):
-                assert _same(getattr(part, f.name), getattr(alone[i], f.name)), (f.name, i)
+                if f.name != "log":
+                    assert _same(getattr(part, f.name), getattr(alone[i], f.name)), (f.name, i)
             assert _same(getattr(back, f.name), getattr(stack, f.name)), f.name
+        # log rows of schedules 5, 6 and 7 steps long, padded to the longest
+        assert stack.log.lr.shape == (3, 8)
+        for i, part in enumerate(parts):
+            for mine, own in zip(vars(part.log).values(), vars(alone[i].log).values()):
+                np.testing.assert_array_equal(mine[:, :own.shape[1]], own)
+                assert not mine[:, own.shape[1]:].any()
+            assert _same(part.log_of(0), alone[i].log_of(0))
 
     @staticmethod
     def _arrays(state):
-        names = ("m", "v", "shadow", "t", "skips", "pos_weight")
-        return {"params": state.params.data, **{n: getattr(state, n) for n in names}}
+        names = ("m", "v", "shadow", "t", "pos_weight", "steps")
+        return {"params": state.params.data, **{n: getattr(state, n) for n in names},
+                **{f"log.{n}": column for n, column in vars(state.log).items()}}
 
     def test_selection_writes_reach_the_stack(self):
         stack = stack_states([self._state(i) for i in range(3)])
@@ -252,13 +267,10 @@ class TestStateStacking:
             part.params[name][...] += 1.0
         for name, value in self._arrays(part).items():
             if name != "params":
-                value += 1
-        entry = StepLog(step=9, lr=0.0, loss=0.0, grad_norm=0.0, skipped=False)
-        part.logs[0].append(entry)
+                value[...] = _bumped(value)
         for name, value in self._arrays(stack).items():
-            np.testing.assert_array_equal(value[1], before[name][1] + 1, err_msg=name)
+            np.testing.assert_array_equal(value[1], _bumped(before[name][1]), err_msg=name)
             np.testing.assert_array_equal(value[[0, 2]], before[name][[0, 2]], err_msg=name)
-        assert stack.logs[1][-1] is entry and len(stack.logs[0]) == len(stack.logs[2]) == 1
         assert part.schedules[0] is stack.schedules[1]
 
 
@@ -281,10 +293,9 @@ class TestTrainStep:
         y = (rng.random((4, 3)) < 0.5).astype(float)
         params_before = {k: v.copy() for k, v in state.params.items()}
         ema_before = state.shadow.copy()
-        entry = train_step(x[None], y[None], state, cfg)[0]
-        assert entry.skipped is True
-        assert state.skips == 1
-        assert len(state.logs[0]) == 1  # schedule clock still advances
+        train_step(x[None], y[None], state, cfg)
+        assert state.log_of(0).skipped.tolist() == [True]
+        assert state.steps[0] == 1  # schedule clock still advances
         for k, v in state.params.items():
             np.testing.assert_array_equal(v, params_before[k])
         np.testing.assert_array_equal(state.shadow, ema_before)
@@ -296,7 +307,7 @@ class TestTrainStep:
         y = np.zeros((2, 3))
         train_step(x[None], y[None], state, cfg)
         train_step(x[None], y[None], state, cfg)
-        assert len(state.logs[0]) == 2 and state.skips == 2
+        assert state.steps[0] == 2 and state.log_of(0).skipped.tolist() == [True, True]
 
     def test_normal_step_updates_and_logs(self):
         cfg = ExperimentConfig()
@@ -305,12 +316,13 @@ class TestTrainStep:
         x = rng.normal(size=(8, 6))
         y = (rng.random((8, 3)) < 0.5).astype(float)
         before = state.params["W2"].copy()
-        entry = train_step(x[None], y[None], state, cfg)[0]
-        assert entry.skipped is False
-        assert math.isfinite(entry.loss) and math.isfinite(entry.grad_norm)
+        train_step(x[None], y[None], state, cfg)
+        log = state.log_of(0)
+        assert log.skipped.tolist() == [False]
+        assert math.isfinite(log.loss[0]) and math.isfinite(log.grad_norm[0])
         assert not np.array_equal(state.params["W2"], before)
         assert np.all(np.diag(state.params["A"][0]) == 0.0)
-        assert len(state.logs[0]) == 1
+        assert state.steps[0] == 1
 
     def test_loss_halves_on_separable_batch(self):
         # 50 steps at a workable lr on a linearly separable batch
@@ -319,10 +331,9 @@ class TestTrainStep:
         rng = np.random.default_rng(5)
         x = rng.normal(size=(16, 2))
         y = np.stack([(x[:, 0] > 0), (x[:, 1] > 0)], axis=1).astype(float)
-        first = train_step(x[None], y[None], state, cfg)[0].loss
-        last = first
-        for _ in range(49):
-            last = train_step(x[None], y[None], state, cfg)[0].loss
+        for _ in range(50):
+            train_step(x[None], y[None], state, cfg)
+        first, last = state.log.loss[0, 0], state.log.loss[0, 49]
         assert last < 0.5 * first
 
     def test_weighted_bce_path(self):
@@ -332,8 +343,8 @@ class TestTrainStep:
         rng = np.random.default_rng(6)
         x = rng.normal(size=(4, 6))
         y = (rng.random((4, 3)) < 0.5).astype(float)
-        entry = train_step(x[None], y[None], state, cfg)[0]
-        assert entry.skipped is False
+        train_step(x[None], y[None], state, cfg)
+        assert state.log_of(0).skipped.tolist() == [False]
 
     def test_weighted_bce_without_weights_raises(self):
         # the weights come from the fold's training rows, never from a batch
@@ -372,7 +383,7 @@ class TestCouplingDiagonal:
             if step == 5:
                 xb[1, 2, 0] = np.nan
             train_step(xb, y, state, cfg)
-        assert state.skips.tolist() == [0, 1, 0]
+        assert state.log.skipped.sum(axis=1).tolist() == [0, 1, 0]
         i = np.arange(3)
         for A in (state.params["A"], state.params.like(state.shadow)["A"]):
             assert np.any(A != 0.0)
@@ -393,8 +404,9 @@ class TestTrainLogCsv:
     def test_bytes(self, tmp_path):
         # repr floats, a skipped step's nan grad norm as `nan`, `\r\n` ends
         path = tmp_path / "log.csv"
-        save_train_log([StepLog(0, 1e-4, 0.1 + 0.2, 2.5, False),
-                        StepLog(1, 2e-4, 0.7, math.nan, True)], path)
+        save_train_log(TrainLog(lr=np.array([1e-4, 2e-4]), loss=np.array([0.1 + 0.2, 0.7]),
+                                grad_norm=np.array([2.5, math.nan]),
+                                skipped=np.array([False, True])), path)
         assert path.read_bytes() == (b"step,lr,loss,grad_norm,skipped\r\n"
                                      b"0,0.0001,0.30000000000000004,2.5,0\r\n"
                                      b"1,0.0002,0.7,nan,1\r\n")

@@ -60,6 +60,13 @@ class TestSpecValidation:
         with pytest.raises(GenSpecError):
             small_spec(base_weights=np.zeros((2, 2)))
 
+    def test_given_weights_copied_not_frozen(self):
+        q = np.zeros((4, 3))
+        spec = small_spec(base_weights=q)
+        assert q.flags.writeable and not spec.base_weights.flags.writeable
+        q[0, 0] = 1.0
+        assert spec.base_weights[0, 0] == 0.0
+
     def test_weights_drawn_from_seed(self):
         a = small_spec(seed=3).base_weights
         b = small_spec(seed=3).base_weights
